@@ -5,133 +5,28 @@ polynomial space; equality constraints are folded into a quadratic penalty,
 positivity into a log barrier, and the resulting unconstrained program is
 minimized by a damped Newton method with a continuation in the penalty and
 barrier weights.  A refinement harness measures empirical convergence orders.
+The remaining public names live in the submodules.
 """
 
-from .assembly import AssembledNlp, MultiplierSet, ObjectiveTerms
-from .errors import BarrierDomainError, NonFiniteEvaluationError
-from .fespace import (
-    CoefficientVector,
-    FESpace,
-    build_eval_operator,
-    build_point_eval_operator,
-    build_regularizer,
-    build_space,
-    interleaved_order,
-)
-from .harness import (
-    AnalyticSolution,
-    Benchmark,
-    ConvergenceRow,
-    StudyResult,
-    benchmark_names,
-    build_setup,
-    cli_main,
-    get_benchmark,
-    register_benchmark,
-    register_builtin_benchmarks,
-    run_study,
-)
-from .mesh import (
-    Interval,
-    MergedMesh,
-    Mesh,
-    merge_meshes,
-    mesh_from_breakpoints,
-    uniform_mesh,
-    validate_quasi_uniform,
-)
-from .ocp_model import (
-    DerivativeReport,
-    MethodParams,
-    OcpProblem,
-    check_derivatives,
-    default_params,
-    residual,
-)
-from .polybasis import (
-    Basis,
-    eval_basis,
-    eval_basis_derivative,
-    gauss_lobatto_nodes,
-    make_basis,
-    min_l2_unit_value_qp,
-    verify_norm_constants,
-)
-from .quadrature import GlobalRule, UnitRule, compose_rule, gauss_legendre_unit, integrate
-from .solver import (
-    LiftedNlpExport,
-    PositivityReport,
-    SolveReport,
-    SolverOptions,
-    StageResult,
-    default_start,
-    export_lifted_nlp,
-    lifted_objective,
-    parse_lifted_nlp,
-    solve,
-    strict_positivity_check,
-)
+from .assembly import AssembledNlp
+from .fespace import build_space
+from .harness import build_setup, get_benchmark
+from .mesh import uniform_mesh
+from .ocp_model import OcpProblem, check_derivatives, default_params
+from .solver import SolveReport, SolverOptions, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticSolution",
     "AssembledNlp",
-    "BarrierDomainError",
-    "Basis",
-    "Benchmark",
-    "CoefficientVector",
-    "ConvergenceRow",
-    "DerivativeReport",
-    "FESpace",
-    "GlobalRule",
-    "Interval",
-    "LiftedNlpExport",
-    "MergedMesh",
-    "Mesh",
-    "MethodParams",
-    "MultiplierSet",
-    "NonFiniteEvaluationError",
-    "ObjectiveTerms",
     "OcpProblem",
-    "PositivityReport",
     "SolveReport",
     "SolverOptions",
-    "StageResult",
-    "StudyResult",
-    "UnitRule",
-    "benchmark_names",
-    "build_eval_operator",
-    "build_point_eval_operator",
-    "build_regularizer",
     "build_setup",
     "build_space",
     "check_derivatives",
-    "cli_main",
-    "compose_rule",
     "default_params",
-    "default_start",
-    "eval_basis",
-    "eval_basis_derivative",
-    "export_lifted_nlp",
-    "gauss_legendre_unit",
-    "gauss_lobatto_nodes",
     "get_benchmark",
-    "integrate",
-    "interleaved_order",
-    "lifted_objective",
-    "make_basis",
-    "merge_meshes",
-    "mesh_from_breakpoints",
-    "min_l2_unit_value_qp",
-    "parse_lifted_nlp",
-    "register_benchmark",
-    "register_builtin_benchmarks",
-    "residual",
-    "run_study",
     "solve",
-    "strict_positivity_check",
     "uniform_mesh",
-    "validate_quasi_uniform",
-    "verify_norm_constants",
 ]

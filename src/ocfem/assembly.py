@@ -366,40 +366,17 @@ class AssembledNlp:
 
     # -- structural patterns ---------------------------------------------------
 
-    def _support_operator(self) -> sparse.csr_matrix:
-        """Boolean evaluation-operator support built from the index structure.
-
-        Independent of coefficient values: a quadrature point that happens to
-        coincide with a basis node still claims all d + 1 coefficients of its
-        containing interval, so the pattern is safe for any instance.
-        """
-        space = self.space
-        B, M = space.block_width, self.M
-        merged = self.rule.mesh
-        prov = np.array(merged.provenance, dtype=int)
-        src_of_point = prov[self.rule.interval_of]
-        point_base = np.arange(M) * B
-        rows, cols = [], []
-        for comp in range(space.n_x):
-            col_block = space.index_map[comp][src_of_point[:, comp]]
-            row_offsets = [space.n_y + comp] + ([comp] if comp < space.n_y else [])
-            for offset in row_offsets:
-                rows.append(np.repeat(point_base + offset, space.degree + 1))
-                cols.append(col_block.ravel())
-        data = np.ones(sum(r.size for r in rows))
-        return sparse.coo_matrix(
-            (data, (np.concatenate(rows), np.concatenate(cols))), shape=(B * M, space.N)
-        ).tocsr()
-
     def structural_patterns(self) -> dict[str, sparse.csr_matrix]:
         """Sparsity patterns of the lifted-program Jacobians (x-independent).
 
-        Per-point derivative blocks are taken structurally dense, so the
-        patterns are safe for any problem instance on this space.
+        Per-point derivative blocks are taken structurally dense and the
+        evaluation operator stores its structural zeros, so the patterns are
+        safe for any problem instance on this space.
         """
         problem = self.problem
         B, M, N = self.space.block_width, self.M, self.N
-        support = self._support_operator()
+        support = self.eval_op.copy()
+        support.data = np.ones_like(support.data)
 
         if problem.m > 0:
             dense_blocks = np.ones((M, problem.m, B))
@@ -422,9 +399,6 @@ class AssembledNlp:
             g_x = support[z_rows, :].tocsr()
         else:
             g_x = sparse.csr_matrix((0, N))
-        for mat in (h_x, g_x):
-            mat.data = np.ones_like(mat.data)
-            mat.eliminate_zeros()
         return {"H_x": h_x, "G_x": g_x}
 
 

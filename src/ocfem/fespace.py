@@ -56,12 +56,6 @@ class FESpace:
         """Rows per quadrature point in the evaluation operator: 2 n_y + n_z."""
         return 2 * self.n_y + self.n_z
 
-    def is_continuous(self, component: int) -> bool:
-        return component < self.n_y
-
-    def zeros(self) -> "CoefficientVector":
-        return CoefficientVector(np.zeros(self.N), self)
-
     def coefficient_vector(self, values) -> "CoefficientVector":
         return CoefficientVector(np.asarray(values, dtype=float), self)
 
@@ -162,7 +156,8 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
     For each quadrature point rho_j the rows are ordered as the n_y
     derivative values, then the n_y function values of the differential
     components, then the n_z auxiliary values.  Derivative rows carry the
-    1 / |T| chain-rule factor of the containing source interval.
+    1 / |T| chain-rule factor of the containing source interval.  Zero basis
+    values stay stored, so the stored entries are the structural support.
     """
     merged = _check_rule(space, rule)
     B, M = space.block_width, rule.M
@@ -192,12 +187,10 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
             cols.append(col_block.ravel())
             vals.append(derivs.ravel())
 
-    op = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(B * M, space.N),
     ).tocsr()
-    op.eliminate_zeros()
-    return op
 
 
 def build_point_eval_operator(space: FESpace, time_points: Sequence[float]) -> sparse.csr_matrix:

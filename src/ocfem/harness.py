@@ -238,7 +238,6 @@ def build_setup(
     benchmark: Benchmark,
     h: Optional[float],
     d: int,
-    sigma: float = 1.0,
     breakpoints: Optional[Sequence[Sequence[float]]] = None,
 ) -> tuple[FESpace, MethodParams]:
     """Meshes, space and method parameters for one benchmark run.
@@ -265,7 +264,17 @@ def build_setup(
         meshes = [uniform_mesh((t0, t_end), c) for c in counts]
         params_h = h
     space = build_space(meshes, d, problem.n_y, problem.n_z)
-    return space, default_params(params_h, sigma, d)
+    return space, default_params(params_h, d=d)
+
+
+def _assemble(
+    benchmark: Benchmark,
+    h: Optional[float],
+    d: int,
+    breakpoints: Optional[Sequence[Sequence[float]]] = None,
+) -> AssembledNlp:
+    space, params = build_setup(benchmark, h, d, breakpoints)
+    return AssembledNlp(benchmark.problem, space, params)
 
 
 @dataclass
@@ -293,12 +302,11 @@ class StudyResult:
     reports: list[SolveReport] = field(default_factory=list)
 
 
-def _x_error(
-    benchmark: Benchmark, space: FESpace, nlp: AssembledNlp, report: SolveReport
-) -> Optional[float]:
+def _x_error(benchmark: Benchmark, nlp: AssembledNlp, report: SolveReport) -> Optional[float]:
     analytic = benchmark.analytic
     if analytic is None or analytic.y is None:
         return None
+    space = nlp.space
     functions = []
     for comp in range(space.n_y):
         functions.append(lambda t, c=comp: float(analytic.y(t)[c]))
@@ -333,7 +341,6 @@ def run_study(
     problem: str,
     d: int,
     h_list: Sequence[float],
-    sigma: float = 1.0,
     solver_options: Optional[SolverOptions] = None,
     out_dir: Optional[str] = None,
 ) -> StudyResult:
@@ -349,8 +356,7 @@ def run_study(
     rows: list[ConvergenceRow] = []
     reports: list[SolveReport] = []
     for h in h_list:
-        space, params = build_setup(benchmark, h, d, sigma)
-        nlp = AssembledNlp(benchmark.problem, space, params)
+        nlp = _assemble(benchmark, h, d)
         started = time.perf_counter()
         report = solve(nlp, None, solver_options)
         wall = time.perf_counter() - started
@@ -365,14 +371,14 @@ def run_study(
             ConvergenceRow(
                 h=float(h),
                 d=d,
-                omega=params.omega,
-                tau=params.tau,
+                omega=nlp.params.omega,
+                tau=nlp.params.tau,
                 N=nlp.N,
                 M=nlp.M,
                 iterations=report.total_iterations,
                 objective_gap=gap,
                 residual=report.residual,
-                x_error=_x_error(benchmark, space, nlp, report),
+                x_error=_x_error(benchmark, nlp, report),
                 wall_time=wall,
                 status=report.status,
             )
@@ -507,55 +513,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file supplying defaults for flags")
-        p.add_argument("--out", help="output directory")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file supplying defaults for flags")
+    common.add_argument("--out", help="output directory")
+    setup = argparse.ArgumentParser(add_help=False)
+    setup.add_argument("--problem")
+    setup.add_argument("--h", type=float)
+    setup.add_argument("--d", type=int)
+    newton = argparse.ArgumentParser(add_help=False)
+    newton.add_argument("--max-iters", type=int, dest="max_iters")
+    newton.add_argument("--grad-tol", type=float, dest="grad_tol")
 
-    p_solve = sub.add_parser("solve", help="solve one benchmark at fixed h and d")
-    common(p_solve)
-    p_solve.add_argument("--problem")
-    p_solve.add_argument("--h", type=float)
-    p_solve.add_argument("--d", type=int)
-    p_solve.add_argument("--sigma", type=float)
-    p_solve.add_argument("--max-iters", type=int, dest="max_iters")
-    p_solve.add_argument("--grad-tol", type=float, dest="grad_tol")
-
-    p_study = sub.add_parser("study", help="mesh-refinement study with order fits")
-    common(p_study)
+    sub.add_parser(
+        "solve", parents=[common, setup, newton], help="solve one benchmark at fixed h and d"
+    )
+    p_study = sub.add_parser(
+        "study", parents=[common, newton], help="mesh-refinement study with order fits"
+    )
     p_study.add_argument("--problem")
     p_study.add_argument("--d", type=int)
     p_study.add_argument("--h-list", dest="h_list")
-    p_study.add_argument("--sigma", type=float)
-    p_study.add_argument("--max-iters", type=int, dest="max_iters")
-    p_study.add_argument("--grad-tol", type=float, dest="grad_tol")
 
-    p_norm = sub.add_parser("norm-check", help="minimum-norm constants per degree")
-    common(p_norm)
+    p_norm = sub.add_parser("norm-check", parents=[common], help="minimum-norm constants per degree")
     p_norm.add_argument("--d-max", type=int, dest="d_max")
 
-    p_export = sub.add_parser("export-nlp", help="write the lifted constrained program")
-    common(p_export)
-    p_export.add_argument("--problem")
-    p_export.add_argument("--h", type=float)
-    p_export.add_argument("--d", type=int)
-    p_export.add_argument("--sigma", type=float)
+    sub.add_parser(
+        "export-nlp", parents=[common, setup], help="write the lifted constrained program"
+    )
+    sub.add_parser("sparsity", parents=[common, setup], help="write operator sparsity patterns")
 
-    p_sparsity = sub.add_parser("sparsity", help="write operator sparsity patterns")
-    common(p_sparsity)
-    p_sparsity.add_argument("--problem")
-    p_sparsity.add_argument("--h", type=float)
-    p_sparsity.add_argument("--d", type=int)
-    p_sparsity.add_argument("--sigma", type=float)
-
-    p_check = sub.add_parser("check-derivatives", help="finite-difference derivative report")
-    common(p_check)
+    p_check = sub.add_parser(
+        "check-derivatives", parents=[common], help="finite-difference derivative report"
+    )
     p_check.add_argument("--problem")
     p_check.add_argument("--samples", type=int)
     p_check.add_argument("--seed", type=int)
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Keys a config file may set: any subcommand's flag, plus ``breakpoints``."""
+    keys = {key for command in _HANDLERS for key in vars(parser.parse_args([command]))}
+    return (keys - {"command", "config"}) | {"breakpoints"}
+
+
+def _merge_config(args: argparse.Namespace, allowed: set[str]) -> dict:
     merged = {k: v for k, v in vars(args).items() if k != "config"}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -567,8 +569,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise UsageError("config file must hold a JSON object")
+        config = {key.replace("-", "_"): value for key, value in config.items()}
+        unknown = sorted(set(config) - allowed)
+        if unknown:
+            raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
         for key, value in config.items():
-            key = key.replace("-", "_")
             if merged.get(key) is None:
                 merged[key] = value
     return merged
@@ -591,26 +596,31 @@ def _solver_options(merged: dict) -> Optional[SolverOptions]:
     return SolverOptions(**kwargs) if kwargs else None
 
 
-def _setup_from(merged: dict) -> tuple[Benchmark, FESpace, MethodParams]:
-    benchmark = get_benchmark(str(merged["problem"]))
-    sigma = float(merged["sigma"]) if merged.get("sigma") is not None else 1.0
-    h = float(merged["h"]) if merged.get("h") is not None else None
-    breakpoints = merged.get("breakpoints")
-    space, params = build_setup(
-        benchmark, h, int(merged["d"]), sigma, breakpoints=breakpoints
-    )
-    return benchmark, space, params
-
-
-def _cmd_solve(merged: dict) -> int:
+def _nlp_from(merged: dict) -> tuple[Benchmark, AssembledNlp]:
+    """The benchmark and assembled program named by --problem, --d and --h or breakpoints."""
     _require(merged, "problem", "d")
     if merged.get("h") is None and merged.get("breakpoints") is None:
         raise UsageError("missing required option(s): --h")
-    benchmark, space, params = _setup_from(merged)
-    nlp = AssembledNlp(benchmark.problem, space, params)
+    benchmark = get_benchmark(str(merged["problem"]))
+    h = float(merged["h"]) if merged.get("h") is not None else None
+    return benchmark, _assemble(benchmark, h, int(merged["d"]), merged.get("breakpoints"))
+
+
+def _out_dir(merged: dict) -> Optional[Path]:
+    """The --out directory, created if missing; None when it was not given."""
+    if not merged.get("out"):
+        return None
+    out = Path(merged["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _cmd_solve(merged: dict) -> int:
+    benchmark, nlp = _nlp_from(merged)
+    params = nlp.params
     report = solve(nlp, None, _solver_options(merged))
     print(f"problem: {benchmark.name}")
-    print(f"h: {params.h!r}  d: {params.d}  sigma: {params.sigma!r}")
+    print(f"h: {params.h!r}  d: {params.d}")
     print(f"omega: {params.omega!r}  tau: {params.tau!r}")
     print(f"N: {nlp.N}  M: {nlp.M}")
     print(f"status: {report.status}")
@@ -622,14 +632,12 @@ def _cmd_solve(merged: dict) -> int:
     print(f"residual: {report.residual!r}")
     if not math.isinf(report.min_z):
         print(f"min_z: {report.min_z!r}")
-    if merged.get("out"):
-        out = Path(merged["out"])
-        out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(merged)
+    if out is not None:
         payload = _report_summary(report) | {
             "problem": benchmark.name,
             "h": params.h,
             "d": params.d,
-            "sigma": params.sigma,
             "omega": params.omega,
             "tau": params.tau,
             "N": nlp.N,
@@ -647,13 +655,11 @@ def _cmd_study(merged: dict) -> int:
     h_list = merged["h_list"]
     if isinstance(h_list, str):
         h_list = _parse_h_list(h_list)
-    sigma = float(merged["sigma"]) if merged.get("sigma") is not None else 1.0
     try:
         result = run_study(
             str(merged["problem"]),
             int(merged["d"]),
             [float(h) for h in h_list],
-            sigma=sigma,
             solver_options=_solver_options(merged),
             out_dir=merged.get("out"),
         )
@@ -675,23 +681,17 @@ def _cmd_norm_check(merged: dict) -> int:
     rows = verify_norm_constants(d_max)
     text = norm_constants_csv(rows)
     print(text, end="")
-    if merged.get("out"):
-        out = Path(merged["out"])
-        out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(merged)
+    if out is not None:
         (out / "norm_check.csv").write_bytes(text.encode("utf-8"))
     return 0
 
 
 def _cmd_export_nlp(merged: dict) -> int:
-    _require(merged, "problem", "d")
-    if merged.get("h") is None and merged.get("breakpoints") is None:
-        raise UsageError("missing required option(s): --h")
-    benchmark, space, params = _setup_from(merged)
-    nlp = AssembledNlp(benchmark.problem, space, params)
+    _, nlp = _nlp_from(merged)
     export = export_lifted_nlp(nlp)
-    if merged.get("out"):
-        out = Path(merged["out"])
-        out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(merged)
+    if out is not None:
         export.write(out / "lifted_nlp.txt")
         print(f"wrote {out / 'lifted_nlp.txt'}")
     else:
@@ -709,11 +709,7 @@ def _coo_text(name: str, matrix) -> str:
 
 
 def _cmd_sparsity(merged: dict) -> int:
-    _require(merged, "problem", "d")
-    if merged.get("h") is None and merged.get("breakpoints") is None:
-        raise UsageError("missing required option(s): --h")
-    benchmark, space, params = _setup_from(merged)
-    nlp = AssembledNlp(benchmark.problem, space, params)
+    _, nlp = _nlp_from(merged)
     x0 = default_start(nlp)
     matrices = {
         "eval_operator": nlp.eval_op,
@@ -721,9 +717,8 @@ def _cmd_sparsity(merged: dict) -> int:
         "regularizer": nlp.regularizer,
         "full_hessian": nlp.full_hessian(x0),
     }
-    if merged.get("out"):
-        out = Path(merged["out"])
-        out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(merged)
+    if out is not None:
         for name, matrix in matrices.items():
             (out / f"{name}.coo").write_bytes(_coo_text(name, matrix).encode("utf-8"))
         print(f"wrote {len(matrices)} pattern files to {out}")
@@ -762,7 +757,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         code = exit_.code
         return int(code) if code is not None else 0
     try:
-        merged = _merge_config(args)
+        merged = _merge_config(args, _config_keys(parser))
         return _HANDLERS[args.command](merged)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,9 +36,6 @@ class Interval:
     def length(self) -> float:
         return self.right - self.left
 
-    def contains(self, t: float) -> bool:
-        return self.left <= t <= self.right
-
 
 @dataclass(frozen=True)
 class Mesh:
@@ -125,13 +122,6 @@ class MergedMesh(Mesh):
         widths = {len(row) for row in self.provenance}
         if len(widths) != 1:
             raise ValueError("provenance rows must all reference the same sources")
-
-    @property
-    def n_sources(self) -> int:
-        return len(self.provenance[0])
-
-    def source_interval(self, merged_index: int, source: int) -> int:
-        return self.provenance[merged_index][source]
 
 
 def uniform_mesh(domain: tuple[float, float], n_intervals: int) -> Mesh:

@@ -115,10 +115,20 @@ class OcpProblem:
         return 2 * self.n_y + self.n_z
 
 
-def _check_symmetric(hess: np.ndarray, what: str) -> None:
+def _checked(what: str, arrays, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Callback outputs as float arrays of the expected shapes, the last symmetric."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    if [a.shape for a in arrays] != shapes:
+        got = "/".join(str(a.shape) for a in arrays)
+        raise ValueError(
+            f"{what} derivatives have shapes {got}, expected {'/'.join(map(str, shapes))}"
+        )
+    hess = arrays[-1]
     asym = np.abs(hess - np.swapaxes(hess, -1, -2)).max(initial=0.0)
-    if asym > 1e-12 * max(1.0, np.abs(hess).max(initial=0.0)):
+    # asym > 1e-12 max(1, |H|), testing the cheap half first: it runs per point
+    if asym > 1e-12 and asym > 1e-12 * np.abs(hess).max(initial=0.0):
         raise ValueError(f"{what} Hessian is asymmetric (max deviation {asym})")
+    return arrays
 
 
 def eval_running_cost(problem: OcpProblem, dy, y, z, t: float, point_index=None):
@@ -129,15 +139,8 @@ def eval_running_cost(problem: OcpProblem, dy, y, z, t: float, point_index=None)
         raise RuntimeError(
             f"objective callback failed at quadrature point {point_index} (t={t})"
         ) from exc
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
     B = problem.arg_width
-    if grad.shape != (B,) or hess.shape != (B, B):
-        raise ValueError(
-            f"objective derivatives have shapes {grad.shape}/{hess.shape}, "
-            f"expected ({B},)/({B}, {B})"
-        )
-    _check_symmetric(hess, "objective")
+    grad, hess = _checked("objective", (grad, hess), [(B,), (B, B)])
     return float(value), grad, hess
 
 
@@ -148,17 +151,8 @@ def eval_path_constraints(problem: OcpProblem, dy, y, z, t: float, point_index=N
         raise RuntimeError(
             f"constraint callback failed at quadrature point {point_index} (t={t})"
         ) from exc
-    values = np.asarray(values, dtype=float)
-    jac = np.asarray(jac, dtype=float)
-    hess = np.asarray(hess, dtype=float)
     B, m = problem.arg_width, problem.m
-    if values.shape != (m,) or jac.shape != (m, B) or hess.shape != (m, B, B):
-        raise ValueError(
-            f"path-constraint derivatives have shapes {values.shape}/{jac.shape}/"
-            f"{hess.shape}, expected ({m},)/({m}, {B})/({m}, {B}, {B})"
-        )
-    _check_symmetric(hess, "path-constraint")
-    return values, jac, hess
+    return _checked("path-constraint", (values, jac, hess), [(m,), (m, B), (m, B, B)])
 
 
 def eval_point_constraints(problem: OcpProblem, stacked_y):
@@ -166,17 +160,10 @@ def eval_point_constraints(problem: OcpProblem, stacked_y):
         values, jac, hess = problem.b_eval(np.asarray(stacked_y, dtype=float))
     except Exception as exc:
         raise RuntimeError("point-constraint callback failed") from exc
-    values = np.asarray(values, dtype=float)
-    jac = np.asarray(jac, dtype=float)
-    hess = np.asarray(hess, dtype=float)
     width, p = problem.n_y * problem.n_T, problem.p
-    if values.shape != (p,) or jac.shape != (p, width) or hess.shape != (p, width, width):
-        raise ValueError(
-            f"point-constraint derivatives have shapes {values.shape}/{jac.shape}/"
-            f"{hess.shape}, expected ({p},)/({p}, {width})/({p}, {width}, {width})"
-        )
-    _check_symmetric(hess, "point-constraint")
-    return values, jac, hess
+    return _checked(
+        "point-constraint", (values, jac, hess), [(p,), (p, width), (p, width, width)]
+    )
 
 
 def residual(
@@ -249,13 +236,32 @@ class DerivativeReport:
         return "\n".join(lines)
 
 
-def _fd_steps(v: np.ndarray, step: float) -> np.ndarray:
-    return step * np.maximum(1.0, np.abs(v))
-
-
 def _rel_error(approx: np.ndarray, exact: np.ndarray) -> float:
     scale = max(1.0, float(np.abs(exact).max(initial=0.0)))
     return float(np.abs(approx - exact).max(initial=0.0)) / scale
+
+
+def _fd_errors(func, v0: np.ndarray, step: float) -> tuple[float, float]:
+    """Relative errors of the first and second derivatives ``func`` codes at v0.
+
+    ``func(v)`` returns (value, first derivative, second derivative).  Central
+    differences of the values check the first derivative and central
+    differences of the first derivative check the second; steps are scaled
+    by the argument magnitude.
+    """
+    _, first, second = func(v0)
+    steps = step * np.maximum(1.0, np.abs(v0))
+    first_fd = np.empty(np.shape(first))
+    second_fd = np.empty(np.shape(second))
+    for i in range(v0.size):
+        vp, vm = v0.copy(), v0.copy()
+        vp[i] += steps[i]
+        vm[i] -= steps[i]
+        value_p, first_p, _ = func(vp)
+        value_m, first_m, _ = func(vm)
+        first_fd[..., i] = (value_p - value_m) / (2 * steps[i])
+        second_fd[..., i] = (first_p - first_m) / (2 * steps[i])
+    return _rel_error(first_fd, first), _rel_error(second_fd, second)
 
 
 def check_derivatives(
@@ -288,71 +294,32 @@ def check_derivatives(
             rng.uniform(-1.0, 1.0, problem.n_y * problem.n_T) for _ in range(n_samples)
         ]
 
-    report = DerivativeReport(n_samples=len(samples))
-    f_grad_err = f_hess_err = 0.0
-    c_jac_err = c_hess_err = 0.0
-    B = problem.arg_width
+    errors = {"f_gradient": 0.0, "f_hessian": 0.0}
+    if problem.m > 0:
+        errors |= {"c_jacobian": 0.0, "c_hessian": 0.0}
+    if problem.p > 0:
+        errors |= {"b_jacobian": 0.0, "b_hessian": 0.0}
+
+    def record(first: str, second: str, func, v0: np.ndarray) -> None:
+        first_err, second_err = _fd_errors(func, v0, step)
+        errors[first] = max(errors[first], first_err)
+        errors[second] = max(errors[second], second_err)
 
     def split(v: np.ndarray):
         return v[: problem.n_y], v[problem.n_y : 2 * problem.n_y], v[2 * problem.n_y :]
 
     for dy, y, z, t in samples:
         v0 = np.concatenate([dy, y, z]).astype(float)
-        steps = _fd_steps(v0, step)
-        _, grad, hess = eval_running_cost(problem, *split(v0), t)
-        grad_fd = np.empty(B)
-        hess_fd = np.empty((B, B))
-        for i in range(B):
-            vp, vm = v0.copy(), v0.copy()
-            vp[i] += steps[i]
-            vm[i] -= steps[i]
-            fp, gp, _ = eval_running_cost(problem, *split(vp), t)
-            fm, gm, _ = eval_running_cost(problem, *split(vm), t)
-            grad_fd[i] = (fp - fm) / (2 * steps[i])
-            hess_fd[:, i] = (gp - gm) / (2 * steps[i])
-        f_grad_err = max(f_grad_err, _rel_error(grad_fd, grad))
-        f_hess_err = max(f_hess_err, _rel_error(hess_fd, hess))
-
+        record("f_gradient", "f_hessian", lambda v: eval_running_cost(problem, *split(v), t), v0)
         if problem.m > 0:
-            _, jac, chess = eval_path_constraints(problem, *split(v0), t)
-            jac_fd = np.empty((problem.m, B))
-            chess_fd = np.empty((problem.m, B, B))
-            for i in range(B):
-                vp, vm = v0.copy(), v0.copy()
-                vp[i] += steps[i]
-                vm[i] -= steps[i]
-                cp, jp, _ = eval_path_constraints(problem, *split(vp), t)
-                cm, jm, _ = eval_path_constraints(problem, *split(vm), t)
-                jac_fd[:, i] = (cp - cm) / (2 * steps[i])
-                chess_fd[:, :, i] = (jp - jm) / (2 * steps[i])
-            c_jac_err = max(c_jac_err, _rel_error(jac_fd, jac))
-            c_hess_err = max(c_hess_err, _rel_error(chess_fd, chess))
-
-    report.f_gradient = f_grad_err
-    report.f_hessian = f_hess_err
-    if problem.m > 0:
-        report.c_jacobian = c_jac_err
-        report.c_hessian = c_hess_err
-
+            record(
+                "c_jacobian", "c_hessian",
+                lambda v: eval_path_constraints(problem, *split(v), t), v0,
+            )
     if problem.p > 0:
-        b_jac_err = b_hess_err = 0.0
-        width = problem.n_y * problem.n_T
         for yv in b_samples:
-            yv = np.asarray(yv, dtype=float)
-            steps = _fd_steps(yv, step)
-            _, jac, bhess = eval_point_constraints(problem, yv)
-            jac_fd = np.empty((problem.p, width))
-            hess_fd = np.empty((problem.p, width, width))
-            for i in range(width):
-                vp, vm = yv.copy(), yv.copy()
-                vp[i] += steps[i]
-                vm[i] -= steps[i]
-                bp, jp, _ = eval_point_constraints(problem, vp)
-                bm, jm, _ = eval_point_constraints(problem, vm)
-                jac_fd[:, i] = (bp - bm) / (2 * steps[i])
-                hess_fd[:, :, i] = (jp - jm) / (2 * steps[i])
-            b_jac_err = max(b_jac_err, _rel_error(jac_fd, jac))
-            b_hess_err = max(b_hess_err, _rel_error(hess_fd, bhess))
-        report.b_jacobian = b_jac_err
-        report.b_hessian = b_hess_err
-    return report
+            record(
+                "b_jacobian", "b_hessian",
+                lambda v: eval_point_constraints(problem, v), np.asarray(yv, dtype=float),
+            )
+    return DerivativeReport(n_samples=len(samples), **errors)

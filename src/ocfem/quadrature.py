@@ -31,11 +31,6 @@ class UnitRule:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def exact_degree(self) -> int:
-        """Highest polynomial degree integrated exactly."""
-        return 2 * self.n_nodes - 1
-
 
 @dataclass(frozen=True)
 class GlobalRule:

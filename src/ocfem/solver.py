@@ -29,6 +29,21 @@ STATUS_BARRIER = "barrier_domain_violation"
 #: step, as a multiple of the regularization floor.
 _MAX_SHIFT_FACTOR = 1e8
 
+#: First inertia-correction shift; later shifts double it.
+_REGULARIZATION_FLOOR = 1e-12
+
+#: Armijo line search: step shrink factor, sufficient-decrease constant and
+#: the number of backtracks before the stage reports a line-search failure.
+_LS_BACKTRACK = 0.5
+_LS_SUFFICIENT_DECREASE = 1e-4
+_LS_MAX_BACKTRACKS = 60
+
+#: Share of the distance to z = 0 that one step may cover at any quadrature point.
+_BOUNDARY_FRACTION = 0.995
+
+#: Stages of the default geometric (omega, tau) continuation.
+_CONTINUATION_STAGES = 4
+
 #: Auxiliary components whose smallest quadrature value is at or below zero
 #: get shifted up to this level before the first barrier evaluation.
 _INTERIOR_MARGIN = 1e-2
@@ -40,29 +55,13 @@ class SolverOptions:
 
     grad_tol: Optional[float] = None  # default 1e-8 * max(1, sqrt(N))
     max_iters: int = 200
-    ls_backtrack: float = 0.5
-    ls_sufficient_decrease: float = 1e-4
-    ls_max_backtracks: int = 60
-    boundary_fraction: float = 0.995
     continuation: Optional[Sequence[tuple[float, float]]] = None
-    continuation_stages: int = 4
-    regularization_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.grad_tol is not None and self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not 0 < self.ls_backtrack < 1:
-            raise ValueError("ls_backtrack must lie in (0, 1)")
-        if self.ls_sufficient_decrease <= 0:
-            raise ValueError("ls_sufficient_decrease must be positive")
-        if not 0 < self.boundary_fraction < 1:
-            raise ValueError("boundary_fraction must lie in (0, 1)")
-        if self.continuation_stages < 1:
-            raise ValueError("continuation_stages must be at least 1")
-        if self.regularization_floor <= 0:
-            raise ValueError("regularization_floor must be positive")
 
     def resolved_grad_tol(self, n: int) -> float:
         if self.grad_tol is not None:
@@ -111,23 +110,13 @@ class PositivityReport:
 
 def default_start(nlp: AssembledNlp) -> CoefficientVector:
     """Interior starting point: hinted differential values, auxiliaries at max(1, tau)."""
-    space, problem = nlp.space, nlp.problem
-    values = np.zeros(space.N)
-    hint = problem.initial_guess
-    nodes = space.basis.nodes
-    for comp in range(space.n_y):
-        mesh = space.component_meshes[comp]
-        for k, iv in enumerate(mesh.intervals):
-            ts = iv.left + iv.length * nodes
-            for a, t in enumerate(ts):
-                values[space.index_map[comp][k][a]] = (
-                    float(hint(float(t))[comp]) if hint is not None else 0.0
-                )
+    space, hint = nlp.space, nlp.problem.initial_guess
     z_level = max(1.0, nlp.params.tau)
-    for comp in range(space.n_y, space.n_x):
-        for block in space.index_map[comp]:
-            values[block] = z_level
-    return ensure_interior(nlp, space.coefficient_vector(values))
+    functions = [
+        (lambda t, c=comp: float(hint(t)[c])) if hint is not None else (lambda t: 0.0)
+        for comp in range(space.n_y)
+    ] + [lambda t: z_level] * space.n_z
+    return ensure_interior(nlp, space.interpolate(functions))
 
 
 def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVector:
@@ -147,12 +136,12 @@ def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVecto
     return x.replace_values(values)
 
 
-def _default_schedule(omega: float, tau: float, stages: int) -> list[tuple[float, float]]:
+def _default_schedule(omega: float, tau: float) -> list[tuple[float, float]]:
     start_omega = max(omega, 1e-1)
     start_tau = max(tau, 1e-1)
     schedule = []
-    for i in range(stages):
-        frac = i / (stages - 1) if stages > 1 else 1.0
+    for i in range(_CONTINUATION_STAGES):
+        frac = i / (_CONTINUATION_STAGES - 1)
         schedule.append(
             (
                 start_omega ** (1 - frac) * omega**frac,
@@ -184,7 +173,7 @@ def _newton_direction(
                 return None
 
 
-def _boundary_cap(nlp: AssembledNlp, x: CoefficientVector, step: np.ndarray, fraction: float) -> float:
+def _boundary_cap(nlp: AssembledNlp, x: CoefficientVector, step: np.ndarray) -> float:
     if nlp.space.n_z == 0:
         return 1.0
     n_y, B = nlp.space.n_y, nlp.space.block_width
@@ -193,7 +182,7 @@ def _boundary_cap(nlp: AssembledNlp, x: CoefficientVector, step: np.ndarray, fra
     shrinking = dz < 0
     if not shrinking.any():
         return 1.0
-    caps = fraction * z[shrinking] / -dz[shrinking]
+    caps = _BOUNDARY_FRACTION * z[shrinking] / -dz[shrinking]
     return min(1.0, float(caps.min()))
 
 
@@ -216,16 +205,16 @@ def _newton_stage(
             status = STATUS_CONVERGED
             break
         hess = nlp.full_hessian(x).toarray()
-        step = _newton_direction(hess, grad, opts.regularization_floor)
+        step = _newton_direction(hess, grad, _REGULARIZATION_FLOOR)
         if step is None or float(grad @ step) >= 0.0:
             step = -grad
         slope = float(grad @ step)
-        alpha = min(1.0, _boundary_cap(nlp, x, step, opts.boundary_fraction))
+        alpha = min(1.0, _boundary_cap(nlp, x, step))
         accepted = False
-        for _ in range(opts.ls_max_backtracks):
+        for _ in range(_LS_MAX_BACKTRACKS):
             trial_values = x.values + alpha * step
             if not np.isfinite(trial_values).all():
-                alpha *= opts.ls_backtrack
+                alpha *= _LS_BACKTRACK
                 continue
             trial = x.replace_values(trial_values)
             try:
@@ -233,11 +222,11 @@ def _newton_stage(
             except BarrierDomainError:
                 trial_total = math.inf
             if math.isfinite(trial_total) and trial_total <= total + (
-                opts.ls_sufficient_decrease * alpha * slope
+                _LS_SUFFICIENT_DECREASE * alpha * slope
             ):
                 accepted = True
                 break
-            alpha *= opts.ls_backtrack
+            alpha *= _LS_BACKTRACK
         if not accepted:
             status = STATUS_LINE_SEARCH
             break
@@ -276,7 +265,7 @@ def solve(
         if not schedule or schedule[-1] != (params.omega, params.tau):
             schedule.append((params.omega, params.tau))
     else:
-        schedule = _default_schedule(params.omega, params.tau, opts.continuation_stages)
+        schedule = _default_schedule(params.omega, params.tau)
 
     x = default_start(nlp) if x0 is None else ensure_interior(nlp, x0)
     stages: list[StageResult] = []

@@ -87,6 +87,13 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
 
+    def test_sigma_flag_rejected(self, capsys):
+        code = cli_main(
+            ["solve", "--problem", "trivial", "--h", "0.5", "--d", "3", "--sigma", "0.5"]
+        )
+        assert code == 2
+        assert "--sigma" in capsys.readouterr().err
+
     def test_unknown_problem(self, capsys):
         code = cli_main(["check-derivatives", "--problem", "nope"])
         assert code == 2
@@ -142,6 +149,16 @@ class TestConfig:
         config = tmp_path / "bad.json"
         config.write_text("{not json", encoding="utf-8")
         assert cli_main(["solve", "--config", str(config)]) == 2
+
+    def test_unknown_keys_rejected(self, capsys, tmp_path):
+        for key in ("sigma", "max_iter"):
+            config = tmp_path / f"{key}.json"
+            config.write_text(
+                json.dumps({"problem": "trivial", "h": 0.5, "d": 3, key: 1}),
+                encoding="utf-8",
+            )
+            assert cli_main(["solve", "--config", str(config)]) == 2
+            assert f"unknown config key(s): {key}" in capsys.readouterr().err
 
 
 class TestExportAndSparsity:

@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,3 +212,24 @@ class TestMixedMeshVariant:
         r_shared = shared.rows[-1].residual
         r_mixed = mixed.rows[-1].residual
         assert r_mixed <= 2.0 * r_shared
+
+
+class TestGoldenStudy:
+    """Study rows against ``data/study_golden.csv``, recorded from an earlier
+    revision, so that a refactor which moves the numbers fails here."""
+
+    EXACT = ("h", "d", "N", "M", "iterations", "status")
+    CLOSE = ("omega", "tau", "objective_gap", "residual", "x_error")
+
+    @pytest.mark.parametrize("name", ["lq", "lq-multimesh"])
+    def test_rows_match_recorded_study(self, name):
+        path = Path(__file__).parent / "data" / "study_golden.csv"
+        with path.open(newline="", encoding="utf-8") as fh:
+            golden = [row for row in csv.DictReader(fh) if row["problem"] == name]
+        result = run_study(name, 4, [0.25, 0.125, 0.0625])
+        rows = list(csv.DictReader(study_csv(result.rows).splitlines()))
+        assert len(rows) == len(golden) == 3
+        for row, ref in zip(rows, golden):
+            assert {k: row[k] for k in self.EXACT} == {k: ref[k] for k in self.EXACT}
+            for key in self.CLOSE:
+                assert float(row[key]) == pytest.approx(float(ref[key]), rel=1e-10, abs=0.0)

@@ -177,17 +177,29 @@ class TestLiftedExport:
             parse_lifted_nlp("something else\n")
 
     def test_slack_pattern_matches_auxiliary_rows(self):
-        nlp = lq_nlp(h=0.5)
-        export = export_lifted_nlp(nlp)
-        patterns = dict((p[0], p) for p in export.patterns)
-        _, n_rows, n_cols, coords = patterns["JG_x"]
-        assert n_rows == nlp.space.n_z * nlp.M
-        assert n_cols == nlp.N
-        # every auxiliary row touches exactly d + 1 coefficients
-        rows = {}
-        for r, c in coords:
-            rows.setdefault(r, []).append(c)
-        assert all(len(cs) == nlp.space.degree + 1 for cs in rows.values())
+        # at even d the middle Gauss point is a Lobatto node, where all but
+        # one basis function vanish: the pattern must still hold all d + 1
+        for name in ("lq", "lq-multimesh"):
+            bench = get_benchmark(name)
+            space, params = build_setup(bench, 0.5, 4)
+            nlp = AssembledNlp(bench.problem, space, params)
+            export = export_lifted_nlp(nlp)
+            patterns = dict((p[0], p) for p in export.patterns)
+            _, n_rows, n_cols, coords = patterns["JG_x"]
+            assert n_rows == space.n_z * nlp.M
+            assert n_cols == nlp.N
+            rows = {}
+            for r, c in coords:
+                rows.setdefault(r, set()).add(c)
+            expected = {}
+            for j, t in enumerate(nlp.rule.points):
+                for k in range(space.n_z):
+                    comp = space.n_y + k
+                    mesh = space.component_meshes[comp]
+                    block = space.index_map[comp][mesh.interval_index(float(t))]
+                    expected[j * space.n_z + k] = set(block.tolist())
+            assert rows == expected
+            assert nlp.eval_op.nnz == nlp.M * (space.n_y + space.n_x) * (space.degree + 1)
 
     @pytest.mark.parametrize("name", ["lq", "trivial", "barrier-pull"])
     def test_lifting_reproduces_penalty_objective(self, name):
@@ -251,7 +263,5 @@ class TestSchedules:
         assert report.stages[-1].tau == nlp.params.tau
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="boundary_fraction"):
-            SolverOptions(boundary_fraction=1.5)
         with pytest.raises(ValueError, match="grad_tol"):
             SolverOptions(grad_tol=-1.0)
