@@ -37,7 +37,7 @@ from .ocp_model import (
     eval_point_constraints,
     eval_running_cost,
 )
-from .quadrature import GlobalRule, compose_rule, gauss_legendre_unit
+from .quadrature import compose_rule, gauss_legendre_unit
 from .mesh import merge_meshes
 
 
@@ -58,12 +58,10 @@ class ObjectiveTerms(NamedTuple):
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """Multipliers for the Lagrangian: scalar rho, per-point lambda and mu, nu."""
+    """Multiplier estimates: lambda per scaled path-constraint row, nu per point constraint."""
 
-    rho: float
     lam: np.ndarray
     nu: np.ndarray
-    mu: np.ndarray
 
 
 @dataclass
@@ -81,20 +79,17 @@ class _PointData:
 
 
 class AssembledNlp:
-    """Discrete program bound to a problem, space, rule and parameters.
+    """Discrete program bound to a problem, space and parameters.
+
+    The quadrature rule is the (d + 1)-point Gauss rule composed over the
+    merged mesh of the space.
 
     Immutable apart from a single-slot evaluation cache; ``with_params``
     shares all operators while swapping (omega, tau), which is what the
     continuation schedule of the solver uses.
     """
 
-    def __init__(
-        self,
-        problem: OcpProblem,
-        space: FESpace,
-        params: MethodParams,
-        rule: Optional[GlobalRule] = None,
-    ):
+    def __init__(self, problem: OcpProblem, space: FESpace, params: MethodParams):
         if (space.n_y, space.n_z) != (problem.n_y, problem.n_z):
             raise ValueError(
                 f"space has (n_y, n_z) = {(space.n_y, space.n_z)}, problem needs "
@@ -107,9 +102,9 @@ class AssembledNlp:
         self.problem = problem
         self.space = space
         self.params = params
-        if rule is None:
-            merged = merge_meshes(space.component_meshes)
-            rule = compose_rule(merged, gauss_legendre_unit(space.degree + 1))
+        rule = compose_rule(
+            merge_meshes(space.component_meshes), gauss_legendre_unit(space.degree + 1)
+        )
         self.rule = rule
         self.eval_op = build_eval_operator(space, rule)
         self.point_op = build_point_eval_operator(space, problem.time_points)
@@ -245,31 +240,12 @@ class AssembledNlp:
             grad += (self.point_op.T @ (data.b_jac.T @ data.b)) / omega
         return np.asarray(grad)
 
-    def constraint_jacobians(self, x: CoefficientVector) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-        """Jacobians of H_c (m M x N) and H_b (p x N) at x."""
-        data = self._point_data(x)
-        if self.problem.m > 0:
-            blocks = self._sqrt_alpha[:, None, None] * data.c_jac
-            jac_c = (_block_rect(blocks) @ self.eval_op).tocsr()
-        else:
-            jac_c = sparse.csr_matrix((0, self.N))
-        if self.problem.p > 0:
-            jac_b = (sparse.csr_matrix(data.b_jac) @ self.point_op).tocsr()
-        else:
-            jac_b = sparse.csr_matrix((0, self.N))
-        return jac_c, jac_b
-
     def _sandwich(self, blocks: np.ndarray) -> sparse.csr_matrix:
         """P' blockdiag(blocks) P for per-point (B, B) blocks."""
         B, M = self.space.block_width, self.M
-        row_t = np.repeat(np.arange(B), B)
-        col_t = np.tile(np.arange(B), B)
-        offsets = (np.arange(M) * B)[:, None]
-        rows = (offsets + row_t[None, :]).ravel()
-        cols = (offsets + col_t[None, :]).ravel()
-        mid = sparse.coo_matrix(
-            (blocks.reshape(M, B * B).ravel(), (rows, cols)), shape=(B * M, B * M)
-        ).tocsr()
+        mid = sparse.bsr_matrix(
+            (blocks, np.arange(M), np.arange(M + 1)), shape=(B * M, B * M)
+        )
         return (self.eval_op.T @ mid @ self.eval_op).tocsr()
 
     def full_hessian(self, x: CoefficientVector) -> sparse.csr_matrix:
@@ -301,68 +277,16 @@ class AssembledNlp:
             hess = hess + self.point_op.T @ sparse.csr_matrix(point_block) @ self.point_op
         return _symmetrized(hess)
 
-    def lagrangian_hessian(
-        self, x: CoefficientVector, multipliers: MultiplierSet
-    ) -> sparse.csr_matrix:
-        """Hessian of the Lagrangian rho (F + omega/2 |x|_S^2) - lam'H_c - nu'H_b - mu'G.
-
-        Per quadrature point the block is alpha_j rho f''_j minus
-        sqrt(alpha_j) lam_j' c''_j; the barrier block contributes the
-        curvature diag(alpha_j mu_jk / z_k^2), so that with the barrier
-        multipliers mu = tau it matches the barrier term of the objective.
-        """
-        problem, space = self.problem, self.space
-        lam = np.asarray(multipliers.lam, dtype=float)
-        nu = np.asarray(multipliers.nu, dtype=float)
-        mu = np.asarray(multipliers.mu, dtype=float)
-        if lam.shape != (problem.m * self.M,):
-            raise ValueError(f"lambda has shape {lam.shape}, expected ({problem.m * self.M},)")
-        if nu.shape != (problem.p,):
-            raise ValueError(f"nu has shape {nu.shape}, expected ({problem.p},)")
-        if mu.shape != (space.n_z * self.M,):
-            raise ValueError(f"mu has shape {mu.shape}, expected ({space.n_z * self.M},)")
-
-        data = self._point_data(x)
-        omega = self.params.omega
-        B, n_y, n_z = space.block_width, space.n_y, space.n_z
-        blocks = (multipliers.rho * self._alpha)[:, None, None] * data.f_hess
-        if problem.m > 0 and lam.any():
-            lam_points = lam.reshape(self.M, problem.m)
-            blocks = blocks - self._sqrt_alpha[:, None, None] * np.einsum(
-                "ji,jiab->jab", lam_points, data.c_hess
-            )
-        if n_z > 0 and mu.any():
-            z = self._checked_z(data)
-            mu_points = mu.reshape(self.M, n_z)
-            idx = np.arange(2 * n_y, B)
-            blocks[:, idx, idx] += self._alpha[:, None] * mu_points / z**2
-        hess = (multipliers.rho * omega) * self.regularizer + self._sandwich(blocks)
-        if problem.p > 0 and nu.any():
-            point_block = np.einsum("i,iab->ab", nu, data.b_hess)
-            hess = hess - self.point_op.T @ sparse.csr_matrix(point_block) @ self.point_op
-        dense_max = max(1.0, abs(hess).max() if hess.nnz else 0.0)
-        asym = abs(hess - hess.T).max() if hess.nnz else 0.0
-        if asym > 1e-10 * dense_max:
-            raise RuntimeError(
-                f"assembled Lagrangian Hessian lost symmetry: max asymmetry {asym}"
-            )
-        return _symmetrized(hess)
-
     def penalty_multipliers(self, x: CoefficientVector) -> MultiplierSet:
         """Multiplier estimates induced by the penalty terms at x.
 
-        lambda = -H_c / omega and nu = -H_b / omega make the Lagrangian
-        gradient match the penalty gradient; mu = tau are the barrier
-        multipliers under the curvature convention of lagrangian_hessian.
+        With lambda = -H_c / omega and nu = -H_b / omega the penalty gradient
+        (J_c' H_c + J_b' H_b) / omega equals -(J_c' lambda + J_b' nu), the
+        constraint term of the Lagrangian gradient of F - lambda'H_c - nu'H_b.
         """
         h_c, h_b = self.penalty_blocks(x)
         omega = self.params.omega
-        return MultiplierSet(
-            rho=1.0,
-            lam=-h_c / omega,
-            nu=-h_b / omega,
-            mu=np.full(self.space.n_z * self.M, self.params.tau),
-        )
+        return MultiplierSet(lam=-h_c / omega, nu=-h_b / omega)
 
     # -- structural patterns ---------------------------------------------------
 
@@ -379,8 +303,7 @@ class AssembledNlp:
         support.data = np.ones_like(support.data)
 
         if problem.m > 0:
-            dense_blocks = np.ones((M, problem.m, B))
-            jac_c = (_block_rect(dense_blocks) @ support).tocsr()
+            jac_c = (sparse.kron(sparse.identity(M), np.ones((problem.m, B))) @ support).tocsr()
         else:
             jac_c = sparse.csr_matrix((0, N))
         if problem.p > 0:
@@ -400,18 +323,6 @@ class AssembledNlp:
         else:
             g_x = sparse.csr_matrix((0, N))
         return {"H_x": h_x, "G_x": g_x}
-
-
-def _block_rect(blocks: np.ndarray) -> sparse.csr_matrix:
-    """Block-diagonal rectangular matrix from per-point (r, c) blocks."""
-    M, r, c = blocks.shape
-    row_t = np.repeat(np.arange(r), c)
-    col_t = np.tile(np.arange(c), r)
-    rows = ((np.arange(M) * r)[:, None] + row_t[None, :]).ravel()
-    cols = ((np.arange(M) * c)[:, None] + col_t[None, :]).ravel()
-    return sparse.coo_matrix(
-        (blocks.ravel(), (rows, cols)), shape=(M * r, M * c)
-    ).tocsr()
 
 
 def _symmetrized(mat: sparse.spmatrix) -> sparse.csr_matrix:

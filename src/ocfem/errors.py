@@ -18,11 +18,3 @@ class BarrierDomainError(ValueError):
             f"auxiliary component {component} is {value!r} <= 0 at quadrature "
             f"point {point_index}; the log barrier is undefined there"
         )
-
-
-class NonFiniteEvaluationError(ValueError):
-    """An integrand returned a non-finite value at a quadrature point."""
-
-    def __init__(self, message: str, index: int):
-        self.index = int(index)
-        super().__init__(message)

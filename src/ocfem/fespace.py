@@ -17,13 +17,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .mesh import MergedMesh, Mesh, merge_meshes
-from .polybasis import (
-    LAGRANGE_GAUSS_LOBATTO,
-    Basis,
-    eval_basis_derivative_matrix,
-    eval_basis_matrix,
-    make_basis,
-)
+from .polybasis import Basis, eval_basis_derivative_matrix, eval_basis_matrix
 from .quadrature import GlobalRule
 
 
@@ -115,7 +109,7 @@ def build_space(meshes: Sequence[Mesh], degree: int, n_y: int, n_z: int) -> FESp
             "degree 0 cannot represent continuous differential components; "
             "need degree >= 1"
         )
-    basis = make_basis(degree, LAGRANGE_GAUSS_LOBATTO)
+    basis = Basis(degree)
 
     counter = 0
     index_map = []

@@ -75,28 +75,6 @@ class Benchmark:
     notes: str = ""
 
 
-_REGISTRY: dict[str, Benchmark] = {}
-
-
-def register_benchmark(benchmark: Benchmark) -> None:
-    _REGISTRY[benchmark.name] = benchmark
-
-
-def benchmark_names() -> list[str]:
-    register_builtin_benchmarks()
-    return sorted(_REGISTRY)
-
-
-def get_benchmark(name: str) -> Benchmark:
-    register_builtin_benchmarks()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown benchmark {name!r}; available: {', '.join(sorted(_REGISTRY))}"
-        ) from None
-
-
 def _lq_benchmark() -> Benchmark:
     """Linear-quadratic tracking with the control split into two positives.
 
@@ -215,23 +193,37 @@ def _barrier_pull_benchmark() -> Benchmark:
     return Benchmark("barrier-pull", problem, notes="minimizer sits at the barrier floor ~ tau")
 
 
-def register_builtin_benchmarks() -> list[str]:
-    """Register the built-in problems (idempotent) and return their names."""
-    if "lq" not in _REGISTRY:
-        lq = _lq_benchmark()
-        register_benchmark(lq)
-        register_benchmark(
-            Benchmark(
-                "lq-multimesh",
-                lq.problem,
-                lq.analytic,
-                mesh_plan=lambda n: [max(1, n // 2), n, n],
-                notes="lq with the differential component on a 2x coarser mesh",
-            )
-        )
-        register_benchmark(_trivial_benchmark())
-        register_benchmark(_barrier_pull_benchmark())
-    return ["lq", "lq-multimesh", "trivial", "barrier-pull"]
+_LQ = _lq_benchmark()
+
+#: The built-in problems by name.
+_BENCHMARKS = {
+    b.name: b
+    for b in (
+        _LQ,
+        Benchmark(
+            "lq-multimesh",
+            _LQ.problem,
+            _LQ.analytic,
+            mesh_plan=lambda n: [max(1, n // 2), n, n],
+            notes="lq with the differential component on a 2x coarser mesh",
+        ),
+        _trivial_benchmark(),
+        _barrier_pull_benchmark(),
+    )
+}
+
+
+def benchmark_names() -> list[str]:
+    return sorted(_BENCHMARKS)
+
+
+def get_benchmark(name: str) -> Benchmark:
+    try:
+        return _BENCHMARKS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown benchmark {name!r}; available: {', '.join(benchmark_names())}"
+        ) from None
 
 
 def build_setup(
@@ -551,13 +543,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """Keys a config file may set: any subcommand's flag, plus ``breakpoints``."""
-    keys = {key for command in _HANDLERS for key in vars(parser.parse_args([command]))}
-    return (keys - {"command", "config"}) | {"breakpoints"}
+def _flag_types(parser: argparse.ArgumentParser) -> dict[str, Callable[[str], object]]:
+    """Parser of each subcommand flag's text by destination; a config file may set these."""
+    types = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                for flag in sub._actions:
+                    if flag.option_strings and flag.dest not in ("help", "config"):
+                        types[flag.dest] = flag.type or str
+    return types
 
 
-def _merge_config(args: argparse.Namespace, allowed: set[str]) -> dict:
+def _parse_text(key: str, parse: Callable[[str], object], value) -> object:
+    try:
+        return parse(str(value))
+    except ValueError:
+        raise UsageError(f"config key {key}: invalid value {value!r}") from None
+
+
+def _config_value(key: str, value, types: dict[str, Callable[[str], object]]):
+    """A config value parsed as its flag's text would be.
+
+    ``h_list`` may also be a list of numbers and ``breakpoints`` is one list
+    of numbers per component; every other value is a JSON scalar.
+    """
+    if value is None:
+        return None
+    if key == "breakpoints":
+        if not isinstance(value, list) or not all(isinstance(b, list) for b in value):
+            raise UsageError("config key breakpoints must hold one list per component")
+        return [[_parse_text(key, float, p) for p in b] for b in value]
+    if key == "h_list" and isinstance(value, list):
+        value = ",".join(str(v) for v in value)
+    if isinstance(value, (list, dict)):
+        raise UsageError(f"config key {key} must be a single value, got {value!r}")
+    return _parse_text(key, types[key], value)
+
+
+def _merge_config(args: argparse.Namespace, types: dict[str, Callable[[str], object]]) -> dict:
     merged = {k: v for k, v in vars(args).items() if k != "config"}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -570,12 +594,12 @@ def _merge_config(args: argparse.Namespace, allowed: set[str]) -> dict:
         if not isinstance(config, dict):
             raise UsageError("config file must hold a JSON object")
         config = {key.replace("-", "_"): value for key, value in config.items()}
-        unknown = sorted(set(config) - allowed)
+        unknown = sorted(set(config) - set(types) - {"breakpoints"})
         if unknown:
             raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
         for key, value in config.items():
             if merged.get(key) is None:
-                merged[key] = value
+                merged[key] = _config_value(key, value, types)
     return merged
 
 
@@ -588,11 +612,7 @@ def _require(merged: dict, *keys: str) -> None:
 
 
 def _solver_options(merged: dict) -> Optional[SolverOptions]:
-    kwargs = {}
-    if merged.get("max_iters") is not None:
-        kwargs["max_iters"] = int(merged["max_iters"])
-    if merged.get("grad_tol") is not None:
-        kwargs["grad_tol"] = float(merged["grad_tol"])
+    kwargs = {k: merged[k] for k in ("max_iters", "grad_tol") if merged.get(k) is not None}
     return SolverOptions(**kwargs) if kwargs else None
 
 
@@ -601,9 +621,8 @@ def _nlp_from(merged: dict) -> tuple[Benchmark, AssembledNlp]:
     _require(merged, "problem", "d")
     if merged.get("h") is None and merged.get("breakpoints") is None:
         raise UsageError("missing required option(s): --h")
-    benchmark = get_benchmark(str(merged["problem"]))
-    h = float(merged["h"]) if merged.get("h") is not None else None
-    return benchmark, _assemble(benchmark, h, int(merged["d"]), merged.get("breakpoints"))
+    benchmark = get_benchmark(merged["problem"])
+    return benchmark, _assemble(benchmark, merged.get("h"), merged["d"], merged.get("breakpoints"))
 
 
 def _out_dir(merged: dict) -> Optional[Path]:
@@ -652,14 +671,11 @@ def _cmd_solve(merged: dict) -> int:
 
 def _cmd_study(merged: dict) -> int:
     _require(merged, "problem", "d", "h_list")
-    h_list = merged["h_list"]
-    if isinstance(h_list, str):
-        h_list = _parse_h_list(h_list)
     try:
         result = run_study(
-            str(merged["problem"]),
-            int(merged["d"]),
-            [float(h) for h in h_list],
+            merged["problem"],
+            merged["d"],
+            _parse_h_list(merged["h_list"]),
             solver_options=_solver_options(merged),
             out_dir=merged.get("out"),
         )
@@ -677,7 +693,7 @@ def _cmd_study(merged: dict) -> int:
 
 
 def _cmd_norm_check(merged: dict) -> int:
-    d_max = int(merged["d_max"]) if merged.get("d_max") is not None else 30
+    d_max = merged["d_max"] if merged.get("d_max") is not None else 30
     rows = verify_norm_constants(d_max)
     text = norm_constants_csv(rows)
     print(text, end="")
@@ -704,7 +720,7 @@ def _coo_text(name: str, matrix) -> str:
     order = np.lexsort((coo.col, coo.row))
     lines = [f"# {name} {matrix.shape[0]} {matrix.shape[1]} {coo.nnz}"]
     for i in order:
-        lines.append(f"{coo.row[i]} {coo.col[i]} {coo.data[i]!r}")
+        lines.append(f"{coo.row[i]} {coo.col[i]} {float(coo.data[i])!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -730,9 +746,9 @@ def _cmd_sparsity(merged: dict) -> int:
 
 def _cmd_check_derivatives(merged: dict) -> int:
     _require(merged, "problem")
-    benchmark = get_benchmark(str(merged["problem"]))
-    n_samples = int(merged["samples"]) if merged.get("samples") is not None else 5
-    seed = int(merged["seed"]) if merged.get("seed") is not None else 0
+    benchmark = get_benchmark(merged["problem"])
+    n_samples = merged["samples"] if merged.get("samples") is not None else 5
+    seed = merged["seed"] if merged.get("seed") is not None else 0
     report = check_derivatives(benchmark.problem, n_samples=n_samples, seed=seed)
     print(report)
     return 0
@@ -757,7 +773,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         code = exit_.code
         return int(code) if code is not None else 0
     try:
-        merged = _merge_config(args, _config_keys(parser))
+        merged = _merge_config(args, _flag_types(parser))
         return _HANDLERS[args.command](merged)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,10 +14,6 @@ import numpy as np
 #: zero-length intervals when breakpoints agree only up to rounding.
 ENDPOINT_COLLAPSE_RTOL = 1e-12
 
-#: Slack applied to the quasi-uniformity predicate so that equal-length
-#: intervals built by floating-point subdivision still pass sigma = 1.
-_RATIO_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -80,11 +76,6 @@ class Mesh:
     def mesh_size(self) -> float:
         """Largest interval length."""
         return max(iv.length for iv in self.intervals)
-
-    def uniformity_ratio(self) -> float:
-        """Smallest pairwise length ratio, min |T_j| / max |T_k|."""
-        lengths = self.lengths()
-        return float(lengths.min() / lengths.max())
 
     def breakpoints(self) -> np.ndarray:
         return np.array([self.intervals[0].left, *self._rights])
@@ -150,13 +141,6 @@ def mesh_from_breakpoints(points: Sequence[float]) -> Mesh:
             raise ValueError(f"breakpoints must be strictly increasing, got {a} >= {b}")
     intervals = tuple(Interval(a, b) for a, b in zip(pts, pts[1:]))
     return Mesh(intervals, (pts[0], pts[-1]))
-
-
-def validate_quasi_uniform(mesh: Mesh, sigma: float) -> bool:
-    """True iff the smallest pairwise interval-length ratio is at least ``sigma``."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return mesh.uniformity_ratio() >= sigma * (1.0 - _RATIO_SLACK)
 
 
 def merge_meshes(meshes: Sequence[Mesh]) -> MergedMesh:

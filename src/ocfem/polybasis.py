@@ -1,9 +1,10 @@
 """Polynomial bases on the unit interval and the minimum-norm constant check.
 
-Two bases of degree d are provided: a Lagrange basis on Gauss-Lobatto nodes
-(nodal values as coefficients, endpoints included for d >= 1, so continuity
-across mesh intervals reduces to sharing endpoint coefficients) and the
-L2(0,1)-orthonormal shifted Legendre basis.
+The finite-element basis of degree d is the Lagrange basis on Gauss-Lobatto
+nodes: nodal values are the coefficients and the endpoints are nodes for
+d >= 1, so continuity across mesh intervals reduces to sharing endpoint
+coefficients.  The L2(0,1)-orthonormal shifted Legendre basis serves the
+minimum-norm constant check, where the L2 norm is the coefficient 2-norm.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from scipy.special import roots_jacobi
 
 from .quadrature import gauss_legendre_unit
 
-LAGRANGE_GAUSS_LOBATTO = "lagrange_gauss_lobatto"
-LEGENDRE_ORTHONORMAL = "legendre_orthonormal"
-KINDS = (LAGRANGE_GAUSS_LOBATTO, LEGENDRE_ORTHONORMAL)
-
 MAX_DEGREE = 30
 
 #: Points closer than this to a Lagrange node are evaluated with the exact
@@ -33,18 +30,15 @@ _LINF_GRID = 10001
 
 @dataclass(frozen=True)
 class Basis:
-    """Degree-d polynomial basis on [0, 1]; dimension d + 1."""
+    """Degree-d Lagrange basis on the Gauss-Lobatto nodes of [0, 1]; dimension d + 1."""
 
     degree: int
-    kind: str
 
     def __post_init__(self) -> None:
         if not 0 <= self.degree <= MAX_DEGREE:
             raise ValueError(
                 f"unsupported degree {self.degree}: need 0..{MAX_DEGREE}"
             )
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}")
 
     @property
     def dimension(self) -> int:
@@ -52,13 +46,7 @@ class Basis:
 
     @property
     def nodes(self) -> np.ndarray:
-        if self.kind != LAGRANGE_GAUSS_LOBATTO:
-            raise ValueError(f"{self.kind} basis has no interpolation nodes")
         return gauss_lobatto_nodes(self.degree)
-
-
-def make_basis(degree: int, kind: str = LAGRANGE_GAUSS_LOBATTO) -> Basis:
-    return Basis(degree, kind)
 
 
 def gauss_lobatto_nodes(degree: int) -> np.ndarray:
@@ -168,38 +156,12 @@ def _lagrange_derivatives(points: np.ndarray, degree: int) -> np.ndarray:
 
 def eval_basis_matrix(basis: Basis, points) -> np.ndarray:
     """Basis values at many points, as an (n_points, dimension) matrix."""
-    pts = _check_points(points)
-    if basis.kind == LAGRANGE_GAUSS_LOBATTO:
-        return _lagrange_values(pts, basis.degree)
-    return _shifted_legendre(pts, basis.degree)[0]
+    return _lagrange_values(_check_points(points), basis.degree)
 
 
 def eval_basis_derivative_matrix(basis: Basis, points) -> np.ndarray:
     """First derivatives of the basis functions at many points."""
-    pts = _check_points(points)
-    if basis.kind == LAGRANGE_GAUSS_LOBATTO:
-        return _lagrange_derivatives(pts, basis.degree)
-    return _shifted_legendre(pts, basis.degree)[1]
-
-
-def eval_basis(basis: Basis, point: float) -> np.ndarray:
-    return eval_basis_matrix(basis, [point])[0]
-
-
-def eval_basis_derivative(basis: Basis, point: float) -> np.ndarray:
-    return eval_basis_derivative_matrix(basis, [point])[0]
-
-
-def nodal_to_orthonormal(degree: int, values) -> np.ndarray:
-    """Convert Lagrange (node value) coefficients to orthonormal Legendre ones."""
-    vander = _shifted_legendre(gauss_lobatto_nodes(degree), degree)[0]
-    return np.linalg.solve(vander, np.asarray(values, dtype=float))
-
-
-def orthonormal_to_nodal(degree: int, coefficients) -> np.ndarray:
-    """Convert orthonormal Legendre coefficients to Lagrange node values."""
-    vander = _shifted_legendre(gauss_lobatto_nodes(degree), degree)[0]
-    return vander @ np.asarray(coefficients, dtype=float)
+    return _lagrange_derivatives(_check_points(points), basis.degree)
 
 
 def _unit_value_minimizer(degree: int) -> np.ndarray:
@@ -212,27 +174,6 @@ def _unit_value_minimizer(degree: int) -> np.ndarray:
     k = np.arange(degree + 1)
     phi0 = np.sqrt(2.0 * k + 1.0) * (-1.0) ** k
     return phi0 / (degree + 1) ** 2
-
-
-def min_l2_unit_value_qp(degree: int) -> tuple[np.ndarray, float]:
-    """Minimize the L2(0,1) norm over degree-d polynomials with v(0) = 1.
-
-    Returns the monomial coefficients of the minimizer (constant term first)
-    and its L2 norm.  The problem is solved in the orthonormal Legendre
-    basis, where the Gram matrix is the identity; the monomial form is
-    produced only for reporting and becomes ill-scaled for large degrees.
-    """
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ValueError(f"unsupported degree {degree}: need 0..{MAX_DEGREE}")
-    coeffs = _unit_value_minimizer(degree)
-    norm = float(np.linalg.norm(coeffs))
-    # orthonormal -> standard Legendre series -> monomials in x -> in t
-    std = coeffs * np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
-    poly_x = np.polynomial.Polynomial(np.polynomial.legendre.leg2poly(std))
-    poly_t = poly_x(np.polynomial.Polynomial([-1.0, 2.0]))
-    monomial = np.zeros(degree + 1)
-    monomial[: len(poly_t.coef)] = poly_t.coef
-    return monomial, norm
 
 
 class NormConstantRow(NamedTuple):

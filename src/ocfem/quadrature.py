@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import NonFiniteEvaluationError
 from .mesh import Mesh
 
 MAX_NODES = 64
@@ -86,17 +84,3 @@ def compose_rule(mesh: Mesh, unit: UnitRule) -> GlobalRule:
         interval_of,
         mesh,
     )
-
-
-def integrate(rule: GlobalRule, g: Callable[[float], float]) -> float:
-    """Approximate the integral of ``g`` over the rule's domain."""
-    values = np.array([g(float(t)) for t in rule.points], dtype=float)
-    finite = np.isfinite(values)
-    if not finite.all():
-        j = int(np.argmin(finite))
-        raise NonFiniteEvaluationError(
-            f"integrand returned {values[j]!r} at quadrature point {j} "
-            f"(t={rule.points[j]})",
-            index=j,
-        )
-    return float(rule.weights @ values)

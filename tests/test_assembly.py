@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocfem.assembly import AssembledNlp, MultiplierSet
+from ocfem.assembly import AssembledNlp
 from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_space, interleaved_order
 from ocfem.harness import get_benchmark
@@ -237,60 +237,6 @@ class TestHessians:
                 tau * nlp.rule.weights[j] / z[j, 0] ** 2 for j in pts
             ) + omega * nlp.regularizer[col, col]
             assert hess[col, col] == pytest.approx(expected, rel=1e-12)
-
-    def test_gauss_newton_split(self, rng):
-        bench = get_benchmark("lq")
-        nlp = make_nlp(bench.problem, n_intervals=2, degree=3)
-        x = random_interior_point(nlp, rng)
-        full = nlp.full_hessian(x).toarray()
-        lag = nlp.lagrangian_hessian(x, nlp.penalty_multipliers(x)).toarray()
-        jac_c, jac_b = nlp.constraint_jacobians(x)
-        omega = nlp.params.omega
-        gauss_newton = ((jac_c.T @ jac_c + jac_b.T @ jac_b) / omega).toarray()
-        assert full == pytest.approx(lag + gauss_newton, rel=1e-11, abs=1e-11)
-
-
-class TestLagrangianHessian:
-    def test_zero_multipliers_zero_operator(self, rng):
-        bench = get_benchmark("lq")
-        nlp = make_nlp(bench.problem, n_intervals=2, degree=2)
-        x = random_interior_point(nlp, rng)
-        mult = MultiplierSet(
-            rho=0.0,
-            lam=np.zeros(nlp.problem.m * nlp.M),
-            nu=np.zeros(nlp.problem.p),
-            mu=np.zeros(nlp.space.n_z * nlp.M),
-        )
-        hess = nlp.lagrangian_hessian(x, mult)
-        assert hess.nnz == 0
-
-    def test_rho_only_gives_cost_curvature(self, rng):
-        bench = get_benchmark("lq")
-        nlp = make_nlp(bench.problem, n_intervals=2, degree=2)
-        x = random_interior_point(nlp, rng)
-        mult = MultiplierSet(
-            rho=1.0,
-            lam=np.zeros(nlp.problem.m * nlp.M),
-            nu=np.zeros(nlp.problem.p),
-            mu=np.zeros(nlp.space.n_z * nlp.M),
-        )
-        hess = nlp.lagrangian_hessian(x, mult).toarray()
-        # lq has a constant f Hessian: omega S plus a fixed sandwich
-        y = random_interior_point(nlp, rng)
-        assert nlp.lagrangian_hessian(y, mult).toarray() == pytest.approx(hess)
-        assert np.abs(hess - hess.T).max() == 0.0
-
-    def test_dimension_validation(self, rng):
-        bench = get_benchmark("lq")
-        nlp = make_nlp(bench.problem, n_intervals=2, degree=2)
-        x = random_interior_point(nlp, rng)
-        with pytest.raises(ValueError, match="lambda"):
-            nlp.lagrangian_hessian(
-                x,
-                MultiplierSet(
-                    rho=1.0, lam=np.zeros(3), nu=np.zeros(1), mu=np.zeros(8)
-                ),
-            )
 
     def test_bandwidth_after_interleaving(self, rng):
         bench = get_benchmark("lq")

@@ -2,8 +2,9 @@ import json
 import subprocess
 import sys
 
-from ocfem.harness import cli_main
-from ocfem.solver import parse_lifted_nlp
+from ocfem.assembly import AssembledNlp
+from ocfem.harness import build_setup, cli_main, get_benchmark
+from ocfem.solver import default_start, parse_lifted_nlp
 
 
 class TestNormCheck:
@@ -160,6 +161,28 @@ class TestConfig:
             assert cli_main(["solve", "--config", str(config)]) == 2
             assert f"unknown config key(s): {key}" in capsys.readouterr().err
 
+    def test_wrong_value_types_rejected(self, capsys, tmp_path):
+        cases = [
+            ("study", {"problem": "lq", "d": 4, "h_list": 0.5}),
+            ("study", {"problem": "lq", "d": 4, "h_list": [[0.5, 0.25], 0.125]}),
+            ("solve", {"problem": "trivial", "h": 0.5, "d": 3, "max_iters": [1]}),
+            ("solve", {"problem": "trivial", "h": 0.5, "d": "four"}),
+            ("solve", {"problem": "trivial", "d": 3, "breakpoints": [[0.0, 1.0], 5]}),
+        ]
+        for i, (command, payload) in enumerate(cases):
+            config = tmp_path / f"case{i}.json"
+            config.write_text(json.dumps(payload), encoding="utf-8")
+            assert cli_main([command, "--config", str(config)]) == 2, payload
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_numeric_strings_parsed_like_flags(self, capsys, tmp_path):
+        config = tmp_path / "study.json"
+        config.write_text(
+            json.dumps({"problem": "trivial", "d": "3", "h_list": "0.5,0.25,0.125"}),
+            encoding="utf-8",
+        )
+        assert cli_main(["study", "--config", str(config)]) == 0
+
 
 class TestExportAndSparsity:
     def test_export_file_parses(self, capsys, tmp_path):
@@ -196,6 +219,31 @@ class TestExportAndSparsity:
         header = (out / "regularizer.coo").read_text(encoding="utf-8").split("\n")[0]
         _, name, n_rows, n_cols, nnz = header.split()
         assert name == "regularizer" and n_rows == n_cols
+
+    def test_sparsity_lines_are_numeric_triplets(self, capsys, tmp_path):
+        out = tmp_path / "spy"
+        args = ["--problem", "lq", "--h", "0.25", "--d", "4"]
+        assert cli_main(["sparsity", *args, "--out", str(out)]) == 0
+        bench = get_benchmark("lq")
+        nlp = AssembledNlp(bench.problem, *build_setup(bench, 0.25, 4))
+        matrices = {
+            "eval_operator": nlp.eval_op,
+            "point_operator": nlp.point_op,
+            "regularizer": nlp.regularizer,
+            "full_hessian": nlp.full_hessian(default_start(nlp)),
+        }
+        for name, matrix in matrices.items():
+            header, *lines = (out / f"{name}.coo").read_text(encoding="utf-8").splitlines()
+            assert header.split() == ["#", name, *map(str, matrix.shape), str(matrix.nnz)]
+            dense = matrix.toarray()
+            seen = set()
+            for line in lines:
+                r, c, v = line.split(" ")
+                r, c = int(r), int(c)
+                assert float(v) == dense[r, c]
+                seen.add((r, c))
+            coo = matrix.tocoo()
+            assert seen == set(zip(coo.row.tolist(), coo.col.tolist()))
 
 
 class TestCheckDerivatives:

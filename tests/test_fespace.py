@@ -11,6 +11,7 @@ from ocfem.fespace import (
     interleaved_order,
 )
 from ocfem.mesh import merge_meshes, uniform_mesh
+from ocfem.polybasis import eval_basis_matrix
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
 
 
@@ -193,10 +194,8 @@ class TestPointOperator:
         op = build_point_eval_operator(space, [0.5]).toarray()[0]
         left = np.zeros(space.N)
         right = np.zeros(space.N)
-        from ocfem.polybasis import eval_basis
-
-        left[space.index_map[0][0]] = eval_basis(space.basis, 1.0)
-        right[space.index_map[0][1]] = eval_basis(space.basis, 0.0)
+        left[space.index_map[0][0]] = eval_basis_matrix(space.basis, [1.0])[0]
+        right[space.index_map[0][1]] = eval_basis_matrix(space.basis, [0.0])[0]
         assert op == pytest.approx(left, abs=0)
         assert left == pytest.approx(right, abs=0)
 

@@ -11,7 +11,6 @@ from ocfem.harness import (
     benchmark_names,
     build_setup,
     get_benchmark,
-    register_builtin_benchmarks,
     run_study,
     study_csv,
     study_json,
@@ -24,15 +23,13 @@ from ocfem.solver import SolverOptions
 
 class TestRegistry:
     def test_builtin_names(self):
-        names = register_builtin_benchmarks()
-        assert names == ["lq", "lq-multimesh", "trivial", "barrier-pull"]
-        assert set(names) <= set(benchmark_names())
+        assert benchmark_names() == ["barrier-pull", "lq", "lq-multimesh", "trivial"]
+        for name in benchmark_names():
+            assert get_benchmark(name).name == name
 
     def test_registration_idempotent(self):
-        first = register_builtin_benchmarks()
-        second = register_builtin_benchmarks()
-        assert first == second
         assert get_benchmark("lq") is get_benchmark("lq")
+        assert get_benchmark("lq-multimesh").problem is get_benchmark("lq").problem
 
     def test_unknown_benchmark(self):
         with pytest.raises(ValueError, match="unknown benchmark"):

@@ -9,7 +9,6 @@ from ocfem.mesh import (
     merge_meshes,
     mesh_from_breakpoints,
     uniform_mesh,
-    validate_quasi_uniform,
 )
 
 
@@ -36,7 +35,6 @@ class TestUniformMesh:
     def test_size_and_ratio(self):
         mesh = uniform_mesh((0.0, 2.0), 8)
         assert mesh.mesh_size == pytest.approx(0.25, abs=0)
-        assert mesh.uniformity_ratio() == pytest.approx(1.0)
 
     def test_invalid_domain(self):
         with pytest.raises(ValueError, match="invalid domain"):
@@ -59,25 +57,6 @@ class TestBreakpoints:
     def test_lengths(self):
         mesh = mesh_from_breakpoints([0.0, 0.1, 1.0])
         assert mesh.lengths() == pytest.approx([0.1, 0.9])
-
-
-class TestQuasiUniform:
-    def test_uniform_passes_sigma_one(self):
-        assert validate_quasi_uniform(uniform_mesh((0.0, 1.0), 4), 1.0)
-
-    def test_skewed_fails(self):
-        mesh = mesh_from_breakpoints([0.0, 0.1, 1.0])
-        assert not validate_quasi_uniform(mesh, 0.5)
-
-    def test_mild_skew_passes(self):
-        # ratio 0.4 / 0.6 = 2/3 >= 0.5
-        mesh = mesh_from_breakpoints([0.0, 0.4, 1.0])
-        assert validate_quasi_uniform(mesh, 0.5)
-        assert mesh.uniformity_ratio() == pytest.approx(2.0 / 3.0)
-
-    def test_nonuniform_power_of_two_ratio(self):
-        mesh = uniform_mesh((0.0, 1.0), 3)
-        assert validate_quasi_uniform(mesh, 1.0)
 
 
 class TestMerge:

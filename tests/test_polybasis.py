@@ -4,102 +4,107 @@ import numpy as np
 import pytest
 
 from ocfem.polybasis import (
-    LAGRANGE_GAUSS_LOBATTO,
-    LEGENDRE_ORTHONORMAL,
-    eval_basis,
-    eval_basis_derivative,
+    Basis,
+    _shifted_legendre,
+    eval_basis_derivative_matrix,
     eval_basis_matrix,
     gauss_lobatto_nodes,
-    make_basis,
-    min_l2_unit_value_qp,
-    nodal_to_orthonormal,
     norm_constants_csv,
-    orthonormal_to_nodal,
     verify_norm_constants,
 )
 from ocfem.quadrature import gauss_legendre_unit
 
 
+def legendre_values(d, points):
+    return _shifted_legendre(np.asarray(points, dtype=float), d)[0]
+
+
+def legendre_derivatives(d, points):
+    return _shifted_legendre(np.asarray(points, dtype=float), d)[1]
+
+
+def lagrange_values(d, points):
+    return eval_basis_matrix(Basis(d), points)
+
+
+def lagrange_derivatives(d, points):
+    return eval_basis_derivative_matrix(Basis(d), points)
+
+
+#: (values, derivatives) evaluators of the Lagrange finite-element basis and
+#: of the orthonormal Legendre basis behind the norm-constant check.
+EVALUATORS = {
+    "lagrange_gauss_lobatto": (lagrange_values, lagrange_derivatives),
+    "legendre_orthonormal": (legendre_values, legendre_derivatives),
+}
+
+
 class TestEvaluation:
     def test_lagrange_linear_at_left_node(self):
-        basis = make_basis(1)
-        assert eval_basis(basis, 0.0) == pytest.approx([1.0, 0.0], abs=0)
+        assert lagrange_values(1, [0.0])[0] == pytest.approx([1.0, 0.0], abs=0)
 
     def test_lagrange_quadratic_at_midpoint_node(self):
-        basis = make_basis(2)
-        assert eval_basis(basis, 0.5) == pytest.approx([0.0, 1.0, 0.0], abs=0)
+        assert lagrange_values(2, [0.5])[0] == pytest.approx([0.0, 1.0, 0.0], abs=0)
 
     def test_lagrange_unit_rows_at_own_nodes(self):
         for d in (1, 3, 7, 15, 30):
-            basis = make_basis(d)
+            basis = Basis(d)
             values = eval_basis_matrix(basis, basis.nodes)
             assert values == pytest.approx(np.eye(d + 1), abs=0)
 
     def test_legendre_linear_vanishes_at_center(self):
-        basis = make_basis(1, LEGENDRE_ORTHONORMAL)
-        assert eval_basis(basis, 0.5) == pytest.approx([1.0, 0.0], abs=1e-15)
+        assert legendre_values(1, [0.5])[0] == pytest.approx([1.0, 0.0], abs=1e-15)
 
     def test_point_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            eval_basis(make_basis(2), 1.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown basis kind"):
-            make_basis(2, "monomial")
+            lagrange_values(2, [1.5])
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError, match="unsupported degree"):
-            make_basis(31)
+            Basis(31)
 
 
 class TestDerivatives:
     def test_lagrange_hat_slopes(self):
-        basis = make_basis(1)
         for point in (0.0, 0.3, 1.0):
-            assert eval_basis_derivative(basis, point) == pytest.approx([-1.0, 1.0])
+            assert lagrange_derivatives(1, [point])[0] == pytest.approx([-1.0, 1.0])
 
     def test_legendre_linear_slope(self):
-        basis = make_basis(1, LEGENDRE_ORTHONORMAL)
         for point in (0.0, 0.4, 1.0):
-            assert eval_basis_derivative(basis, point) == pytest.approx(
+            assert legendre_derivatives(1, [point])[0] == pytest.approx(
                 [0.0, 2 * math.sqrt(3)]
             )
 
     @pytest.mark.parametrize("d", [1, 2, 5, 12])
     def test_partition_of_unity_differentiates_to_zero(self, d):
-        basis = make_basis(d)
-        for point in (0.0, 0.17, 0.5, 0.99, *basis.nodes):
-            assert eval_basis_derivative(basis, point).sum() == pytest.approx(
+        for point in (0.0, 0.17, 0.5, 0.99, *gauss_lobatto_nodes(d)):
+            assert lagrange_derivatives(d, [point])[0].sum() == pytest.approx(
                 0.0, abs=1e-10
             )
 
-    @pytest.mark.parametrize("kind", [LAGRANGE_GAUSS_LOBATTO, LEGENDRE_ORTHONORMAL])
-    def test_derivative_matches_finite_difference(self, kind, rng):
-        basis = make_basis(6, kind)
+    @pytest.mark.parametrize("basis", sorted(EVALUATORS))
+    def test_derivative_matches_finite_difference(self, basis, rng):
+        values, derivatives = EVALUATORS[basis]
         points = rng.uniform(0.05, 0.95, 20)
         step = 1e-6
         for point in points:
-            fd = (
-                eval_basis(basis, point + step) - eval_basis(basis, point - step)
-            ) / (2 * step)
-            assert eval_basis_derivative(basis, point) == pytest.approx(fd, abs=1e-7)
+            fd = (values(6, [point + step])[0] - values(6, [point - step])[0]) / (2 * step)
+            assert derivatives(6, [point])[0] == pytest.approx(fd, abs=1e-7)
 
 
 class TestStructure:
     @pytest.mark.parametrize("d", [0, 1, 4, 10, 30])
     def test_orthonormality(self, d):
-        basis = make_basis(d, LEGENDRE_ORTHONORMAL)
         rule = gauss_legendre_unit(31)  # exact through degree 61
-        values = eval_basis_matrix(basis, rule.nodes)
+        values = legendre_values(d, rule.nodes)
         gram = values.T @ (rule.weights[:, None] * values)
         assert np.abs(gram - np.eye(d + 1)).max() < 1e-12
 
-    @pytest.mark.parametrize("kind", [LAGRANGE_GAUSS_LOBATTO, LEGENDRE_ORTHONORMAL])
+    @pytest.mark.parametrize("basis", sorted(EVALUATORS))
     @pytest.mark.parametrize("d", [0, 1, 3, 8])
-    def test_unisolvence(self, kind, d, rng):
-        basis = make_basis(d, kind)
+    def test_unisolvence(self, basis, d, rng):
         points = np.sort(rng.uniform(0.0, 1.0, d + 1))
-        matrix = eval_basis_matrix(basis, points)
+        matrix = EVALUATORS[basis][0](d, points)
         assert np.linalg.matrix_rank(matrix) == d + 1
 
     def test_lobatto_nodes_include_endpoints(self):
@@ -111,30 +116,13 @@ class TestStructure:
 
     @pytest.mark.parametrize("d", list(range(0, 31, 3)) + [30])
     def test_basis_change_round_trip(self, d, rng):
-        values = rng.uniform(-1.0, 1.0, d + 1)
-        back = orthonormal_to_nodal(d, nodal_to_orthonormal(d, values))
-        assert np.abs(back - values).max() < 1e-11
-
-
-class TestMinimumNormPolynomial:
-    def test_degree_zero(self):
-        coeffs, norm = min_l2_unit_value_qp(0)
-        assert coeffs == pytest.approx([1.0], abs=0)
-        assert norm == pytest.approx(1.0, abs=0)
-
-    def test_degree_one_analytic(self):
-        # minimize int (1 + a t)^2 = 1 + a + a^2/3  ->  a = -3/2, value 1/4
-        coeffs, norm = min_l2_unit_value_qp(1)
-        assert coeffs == pytest.approx([1.0, -1.5], abs=1e-12)
-        assert norm == pytest.approx(0.5, abs=1e-12)
-
-    def test_degree_five(self):
-        _, norm = min_l2_unit_value_qp(5)
-        assert norm == pytest.approx(1.0 / 6.0, abs=1e-12)
-
-    def test_unsupported_degree(self):
-        with pytest.raises(ValueError, match="unsupported degree"):
-            min_l2_unit_value_qp(31)
+        # orthonormal coefficients -> nodal values -> Lagrange interpolant,
+        # which must reproduce the Legendre expansion away from the nodes
+        coeffs = rng.uniform(-1.0, 1.0, d + 1)
+        nodal = legendre_values(d, gauss_lobatto_nodes(d)) @ coeffs
+        points = rng.uniform(0.0, 1.0, 50)
+        back = lagrange_values(d, points) @ nodal
+        assert np.abs(back - legendre_values(d, points) @ coeffs).max() < 1e-11
 
 
 class TestNormConstants:
@@ -163,8 +151,7 @@ class TestNormEquivalence:
     def test_random_polynomials_respect_bound(self, rng):
         grid = np.linspace(0.0, 1.0, 10001)
         for d in range(11):
-            basis = make_basis(d, LEGENDRE_ORTHONORMAL)
-            values_matrix = eval_basis_matrix(basis, grid)
+            values_matrix = legendre_values(d, grid)
             coeffs = rng.uniform(-1.0, 1.0, (1000, d + 1))
             l2 = np.linalg.norm(coeffs, axis=1)
             sup = np.abs(values_matrix @ coeffs.T).max(axis=0)

@@ -201,7 +201,42 @@ class TestLiftedExport:
             assert rows == expected
             assert nlp.eval_op.nnz == nlp.M * (space.n_y + space.n_x) * (space.degree + 1)
 
-    @pytest.mark.parametrize("name", ["lq", "trivial", "barrier-pull"])
+    def test_constraint_pattern_matches_support(self):
+        # path rows: every basis function whose interval holds the point;
+        # point rows: the basis functions nonzero at the fixed times, which
+        # at a Lobatto node is that node's function alone
+        for name in ("lq", "lq-multimesh"):
+            bench = get_benchmark(name)
+            space, params = build_setup(bench, 0.5, 4)
+            nlp = AssembledNlp(bench.problem, space, params)
+            problem = nlp.problem
+            patterns = dict((p[0], p) for p in export_lifted_nlp(nlp).patterns)
+            _, n_rows, n_cols, coords = patterns["JH_x"]
+            assert (n_rows, n_cols) == (problem.m * nlp.M + problem.p, nlp.N)
+            rows = {}
+            for r, c in coords:
+                rows.setdefault(r, set()).add(c)
+            expected = {}
+            for j, t in enumerate(nlp.rule.points):
+                cols = set()
+                for comp, mesh in enumerate(space.component_meshes):
+                    cols |= set(space.index_map[comp][mesh.interval_index(float(t))].tolist())
+                for i in range(problem.m):
+                    expected[j * problem.m + i] = cols
+            point_cols = set()
+            for comp in range(space.n_y):
+                mesh = space.component_meshes[comp]
+                for t in problem.time_points:
+                    k = mesh.interval_index(t)
+                    iv = mesh.intervals[k]
+                    at_node = np.abs((t - iv.left) / iv.length - space.basis.nodes) < 1e-14
+                    block = space.index_map[comp][k]
+                    point_cols |= set((block[at_node] if at_node.any() else block).tolist())
+            for i in range(problem.p):
+                expected[problem.m * nlp.M + i] = point_cols
+            assert rows == expected
+
+    @pytest.mark.parametrize("name", ["lq", "lq-multimesh", "trivial", "barrier-pull"])
     def test_lifting_reproduces_penalty_objective(self, name):
         bench = get_benchmark(name)
         if name == "barrier-pull":
@@ -213,7 +248,9 @@ class TestLiftedExport:
         assert report.status == STATUS_CONVERGED
         h_c, h_b = nlp.penalty_blocks(report.x_final)
         omega = nlp.params.omega
-        value = lifted_objective(nlp, report.x_final, h_c / omega, h_b / omega)
+        lam, nu = report.multipliers.lam, report.multipliers.nu
+        assert np.array_equal(lam, -h_c / omega) and np.array_equal(nu, -h_b / omega)
+        value = lifted_objective(nlp, report.x_final, -lam, -nu)
         assert abs(value - report.terms.barrier_free) <= 1e-9
 
 
