@@ -143,6 +143,41 @@ def mesh_from_breakpoints(points: Sequence[float]) -> Mesh:
     return Mesh(intervals, (pts[0], pts[-1]))
 
 
+def merged_breakpoints(meshes: Sequence[Mesh]) -> np.ndarray:
+    """Endpoints of the common refinement of meshes sharing one domain.
+
+    Endpoints closer than ``ENDPOINT_COLLAPSE_RTOL`` times the domain width
+    are collapsed.
+    """
+    t0, t_end = meshes[0].domain
+    tol = ENDPOINT_COLLAPSE_RTOL * (t_end - t0)
+    all_points = np.sort(np.concatenate([m.breakpoints() for m in meshes]))
+    kept = [t0]
+    for p in all_points:
+        if p - kept[-1] > tol:
+            kept.append(float(p))
+    if t_end - kept[-1] <= tol:
+        kept[-1] = t_end
+    else:
+        kept.append(t_end)
+    return np.array(kept)
+
+
+def source_intervals(meshes: Sequence[Mesh], points: np.ndarray) -> np.ndarray:
+    """(n, len(meshes)) index of the interval of each mesh holding each midpoint.
+
+    The midpoints are those of the n intervals between consecutive
+    ``points``; the lookup is ``Mesh.interval_index``'s.
+    """
+    mids = 0.5 * (points[:-1] + points[1:])
+    return np.column_stack(
+        [
+            np.minimum(np.searchsorted(m.breakpoints()[1:], mids), m.n_intervals - 1)
+            for m in meshes
+        ]
+    )
+
+
 def merge_meshes(meshes: Sequence[Mesh]) -> MergedMesh:
     """Common refinement: intervals between all neighbouring source endpoints.
 
@@ -155,22 +190,6 @@ def merge_meshes(meshes: Sequence[Mesh]) -> MergedMesh:
     for m in meshes[1:]:
         if m.domain != domain:
             raise ValueError(f"domain mismatch: {m.domain} vs {domain}")
-    t0, t_end = domain
-    tol = ENDPOINT_COLLAPSE_RTOL * (t_end - t0)
-
-    all_points = np.sort(np.concatenate([m.breakpoints() for m in meshes]))
-    kept = [t0]
-    for p in all_points:
-        if p - kept[-1] > tol:
-            kept.append(float(p))
-    if t_end - kept[-1] <= tol:
-        kept[-1] = t_end
-    else:
-        kept.append(t_end)
-
-    intervals = tuple(Interval(a, b) for a, b in zip(kept, kept[1:]))
-    provenance = []
-    for iv in intervals:
-        mid = 0.5 * (iv.left + iv.right)
-        provenance.append(tuple(m.interval_index(mid) for m in meshes))
-    return MergedMesh(intervals, domain, tuple(provenance))
+    points = merged_breakpoints(meshes)
+    intervals = tuple(Interval(a, b) for a, b in zip(points.tolist(), points[1:].tolist()))
+    return MergedMesh(intervals, domain, source_intervals(meshes, points))

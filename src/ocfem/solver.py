@@ -5,6 +5,13 @@ each stage from the previous minimizer.  Every stage is plain Newton with a
 symmetric inertia correction, an Armijo backtracking line search, and a
 fraction-to-the-boundary cap that keeps the auxiliary values strictly
 positive at all quadrature points.
+
+Newton steps are taken in the interval-major order of
+``fespace.interleaved_order``, under which the sparse Hessian is banded: its
+lower triangle is packed into a (kd + 1, N) band and factored by a banded
+Cholesky (LAPACK ``pbtrf``), at O(N kd^2) time and O(N kd) memory.  kd is read
+from the Hessian's nonzeros at every step; point constraints that couple
+distant times widen it up to N - 1.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+import scipy.sparse as sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .assembly import AssembledNlp, MultiplierSet, ObjectiveTerms
 from .errors import BarrierDomainError
@@ -157,20 +165,46 @@ def _default_schedule(omega: float, tau: float) -> list[tuple[float, float]]:
     return deduped
 
 
+def _lower_band(hess: sparse.csr_matrix, position: np.ndarray) -> np.ndarray:
+    """Lower band (kd + 1, N) of the symmetric ``hess`` renumbered by ``position``.
+
+    Row ``i - j`` of the band holds entry (i, j) of the renumbered matrix,
+    the layout of LAPACK's lower banded storage.
+    """
+    coo = hess.tocoo()
+    rows, cols = position[coo.row], position[coo.col]
+    lower = rows >= cols
+    offset, cols = rows[lower] - cols[lower], cols[lower]
+    band = np.zeros((int(offset.max(initial=0)) + 1, hess.shape[0]))
+    band[offset, cols] = coo.data[lower]
+    return band
+
+
 def _newton_direction(
-    hess: np.ndarray, grad: np.ndarray, floor: float
+    band: np.ndarray, grad: np.ndarray, floor: float
 ) -> Optional[np.ndarray]:
-    """Solve (H + delta I) p = -g, doubling delta until the factor is PD."""
-    n = hess.shape[0]
+    """Solve (H + delta I) p = -g for H in lower band form, doubling delta until PD."""
     delta = 0.0
     while True:
+        shifted = band.copy()
+        shifted[0] += delta
         try:
-            factor = cho_factor(hess + delta * np.eye(n), lower=True)
-            return cho_solve(factor, -grad)
+            factor = cholesky_banded(shifted, overwrite_ab=True, lower=True)
+            return cho_solve_banded((factor, True), -grad)
         except LinAlgError:
             delta = floor if delta == 0.0 else 2.0 * delta
             if delta > _MAX_SHIFT_FACTOR * floor:
                 return None
+
+
+def _newton_step(
+    nlp: AssembledNlp, x: CoefficientVector, grad: np.ndarray
+) -> Optional[np.ndarray]:
+    """Inertia-corrected Newton step at x, solved in interval-major order."""
+    space = nlp.space
+    band = _lower_band(nlp.full_hessian(x), space.band_position)
+    step = _newton_direction(band, grad[space.band_order], _REGULARIZATION_FLOOR)
+    return None if step is None else step[space.band_position]
 
 
 def _boundary_cap(nlp: AssembledNlp, x: CoefficientVector, step: np.ndarray) -> float:
@@ -204,8 +238,7 @@ def _newton_stage(
         if grad_norm <= tol:
             status = STATUS_CONVERGED
             break
-        hess = nlp.full_hessian(x).toarray()
-        step = _newton_direction(hess, grad, _REGULARIZATION_FLOOR)
+        step = _newton_step(nlp, x, grad)
         if step is None or float(grad @ step) >= 0.0:
             step = -grad
         slope = float(grad @ step)

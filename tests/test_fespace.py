@@ -140,6 +140,14 @@ class TestEvalOperator:
         with pytest.raises(ValueError, match="merged mesh"):
             build_eval_operator(space, other)
 
+    def test_rule_over_reordered_meshes_rejected(self):
+        # same merged breakpoints, provenance columns swapped
+        coarse, fine = uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 4)
+        space, _ = space_and_rule([coarse, fine], 1, 1, 1)
+        swapped = compose_rule(merge_meshes([fine, coarse]), gauss_legendre_unit(2))
+        with pytest.raises(ValueError, match="merged mesh"):
+            build_eval_operator(space, swapped)
+
     def test_row_sparsity_bound(self):
         space, rule = space_and_rule(
             [uniform_mesh((0.0, 1.0), 4), uniform_mesh((0.0, 1.0), 3)], 3, 1, 1
@@ -245,7 +253,26 @@ class TestRegularizer:
             build_regularizer(space, rule, op[:2, :])
 
 
+def loop_interleaved_order(space):
+    """Reference: sort (interval left end, component, local index) tuples."""
+    entries, seen = [], set()
+    for comp, mesh in enumerate(space.component_meshes):
+        for k, iv in enumerate(mesh.intervals):
+            for a in range(space.degree + 1):
+                g = int(space.index_map[comp][k, a])
+                if g not in seen:
+                    seen.add(g)
+                    entries.append((iv.left, comp, a, g))
+    return np.array([g for *_, g in sorted(entries)])
+
+
 class TestInterleavedOrder:
+    @pytest.mark.parametrize("counts,n_y", [([4], 1), ([3, 5, 5], 1), ([6, 4], 0), ([5, 2, 7], 2)])
+    def test_matches_loop_reference(self, counts, n_y):
+        meshes = [uniform_mesh((0.0, 1.0), n) for n in counts]
+        space = build_space(meshes, 3, n_y, len(counts) - n_y)
+        assert np.array_equal(interleaved_order(space), loop_interleaved_order(space))
+
     def test_is_permutation(self):
         space = build_space(
             [uniform_mesh((0.0, 1.0), 3), uniform_mesh((0.0, 1.0), 3)], 2, 1, 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from ocfem.solver import (
     STATUS_LINE_SEARCH,
     STATUS_MAX_ITERS,
     SolverOptions,
+    _lower_band,
     _newton_direction,
+    _newton_step,
     default_start,
     ensure_interior,
     export_lifted_nlp,
@@ -255,17 +259,24 @@ class TestLiftedExport:
 
 
 class TestInertiaCorrection:
+    # matrices in lower band form: row 0 is the diagonal
     def test_identity_needs_no_shift(self):
-        step = _newton_direction(np.eye(3), np.ones(3), 1e-12)
+        step = _newton_direction(np.ones((1, 3)), np.ones(3), 1e-12)
         assert step == pytest.approx(-np.ones(3))
 
     def test_singular_matrix_shifted(self):
-        step = _newton_direction(np.zeros((2, 2)), np.array([1.0, 0.0]), 1e-12)
+        step = _newton_direction(np.zeros((1, 2)), np.array([1.0, 0.0]), 1e-12)
         assert step is not None and np.isfinite(step).all()
+
+    def test_shift_lands_on_diagonal(self):
+        # [[1, 1], [1, 1]] is singular; only a diagonal shift makes it PD
+        band = np.array([[1.0, 1.0], [1.0, 0.0]])
+        step = _newton_direction(band, np.ones(2), 1e-12)
+        assert step == pytest.approx(-0.5 * np.ones(2))
 
     def test_strongly_indefinite_gives_up(self):
         # a negative eigenvalue far beyond the shift cap -> gradient fallback
-        assert _newton_direction(np.diag([1.0, -1.0]), np.ones(2), 1e-12) is None
+        assert _newton_direction(np.array([[1.0, -1.0]]), np.ones(2), 1e-12) is None
 
     def test_concave_problem_fails_gracefully(self, rng):
         def f_eval(dy, y, z, t):
@@ -284,6 +295,52 @@ class TestInertiaCorrection:
             nlp, x0, SolverOptions(max_iters=20, continuation=[(1e-6, 1e-6)])
         )
         assert report.status in (STATUS_MAX_ITERS, STATUS_LINE_SEARCH)
+
+
+def _wrap_around(stacked_y):
+    """Point constraint y(0) - y(1) = 0: couples the first and last coefficients."""
+    return np.array([stacked_y[0] - stacked_y[1]]), np.array([[1.0, -1.0]]), np.zeros((1, 2, 2))
+
+
+def _bandwidth(nlp):
+    """Half-bandwidth kd of the interleaved Hessian at the default start."""
+    x = default_start(nlp)
+    return _lower_band(nlp.full_hessian(x), nlp.space.band_position).shape[0] - 1
+
+
+class TestBandedStep:
+    @pytest.mark.parametrize("name", ["lq", "lq-multimesh", "wrap-around"])
+    def test_matches_dense_solve(self, name):
+        bench = get_benchmark("lq" if name == "wrap-around" else name)
+        problem = bench.problem
+        if name == "wrap-around":
+            problem = replace(problem, b_eval=_wrap_around)
+        space, params = build_setup(bench, 1 / 16, 4)
+        nlp = AssembledNlp(problem, space, params).with_params(1e-1, 1e-1)
+        x = default_start(nlp)
+        grad = nlp.gradient(x)
+        kd = _bandwidth(nlp)
+        if name == "wrap-around":
+            assert kd > nlp.N // 2
+        else:
+            assert kd < nlp.N // 4
+        dense = np.linalg.solve(nlp.full_hessian(x).toarray(), -grad)
+        step = _newton_step(nlp, x, grad)
+        assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("name", ["lq", "lq-multimesh", "breakpoints"])
+    def test_bandwidth_independent_of_mesh_size(self, name):
+        bench = get_benchmark("lq" if name == "breakpoints" else name)
+        widths = []
+        for n in (16, 64):
+            breakpoints = None
+            if name == "breakpoints":
+                # stretched mesh for y, uniform meshes for z1 and z2
+                t = np.linspace(0.0, 1.0, n + 1)
+                breakpoints = [(t + 0.3 * t * (1 - t)).tolist(), t.tolist(), t.tolist()]
+            space, params = build_setup(bench, 1 / n, 4, breakpoints)
+            widths.append(_bandwidth(AssembledNlp(bench.problem, space, params)))
+        assert widths[0] == widths[1]
 
 
 class TestSchedules:
