@@ -12,7 +12,7 @@ from .assembly import AssembledNlp
 from .fespace import build_space
 from .harness import build_setup, get_benchmark
 from .mesh import uniform_mesh
-from .ocp_model import OcpProblem, check_derivatives, default_params
+from .ocp_model import OcpProblem, batched, check_derivatives, default_params
 from .solver import SolveReport, SolverOptions, solve
 
 __version__ = "0.1.0"
@@ -22,6 +22,7 @@ __all__ = [
     "OcpProblem",
     "SolveReport",
     "SolverOptions",
+    "batched",
     "build_setup",
     "build_space",
     "check_derivatives",

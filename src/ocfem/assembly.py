@@ -133,38 +133,19 @@ class AssembledNlp:
     def coefficients(self, values) -> CoefficientVector:
         return self.space.coefficient_vector(values)
 
-    # -- pointwise evaluation ------------------------------------------------
+    # -- evaluation at the quadrature points ----------------------------------
 
     def _point_data(self, x: CoefficientVector) -> _PointData:
         key = x.values.tobytes()
         if key == self._cache_key and self._cache is not None:
             return self._cache
-        problem, space = self.problem, self.space
-        B, M, n_y = space.block_width, self.M, space.n_y
-        values = (self.eval_op @ x.values).reshape(M, B)
-
-        f = np.empty(M)
-        f_grad = np.empty((M, B))
-        f_hess = np.empty((M, B, B))
+        problem = self.problem
+        values = (self.eval_op @ x.values).reshape(self.M, self.space.block_width)
+        f, f_grad, f_hess = eval_running_cost(problem, values, self.rule.points)
         if problem.m > 0:
-            c = np.empty((M, problem.m))
-            c_jac = np.empty((M, problem.m, B))
-            c_hess = np.empty((M, problem.m, B, B))
+            c, c_jac, c_hess = eval_path_constraints(problem, values, self.rule.points)
         else:
             c = c_jac = c_hess = None
-        for j in range(M):
-            dy = values[j, :n_y]
-            y = values[j, n_y : 2 * n_y]
-            z = values[j, 2 * n_y :]
-            t = float(self.rule.points[j])
-            f[j], f_grad[j], f_hess[j] = eval_running_cost(
-                problem, dy, y, z, t, point_index=j
-            )
-            if problem.m > 0:
-                c[j], c_jac[j], c_hess[j] = eval_path_constraints(
-                    problem, dy, y, z, t, point_index=j
-                )
-
         if problem.p > 0:
             b, b_jac, b_hess = eval_point_constraints(problem, self.point_op @ x.values)
         else:

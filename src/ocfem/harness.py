@@ -19,6 +19,7 @@ from .mesh import Mesh, mesh_from_breakpoints, uniform_mesh
 from .ocp_model import (
     MethodParams,
     OcpProblem,
+    batched,
     check_derivatives,
     default_params,
 )
@@ -84,20 +85,22 @@ def _lq_benchmark() -> Benchmark:
     u*(t) = -sinh(1 - t) / cosh(1) and the optimal cost tanh(1) / 2.
     """
 
-    def f_eval(dy, y, z, t):
-        u = z[0] - z[1]
-        value = 0.5 * (y[0] ** 2 + u**2)
-        grad = np.array([0.0, y[0], u, -u])
-        hess = np.zeros((4, 4))
-        hess[1, 1] = 1.0
-        hess[2, 2] = hess[3, 3] = 1.0
-        hess[2, 3] = hess[3, 2] = -1.0
-        return value, grad, hess
+    f_hess = np.zeros((4, 4))
+    f_hess[1, 1] = f_hess[2, 2] = f_hess[3, 3] = 1.0
+    f_hess[2, 3] = f_hess[3, 2] = -1.0
 
+    @batched
+    def f_eval(dy, y, z, t):
+        u = z[:, 0] - z[:, 1]
+        value = 0.5 * (y[:, 0] ** 2 + u**2)
+        grad = np.stack([np.zeros_like(u), y[:, 0], u, -u], axis=1)
+        return value, grad, np.broadcast_to(f_hess, (len(t), 4, 4))
+
+    @batched
     def c_eval(dy, y, z, t):
-        values = np.array([dy[0] - z[0] + z[1]])
-        jac = np.array([[1.0, 0.0, -1.0, 1.0]])
-        return values, jac, np.zeros((1, 4, 4))
+        values = (dy[:, 0] - z[:, 0] + z[:, 1])[:, None]
+        jac = np.broadcast_to([[1.0, 0.0, -1.0, 1.0]], (len(t), 1, 4))
+        return values, jac, np.broadcast_to(0.0, (len(t), 1, 4, 4))
 
     def b_eval(stacked_y):
         values = np.array([stacked_y[0] - 1.0])
@@ -142,11 +145,15 @@ def _trivial_benchmark() -> Benchmark:
     value depends on (omega, tau) and no z reference is recorded.
     """
 
+    @batched
     def f_eval(dy, y, z, t):
-        return 0.0, np.zeros(3), np.zeros((3, 3))
+        M = len(t)
+        return np.zeros(M), np.broadcast_to(0.0, (M, 3)), np.broadcast_to(0.0, (M, 3, 3))
 
+    @batched
     def c_eval(dy, y, z, t):
-        return np.array([dy[0]]), np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3, 3))
+        jac = np.broadcast_to([[1.0, 0.0, 0.0]], (len(t), 1, 3))
+        return dy[:, :1].copy(), jac, np.broadcast_to(0.0, (len(t), 1, 3, 3))
 
     def b_eval(stacked_y):
         jac = np.zeros((1, len(stacked_y)))
@@ -179,8 +186,10 @@ def _barrier_pull_benchmark() -> Benchmark:
     this the quantitative test of the barrier's strict-positivity floor.
     """
 
+    @batched
     def f_eval(dy, y, z, t):
-        return float(z[0]), np.array([1.0]), np.zeros((1, 1))
+        M = len(t)
+        return z[:, 0].copy(), np.broadcast_to(1.0, (M, 1)), np.broadcast_to(0.0, (M, 1, 1))
 
     problem = OcpProblem(
         n_y=0,

@@ -1,5 +1,14 @@
 """Problem definition: dimensions, time grid, derivative-supplying callbacks.
 
+The running cost f and the path constraints c are evaluated at all M
+quadrature points of a rule in one call.  A callback marked with
+``@batched`` receives the stacks ``dy, y: (M, n_y)``, ``z: (M, n_z)`` and
+``t: (M,)`` and returns the value, first-derivative and Hessian stacks of
+every point at once.  An unmarked callback is taken to be per point, with
+arguments ``(n_y,), (n_y,), (n_z,)`` and a float t, and is run by the
+``pointwise`` adapter, a Python loop over the points.  The point
+constraints b are evaluated once per coefficient vector and are not batched.
+
 Callbacks must return analytic first and second derivatives; the assembled
 Hessians rely on them and a silent finite-difference fallback would corrupt
 convergence measurements.  ``check_derivatives`` is the supported way to
@@ -17,20 +26,64 @@ import numpy as np
 from .fespace import CoefficientVector, FESpace, build_eval_operator, build_point_eval_operator
 from .quadrature import GlobalRule
 
-#: (dy, y, z, t) -> (value, gradient over (dy, y, z), Hessian over (dy, y, z))
+#: (dy, y, z, t) -> (value, gradient over (dy, y, z), Hessian over (dy, y, z)),
+#: as (M,), (M, B), (M, B, B) stacks when batched, else for one point
 RunningCost = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, float],
-    tuple[float, np.ndarray, np.ndarray],
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    tuple[np.ndarray, np.ndarray, np.ndarray],
 ]
-#: (dy, y, z, t) -> (m values, (m, B) Jacobian, (m, B, B) Hessians)
+#: (dy, y, z, t) -> (values, Jacobian, Hessians), as (M, m), (M, m, B),
+#: (M, m, B, B) stacks when batched, else (m,), (m, B), (m, B, B) for one point
 PathConstraint = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, float],
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     tuple[np.ndarray, np.ndarray, np.ndarray],
 ]
 #: stacked y(t_0..t_E) -> (p values, (p, n_y n_T) Jacobian, (p, ., .) Hessians)
 PointConstraint = Callable[
     [np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]
 ]
+
+_BATCHED = "ocfem_batched"
+
+
+def batched(fn):
+    """Mark a running-cost or path-constraint callback as taking point stacks."""
+    setattr(fn, _BATCHED, True)
+    return fn
+
+
+def pointwise(fn, what: str = "callback"):
+    """Batched callback that runs the per-point callback ``fn`` at each point.
+
+    A failure is reported with the quadrature point where it happened.
+    """
+
+    @batched
+    def stacked(dy, y, z, t):
+        results = []
+        for j, t_j in enumerate(t):
+            t_j = float(t_j)
+            try:
+                value, first, second = fn(dy[j], y[j], z[j], t_j)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"{what} callback failed at quadrature point {j} (t={t_j})"
+                ) from exc
+            results.append((value, first, second))
+        return tuple(_stack(what, parts) for parts in zip(*results))
+
+    return stacked
+
+
+def _stack(what: str, parts) -> np.ndarray:
+    arrays = [np.asarray(a, dtype=float) for a in parts]
+    for j, a in enumerate(arrays):
+        if a.shape != arrays[0].shape:
+            raise ValueError(
+                f"{what} output at quadrature point {j} has shape {a.shape}, "
+                f"expected {arrays[0].shape} as at point 0"
+            )
+    return np.stack(arrays)
 
 
 @dataclass(frozen=True)
@@ -115,44 +168,65 @@ class OcpProblem:
         return 2 * self.n_y + self.n_z
 
 
-def _checked(what: str, arrays, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Callback outputs as float arrays of the expected shapes, the last symmetric."""
+def _checked(what: str, arrays, shapes: list[tuple[int, ...]], batch: bool):
+    """Callback outputs as float arrays of the expected shapes, the last symmetric.
+
+    With ``batch`` the leading axis indexes points and each point's Hessians
+    are tested against their own scale: asym_j > 1e-12 max(1, max |H_j|).
+    """
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     if [a.shape for a in arrays] != shapes:
         got = "/".join(str(a.shape) for a in arrays)
         raise ValueError(
-            f"{what} derivatives have shapes {got}, expected {'/'.join(map(str, shapes))}"
+            f"{what} outputs have shapes {got}, expected {'/'.join(map(str, shapes))}"
         )
     hess = arrays[-1]
-    asym = np.abs(hess - np.swapaxes(hess, -1, -2)).max(initial=0.0)
-    # asym > 1e-12 max(1, |H|), testing the cheap half first: it runs per point
-    if asym > 1e-12 and asym > 1e-12 * np.abs(hess).max(initial=0.0):
-        raise ValueError(f"{what} Hessian is asymmetric (max deviation {asym})")
+    per_point = hess.reshape(len(hess) if batch else 1, -1)
+    asym = np.abs(hess - np.swapaxes(hess, -1, -2)).reshape(per_point.shape).max(axis=1)
+    # the cheap half of the test first: |H_j| is needed only where asym_j > 1e-12
+    suspect = np.flatnonzero(asym > 1e-12)
+    if suspect.size:
+        scale = np.abs(per_point[suspect]).max(axis=1)
+        bad = suspect[asym[suspect] > 1e-12 * scale]
+        if bad.size:
+            j = bad[0]
+            where = f" at batch point {j}" if batch else ""
+            raise ValueError(f"{what} Hessian is asymmetric{where} (max deviation {asym[j]})")
     return arrays
 
 
-def eval_running_cost(problem: OcpProblem, dy, y, z, t: float, point_index=None):
-    """Call f with shape validation and quadrature-point context on failure."""
-    try:
-        value, grad, hess = problem.f_eval(dy, y, z, t)
-    except Exception as exc:
-        raise RuntimeError(
-            f"objective callback failed at quadrature point {point_index} (t={t})"
-        ) from exc
-    B = problem.arg_width
-    grad, hess = _checked("objective", (grad, hess), [(B,), (B, B)])
-    return float(value), grad, hess
+def _eval_batch(what: str, fn, problem: OcpProblem, values, t, shapes):
+    """One call of a running-cost or path-constraint callback on a point stack."""
+    n_y = problem.n_y
+    args = (values[:, :n_y], values[:, n_y : 2 * n_y], values[:, 2 * n_y :], t)
+    if not getattr(fn, _BATCHED, False):
+        outputs = pointwise(fn, what)(*args)
+    else:
+        try:
+            outputs = fn(*args)
+        except Exception as exc:
+            raise RuntimeError(
+                f"{what} callback failed on a batch of {len(t)} points "
+                f"(t={float(t[0])}..{float(t[-1])})"
+            ) from exc
+    return _checked(what, outputs, shapes, batch=True)
 
 
-def eval_path_constraints(problem: OcpProblem, dy, y, z, t: float, point_index=None):
-    try:
-        values, jac, hess = problem.c_eval(dy, y, z, t)
-    except Exception as exc:
-        raise RuntimeError(
-            f"constraint callback failed at quadrature point {point_index} (t={t})"
-        ) from exc
-    B, m = problem.arg_width, problem.m
-    return _checked("path-constraint", (values, jac, hess), [(m,), (m, B), (m, B, B)])
+def eval_running_cost(problem: OcpProblem, values: np.ndarray, t: np.ndarray):
+    """f at M points, validated: ``values`` holds the (dy, y, z) rows, (M, B)."""
+    M, B = len(t), problem.arg_width
+    return _eval_batch(
+        "objective", problem.f_eval, problem, values, t, [(M,), (M, B), (M, B, B)]
+    )
+
+
+def eval_path_constraints(problem: OcpProblem, values: np.ndarray, t: np.ndarray):
+    """c at M points, validated: ``values`` holds the (dy, y, z) rows, (M, B)."""
+    M, B, m = len(t), problem.arg_width, problem.m
+    return _eval_batch(
+        "path-constraint", problem.c_eval, problem, values, t,
+        [(M, m), (M, m, B), (M, m, B, B)],
+    )
 
 
 def eval_point_constraints(problem: OcpProblem, stacked_y):
@@ -162,7 +236,10 @@ def eval_point_constraints(problem: OcpProblem, stacked_y):
         raise RuntimeError("point-constraint callback failed") from exc
     width, p = problem.n_y * problem.n_T, problem.p
     return _checked(
-        "point-constraint", (values, jac, hess), [(p,), (p, width), (p, width, width)]
+        "point-constraint",
+        (values, jac, hess),
+        [(p,), (p, width), (p, width, width)],
+        batch=False,
     )
 
 
@@ -188,17 +265,9 @@ def residual(
         values = (build_eval_operator(space, rule) @ x_h.values).reshape(
             rule.M, space.block_width
         )
-        n_y = problem.n_y
+        c, _, _ = eval_path_constraints(problem, values, rule.points)
         for j in range(rule.M):
-            c, _, _ = eval_path_constraints(
-                problem,
-                values[j, :n_y],
-                values[j, n_y : 2 * n_y],
-                values[j, 2 * n_y :],
-                float(rule.points[j]),
-                point_index=j,
-            )
-            total += float(rule.weights[j]) * float(c @ c)
+            total += float(rule.weights[j]) * float(c[j] @ c[j])
     if problem.p > 0:
         point_op = build_point_eval_operator(space, problem.time_points)
         b, _, _ = eval_point_constraints(problem, point_op @ x_h.values)
@@ -305,17 +374,16 @@ def check_derivatives(
         errors[first] = max(errors[first], first_err)
         errors[second] = max(errors[second], second_err)
 
-    def split(v: np.ndarray):
-        return v[: problem.n_y], v[problem.n_y : 2 * problem.n_y], v[2 * problem.n_y :]
+    def at_point(evaluate, t: float):
+        # one-point batches: (value, first, second) of the point v
+        t = np.array([t])
+        return lambda v: [out[0] for out in evaluate(problem, v[None], t)]
 
     for dy, y, z, t in samples:
         v0 = np.concatenate([dy, y, z]).astype(float)
-        record("f_gradient", "f_hessian", lambda v: eval_running_cost(problem, *split(v), t), v0)
+        record("f_gradient", "f_hessian", at_point(eval_running_cost, t), v0)
         if problem.m > 0:
-            record(
-                "c_jacobian", "c_hessian",
-                lambda v: eval_path_constraints(problem, *split(v), t), v0,
-            )
+            record("c_jacobian", "c_hessian", at_point(eval_path_constraints, t), v0)
     if problem.p > 0:
         for yv in b_samples:
             record(
