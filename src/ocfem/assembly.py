@@ -9,8 +9,9 @@ where F is the quadrature of the running cost, S the solution-norm Gram
 matrix, H_c the sqrt(alpha_j)-scaled path-constraint values, H_b the point
 constraints, and the last term the log barrier keeping the auxiliary
 components positive.  The weight bookkeeping matrices of the derivation are
-realized as inline scalings; only the evaluation operators and S are
-materialized because they are reused.
+realized as inline scalings; the evaluation operators, S and the fixed
+Hessian pattern (``HessianLayout``, element by element over the merged mesh)
+are materialized because they are reused.
 """
 
 from __future__ import annotations
@@ -78,6 +79,43 @@ class _PointData:
     b_hess: np.ndarray
 
 
+class HessianLayout:
+    """Fixed pattern of ``full_hessian``.  Values are summed in lower entries,
+    the coefficient pairs (i, j) with i at or after j in ``FESpace.band_order``,
+    sorted by their slot offset * N + column in LAPACK lower band storage."""
+
+    def __init__(self, nlp: "AssembledNlp"):
+        space, B, N, pos = nlp.space, nlp.space.block_width, nlp.N, nlp.space.band_position
+        E, d1, n_x = nlp.rule.mesh.n_intervals, space.degree + 1, space.n_x
+        # eval_op on each merged interval's own L coefficients, in the column order
+        # of its first point's value rows; block row b is of component b or b - n_y
+        dofs = nlp.eval_op.indices.reshape(E, d1, B, d1)[:, 0, space.n_y :].reshape(E, -1)
+        local = np.zeros((E, d1, B, n_x, d1))
+        local[:, :, np.arange(B), np.r_[: space.n_y, :n_x]] = nlp.eval_op.data.reshape(E, d1, B, d1)
+        self.local_eval = local.reshape(E, d1 * B, n_x * d1)
+        point_dofs = np.unique(nlp.point_op.indices) if nlp.problem.p > 0 else np.zeros(0, int)
+        self.point_eval = nlp.point_op[:, point_dofs].toarray()  # on its own coefficients
+        pairs, slots = [], []  # flat lower pairs of the element and point squares
+        for local_pos in (pos[dofs], pos[point_dofs]):
+            rows, cols = np.broadcast_arrays(local_pos[..., :, None], local_pos[..., None, :])
+            pairs.append(np.flatnonzero(rows >= cols))
+            slots.append(((rows - cols) * N + cols).ravel()[pairs[-1]])
+        self.element_pairs, self.point_pairs = pairs
+        # the lower entry of each element pair, then of each point pair
+        self.band_slot, self.target = np.unique(np.concatenate(slots), return_inverse=True)
+        offset, column = np.divmod(self.band_slot, N)
+        i, j = space.band_order[column + offset], space.band_order[column]
+        off = np.flatnonzero(i != j)  # mirrored into the upper triangle
+        rows, cols, lower = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[np.arange(i.size), off]
+        order = np.argsort(rows * N + cols)
+        self.gather = lower[order]  # lower entry of each stored value
+        self.band_at = np.argsort(order)[: i.size]  # stored value of each lower entry
+        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=N))]
+        # scipy's index dtype, read-only because every returned Hessian shares it
+        self.pattern = sparse.csr_matrix((np.zeros(order.size), cols[order], indptr), shape=(N, N))
+        self.pattern.indices.flags.writeable = self.pattern.indptr.flags.writeable = False
+
+
 class AssembledNlp:
     """Discrete program bound to a problem, space and parameters.
 
@@ -113,6 +151,7 @@ class AssembledNlp:
         self._sqrt_alpha = np.sqrt(rule.weights)
         self._cache_key: Optional[bytes] = None
         self._cache: Optional[_PointData] = None
+        self._layout: list[HessianLayout] = []  # built on first use, shared by clones
 
     @property
     def N(self) -> int:
@@ -129,6 +168,13 @@ class AssembledNlp:
         clone._cache_key = None
         clone._cache = None
         return clone
+
+    @property
+    def hessian_layout(self) -> HessianLayout:
+        """Fixed pattern of ``full_hessian``, built on first use."""
+        if not self._layout:
+            self._layout.append(HessianLayout(self))
+        return self._layout[0]
 
     def coefficients(self, values) -> CoefficientVector:
         return self.space.coefficient_vector(values)
@@ -221,21 +267,18 @@ class AssembledNlp:
             grad += (self.point_op.T @ (data.b_jac.T @ data.b)) / omega
         return np.asarray(grad)
 
-    def _sandwich(self, blocks: np.ndarray) -> sparse.csr_matrix:
-        """P' blockdiag(blocks) P for per-point (B, B) blocks."""
-        B, M = self.space.block_width, self.M
-        mid = sparse.bsr_matrix(
-            (blocks, np.arange(M), np.arange(M + 1)), shape=(B * M, B * M)
-        )
-        return (self.eval_op.T @ mid @ self.eval_op).tocsr()
-
     def full_hessian(self, x: CoefficientVector) -> sparse.csr_matrix:
-        """Exact Hessian of the total objective at x.
+        """Exact Hessian of the total objective at x, on ``hessian_layout``.
 
-        Combines the curvature of f, the Gauss-Newton and curvature terms of
-        the penalties, the barrier diagonal tau alpha_j / z^2, and omega S.
+        Per quadrature point the curvature of f, the Gauss-Newton and
+        curvature terms of the path penalty, the barrier diagonal
+        tau alpha_j / z^2 and omega alpha_j (its share of omega S) form a
+        (B, B) block.  Element matrices V_e' blocks V_e and the point term are
+        summed into the lower entries and mirrored: exactly symmetric, with
+        every structurally possible entry stored, zeros included.
         """
         data = self._point_data(x)
+        layout = self.hessian_layout
         omega, tau = self.params.omega, self.params.tau
         B, n_y, n_z = self.space.block_width, self.space.n_y, self.space.n_z
         blocks = self._alpha[:, None, None] * data.f_hess
@@ -245,18 +288,19 @@ class AssembledNlp:
             blocks = blocks + (self._alpha / omega)[:, None, None] * (
                 gauss_newton + curvature
             )
+        diagonal = np.einsum("jbb->jb", blocks)  # a writable view
+        diagonal += omega * self._alpha[:, None]
         if n_z > 0:
-            z = self._checked_z(data)
-            idx = np.arange(2 * n_y, B)
-            blocks[:, idx, idx] += tau * self._alpha[:, None] / z**2
-        hess = self._sandwich(blocks) + omega * self.regularizer
-        if self.problem.p > 0:
-            point_block = (
-                data.b_jac.T @ data.b_jac
-                + np.einsum("i,iab->ab", data.b, data.b_hess)
-            ) / omega
-            hess = hess + self.point_op.T @ sparse.csr_matrix(point_block) @ self.point_op
-        return _symmetrized(hess)
+            diagonal[:, 2 * n_y :] += tau * self._alpha[:, None] / self._checked_z(data) ** 2
+        local = layout.local_eval  # (E, points x B, L)
+        E, rows, L = local.shape
+        weighted = blocks.reshape(E, -1, B, B) @ local.reshape(E, -1, B, L)
+        element = local.transpose(0, 2, 1) @ weighted.reshape(E, rows, L)
+        point_block = data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
+        point = layout.point_eval.T @ point_block @ layout.point_eval / omega
+        parts = element.ravel()[layout.element_pairs], point.ravel()[layout.point_pairs]
+        values = np.bincount(layout.target, np.concatenate(parts))[layout.gather]
+        return sparse.csr_matrix((values, layout.pattern.indices, layout.pattern.indptr), (self.N,) * 2)
 
     def penalty_multipliers(self, x: CoefficientVector) -> MultiplierSet:
         """Multiplier estimates induced by the penalty terms at x.
@@ -305,8 +349,3 @@ class AssembledNlp:
             g_x = sparse.csr_matrix((0, N))
         return {"H_x": h_x, "G_x": g_x}
 
-
-def _symmetrized(mat: sparse.spmatrix) -> sparse.csr_matrix:
-    out = ((mat + mat.T) * 0.5).tocsr()
-    out.eliminate_zeros()
-    return out

@@ -8,10 +8,13 @@ positive at all quadrature points.
 
 Newton steps are taken in the interval-major order of
 ``fespace.interleaved_order``, under which the sparse Hessian is banded: its
-lower triangle is packed into a (kd + 1, N) band and factored by a banded
-Cholesky (LAPACK ``pbtrf``), at O(N kd^2) time and O(N kd) memory.  kd is read
-from the Hessian's nonzeros at every step; point constraints that couple
-distant times widen it up to N - 1.
+lower triangle is packed into a (kd + 1, N) band by the slots of
+``AssembledNlp.hessian_layout`` and factored by a banded Cholesky (LAPACK
+``pbtrf``), at O(N kd^2) time and O(N kd) memory.  kd is the largest offset
+holding a nonzero at this step, not the structural one: the pattern stores
+the possible y(t0)-y(tE) coupling even when it is zero (kd 24, not 1782, for
+``lq`` at N = 1793).  Point constraints that couple distant times widen kd up
+to N - 1.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from .assembly import AssembledNlp, MultiplierSet, ObjectiveTerms
+from .assembly import AssembledNlp, HessianLayout, MultiplierSet, ObjectiveTerms
 from .errors import BarrierDomainError
 from .fespace import CoefficientVector
 
@@ -165,19 +168,17 @@ def _default_schedule(omega: float, tau: float) -> list[tuple[float, float]]:
     return deduped
 
 
-def _lower_band(hess: sparse.csr_matrix, position: np.ndarray) -> np.ndarray:
-    """Lower band (kd + 1, N) of the symmetric ``hess`` renumbered by ``position``.
-
-    Row ``i - j`` of the band holds entry (i, j) of the renumbered matrix,
-    the layout of LAPACK's lower banded storage.
-    """
-    coo = hess.tocoo()
-    rows, cols = position[coo.row], position[coo.col]
-    lower = rows >= cols
-    offset, cols = rows[lower] - cols[lower], cols[lower]
-    band = np.zeros((int(offset.max(initial=0)) + 1, hess.shape[0]))
-    band[offset, cols] = coo.data[lower]
-    return band
+def _packed_band(hess: sparse.csr_matrix, layout: HessianLayout) -> np.ndarray:
+    """Lower band (kd + 1, N) of ``hess`` in interval-major order, in LAPACK's
+    lower banded storage; kd is the largest offset holding a nonzero value."""
+    n = hess.shape[0]
+    values = hess.data[layout.band_at]
+    nonzero = np.flatnonzero(values)
+    kd = int(layout.band_slot[nonzero[-1]]) // n if nonzero.size else 0
+    kept = np.searchsorted(layout.band_slot, (kd + 1) * n)
+    band = np.zeros((kd + 1) * n)
+    band[layout.band_slot[:kept]] = values[:kept]
+    return band.reshape(kd + 1, n)
 
 
 def _newton_direction(
@@ -202,7 +203,7 @@ def _newton_step(
 ) -> Optional[np.ndarray]:
     """Inertia-corrected Newton step at x, solved in interval-major order."""
     space = nlp.space
-    band = _lower_band(nlp.full_hessian(x), space.band_position)
+    band = _packed_band(nlp.full_hessian(x), nlp.hessian_layout)
     step = _newton_direction(band, grad[space.band_order], _REGULARIZATION_FLOOR)
     return None if step is None else step[space.band_position]
 

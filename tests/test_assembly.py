@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
+import ocfem.assembly
 from ocfem.assembly import AssembledNlp
 from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_space, interleaved_order
-from ocfem.harness import get_benchmark
+from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import uniform_mesh
 from ocfem.ocp_model import MethodParams, OcpProblem, default_params, residual
+from ocfem.solver import solve
 
 
 def make_nlp(problem, n_intervals=3, degree=3, h=None, omega=None, tau=None):
@@ -247,6 +252,114 @@ class TestHessians:
         rows, cols = np.nonzero(hess)
         bound = 2 * (nlp.space.degree + 1) * nlp.space.n_x
         assert np.abs(rows - cols).max() <= bound
+
+
+def curved_problem():
+    """Nonlinear f, c and b, so c_hess and b_hess are nonzero; B = (dy, y, z)."""
+
+    def f_eval(dy, y, z, t):
+        grad = np.array([dy[0], 2 * y[0] * z[0], y[0] ** 2])
+        hess = np.array([[1.0, 0, 0], [0, 2 * z[0], 2 * y[0]], [0, 2 * y[0], 0]])
+        return 0.5 * dy[0] ** 2 + y[0] ** 2 * z[0], grad, hess
+
+    def c_eval(dy, y, z, t):
+        value = dy[0] - np.sin(y[0]) + 0.1 * z[0] ** 2
+        jac = np.array([[1.0, -np.cos(y[0]), 0.2 * z[0]]])
+        return np.array([value]), jac, np.diag([0.0, np.sin(y[0]), 0.2])[None]
+
+    def b_eval(stacked_y):
+        y0, y1 = stacked_y
+        jac = np.array([[2 * y0 + y1, y0]])
+        return np.array([y0**2 + y0 * y1 - 1]), jac, np.array([[[2.0, 1.0], [1.0, 0.0]]])
+
+    return OcpProblem(
+        n_y=1, n_z=1, m=1, p=1, time_points=(0.0, 1.0),
+        f_eval=f_eval, c_eval=c_eval, b_eval=b_eval,
+    )
+
+
+def reference_hessian(nlp, x):
+    """P' blockdiag(blocks) P + omega S + point_op' B point_op, symmetrized.
+
+    The Hessian as sparse products, the reference for the fixed layout.
+    """
+    data = nlp._point_data(x)
+    omega, tau, alpha = nlp.params.omega, nlp.params.tau, nlp.rule.weights
+    B, n_y = nlp.space.block_width, nlp.space.n_y
+    blocks = alpha[:, None, None] * data.f_hess
+    if nlp.problem.m > 0:
+        blocks = blocks + (alpha / omega)[:, None, None] * (
+            np.einsum("jia,jib->jab", data.c_jac, data.c_jac)
+            + np.einsum("ji,jiab->jab", data.c, data.c_hess)
+        )
+    idx = np.arange(2 * n_y, B)
+    blocks[:, idx, idx] += tau * alpha[:, None] / data.values[:, idx] ** 2
+    hess = nlp.eval_op.T @ sparse.block_diag(list(blocks)) @ nlp.eval_op
+    hess = hess + omega * nlp.regularizer
+    if nlp.problem.p > 0:
+        point_block = (
+            data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
+        ) / omega
+        hess = hess + nlp.point_op.T @ sparse.csr_matrix(point_block) @ nlp.point_op
+    return ((hess + hess.T) * 0.5).toarray()
+
+
+def oracle_case(name):
+    """An AssembledNlp at h = 1/8, d = 3 for each assembly corner."""
+    if name == "curved":
+        return make_nlp(curved_problem(), n_intervals=8, degree=3)
+    bench = get_benchmark("lq" if name in ("breakpoints", "wrap-around") else name)
+    problem, breakpoints = bench.problem, None
+    if name == "breakpoints":
+        # a stretched y mesh splits every interval of the uniform z meshes
+        t = np.linspace(0.0, 1.0, 9)
+        breakpoints = [(t + 0.3 * t * (1 - t)).tolist(), t.tolist(), t.tolist()]
+    if name == "wrap-around":
+        # y(0) - y(1) = 0 couples the first and last coefficients
+        problem = replace(problem, b_eval=lambda y: (
+            np.array([y[0] - y[1]]), np.array([[1.0, -1.0]]), np.zeros((1, 2, 2))
+        ))
+    space, params = build_setup(bench, 1 / 8, 3, breakpoints)
+    return AssembledNlp(problem, space, params).with_params(1e-2, 1e-2)
+
+
+class TestHessianLayout:
+    @pytest.mark.parametrize(
+        "name",
+        ["lq", "lq-multimesh", "breakpoints", "barrier-pull", "trivial", "wrap-around", "curved"],
+    )
+    def test_matches_sparse_product_reference(self, name, rng):
+        nlp = oracle_case(name)
+        for _ in range(3):
+            x = random_interior_point(nlp, rng)
+            hess = nlp.full_hessian(x)
+            expected = reference_hessian(nlp, x)
+            assert np.abs(hess.toarray() - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert np.array_equal(hess.toarray(), hess.toarray().T)
+
+    def test_curvature_reaches_the_hessian(self, rng):
+        nlp = oracle_case("curved")
+        data = nlp._point_data(random_interior_point(nlp, rng))
+        assert np.abs(data.c * data.c_hess[:, :, 1, 1]).max() > 0
+        assert np.abs(data.b @ data.b_hess[:, 0, 1]) > 0
+
+    def test_built_once_and_shared(self, monkeypatch):
+        built = []
+        build = ocfem.assembly.HessianLayout
+        monkeypatch.setattr(
+            ocfem.assembly, "HessianLayout", lambda nlp: built.append(nlp) or build(nlp)
+        )
+        nlp = make_nlp(get_benchmark("lq").problem, n_intervals=4, degree=2)
+        assert built == [] and nlp._layout == []
+        clone = nlp.with_params(0.5, 0.5)
+        assert clone.hessian_layout is nlp.hessian_layout
+        assert len(built) == 1
+
+        fresh = make_nlp(get_benchmark("lq").problem, n_intervals=4, degree=2)
+        report = solve(fresh)
+        assert len(report.stages) > 1 and report.total_iterations > 1
+        assert len(built) == 2
+        assert fresh._layout[0] is built[1].hessian_layout
 
 
 class TestWithParams:

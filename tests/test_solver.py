@@ -13,9 +13,9 @@ from ocfem.solver import (
     STATUS_LINE_SEARCH,
     STATUS_MAX_ITERS,
     SolverOptions,
-    _lower_band,
     _newton_direction,
     _newton_step,
+    _packed_band,
     default_start,
     ensure_interior,
     export_lifted_nlp,
@@ -305,7 +305,7 @@ def _wrap_around(stacked_y):
 def _bandwidth(nlp):
     """Half-bandwidth kd of the interleaved Hessian at the default start."""
     x = default_start(nlp)
-    return _lower_band(nlp.full_hessian(x), nlp.space.band_position).shape[0] - 1
+    return _packed_band(nlp.full_hessian(x), nlp.hessian_layout).shape[0] - 1
 
 
 class TestBandedStep:
