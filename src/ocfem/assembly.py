@@ -8,10 +8,10 @@ The program minimized over the coefficient vector x is
 where F is the quadrature of the running cost, S the solution-norm Gram
 matrix, H_c the sqrt(alpha_j)-scaled path-constraint values, H_b the point
 constraints, and the last term the log barrier keeping the auxiliary
-components positive.  The weight bookkeeping matrices of the derivation are
-realized as inline scalings; the evaluation operators, S and the fixed
-Hessian pattern (``HessianLayout``, element by element over the merged mesh)
-are materialized because they are reused.
+components positive.  The weight matrices of the derivation are inline
+scalings: x'Sx is sum_j alpha_j |v_j|^2 over the (dy, y, z) rows v_j at the
+quadrature points, so objective, gradient and Hessian never form S.  The
+evaluation operators and the Hessian pattern (``HessianLayout``) are reused.
 """
 
 from __future__ import annotations
@@ -146,7 +146,6 @@ class AssembledNlp:
         self.rule = rule
         self.eval_op = build_eval_operator(space, rule)
         self.point_op = build_point_eval_operator(space, problem.time_points)
-        self.regularizer = build_regularizer(space, rule, self.eval_op)
         self._alpha = rule.weights
         self._sqrt_alpha = np.sqrt(rule.weights)
         self._cache_key: Optional[bytes] = None
@@ -168,6 +167,11 @@ class AssembledNlp:
         clone._cache_key = None
         clone._cache = None
         return clone
+
+    @property
+    def regularizer(self) -> sparse.csr_matrix:
+        """Gram matrix S, built on each access; the program weights per-point rows."""
+        return build_regularizer(self.space, self.rule, self.eval_op)
 
     @property
     def hessian_layout(self) -> HessianLayout:
@@ -224,7 +228,7 @@ class AssembledNlp:
         data = self._point_data(x)
         omega, tau = self.params.omega, self.params.tau
         f_term = float(self._alpha @ data.f)
-        quad_norm = float(x.values @ (self.regularizer @ x.values))
+        quad_norm = float(self._alpha @ (data.values**2).sum(axis=1))
         h_c, h_b = self.penalty_blocks(x)
         penalty = (float(h_c @ h_c) + float(h_b @ h_b)) / (2.0 * omega)
         if self.space.n_z > 0:
@@ -254,7 +258,7 @@ class AssembledNlp:
         data = self._point_data(x)
         omega, tau = self.params.omega, self.params.tau
         B, n_y = self.space.block_width, self.space.n_y
-        w = self._alpha[:, None] * data.f_grad
+        w = self._alpha[:, None] * (data.f_grad + omega * data.values)
         if self.problem.m > 0:
             w += (self._alpha / omega)[:, None] * np.einsum(
                 "jib,ji->jb", data.c_jac, data.c
@@ -262,7 +266,7 @@ class AssembledNlp:
         if self.space.n_z > 0:
             z = self._checked_z(data)
             w[:, 2 * n_y :] -= tau * self._alpha[:, None] / z
-        grad = self.eval_op.T @ w.ravel() + omega * (self.regularizer @ x.values)
+        grad = self.eval_op.T @ w.ravel()
         if self.problem.p > 0:
             grad += (self.point_op.T @ (data.b_jac.T @ data.b)) / omega
         return np.asarray(grad)

@@ -239,7 +239,8 @@ def build_regularizer(
 
     x' S x approximates the H1 norm squared of the differential components
     plus the L2 norm squared of the auxiliary ones: every row block of the
-    evaluation operator (derivatives included) is weighted by alpha_j.
+    evaluation operator (derivatives included) is weighted by alpha_j.  A solve
+    weights the rows itself; S serves ``ocfem sparsity`` and the study's x_error.
     """
     B, M = space.block_width, rule.M
     if eval_op.shape != (B * M, space.N):

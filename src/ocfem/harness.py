@@ -21,6 +21,7 @@ from .ocp_model import (
     OcpProblem,
     batched,
     check_derivatives,
+    check_positive,
     default_params,
 )
 from .polybasis import norm_constants_csv, verify_norm_constants
@@ -260,6 +261,7 @@ def build_setup(
     else:
         if h is None:
             raise ValueError("mesh size h is required when no breakpoints are given")
+        check_positive("mesh size", h)
         n = max(1, round((t_end - t0) / h))
         counts = list(benchmark.mesh_plan(n)) if benchmark.mesh_plan else [n] * problem.n_x
         meshes = [uniform_mesh((t0, t_end), c) for c in counts]
@@ -352,8 +354,8 @@ def run_study(
     output directory is given.
     """
     benchmark = get_benchmark(problem)
-    if len(h_list) < 3:
-        raise ValueError("insufficient points for order fit: need at least 3 mesh sizes")
+    if len(set(h_list)) < 3:
+        raise ValueError("insufficient points for order fit: need at least 3 distinct mesh sizes")
     rows: list[ConvergenceRow] = []
     reports: list[SolveReport] = []
     for h in h_list:

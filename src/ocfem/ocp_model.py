@@ -97,20 +97,24 @@ class MethodParams:
     tau: float
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError(f"invalid mesh size {self.h}: need h > 0")
+        check_positive("mesh size", self.h)
         if not 0 < self.sigma <= 1:
             raise ValueError(f"invalid mesh ratio {self.sigma}: need 0 < sigma <= 1")
         if not 0 <= self.d <= 30:
             raise ValueError(f"invalid degree {self.d}: need 0..30")
-        if self.omega <= 0 or self.tau <= 0:
-            raise ValueError("penalty and barrier parameters must be positive")
+        check_positive("penalty parameter omega", self.omega)
+        check_positive("barrier parameter tau", self.tau)
+
+
+def check_positive(name: str, value: float) -> None:
+    """Reject a value that is not a finite number above zero (NaN included)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"invalid {name} {value}: need a finite value > 0")
 
 
 def default_params(h: float, sigma: float = 1.0, d: int = 4) -> MethodParams:
     """Parameters with the default coupling omega = h^(d/2), tau = h^d."""
-    if h <= 0:
-        raise ValueError(f"invalid mesh size {h}: need h > 0")
+    check_positive("mesh size", h)
     return MethodParams(h=h, sigma=sigma, d=d, omega=h ** (d / 2), tau=float(h) ** d)
 
 
@@ -348,6 +352,10 @@ def check_derivatives(
     coded first derivatives.  Steps are scaled by the argument magnitude.
     The check only reports errors, it never raises on a mismatch.
     """
+    if n_samples < 1:
+        raise ValueError(f"derivative check needs n_samples >= 1, got {n_samples}")
+    if samples is not None and len(samples) == 0:
+        raise ValueError("derivative check needs at least one sample, got an empty list")
     rng = np.random.default_rng(seed)
     t0, t_end = problem.domain
     if samples is None:

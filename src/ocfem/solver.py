@@ -30,6 +30,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from .assembly import AssembledNlp, HessianLayout, MultiplierSet, ObjectiveTerms
 from .errors import BarrierDomainError
 from .fespace import CoefficientVector
+from .ocp_model import check_positive
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -69,8 +70,8 @@ class SolverOptions:
     continuation: Optional[Sequence[tuple[float, float]]] = None
 
     def __post_init__(self) -> None:
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if self.grad_tol is not None:
+            check_positive("grad_tol", self.grad_tol)
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 

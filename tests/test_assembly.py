@@ -7,7 +7,7 @@ import scipy.sparse as sparse
 import ocfem.assembly
 from ocfem.assembly import AssembledNlp
 from ocfem.errors import BarrierDomainError
-from ocfem.fespace import build_space, interleaved_order
+from ocfem.fespace import build_regularizer, build_space, interleaved_order
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import uniform_mesh
 from ocfem.ocp_model import MethodParams, OcpProblem, default_params, residual
@@ -362,13 +362,35 @@ class TestHessianLayout:
         assert fresh._layout[0] is built[1].hessian_layout
 
 
+class TestSolutionNorm:
+    @pytest.mark.parametrize("name", ["lq", "lq-multimesh", "breakpoints", "barrier-pull"])
+    def test_quad_norm_equals_gram_form(self, name, rng):
+        nlp = oracle_case(name)
+        gram = build_regularizer(nlp.space, nlp.rule, nlp.eval_op)
+        for _ in range(3):
+            x = random_interior_point(nlp, rng)
+            expected = x.values @ (gram @ x.values)
+            assert nlp.objective_terms(x).quad_norm == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_solve_builds_no_gram_matrix(self, monkeypatch):
+        built = []
+        build = ocfem.assembly.build_regularizer
+        monkeypatch.setattr(
+            ocfem.assembly, "build_regularizer", lambda *args: built.append(args) or build(*args)
+        )
+        nlp = make_nlp(get_benchmark("lq").problem, n_intervals=4, degree=2)
+        report = solve(nlp)
+        assert report.status == "converged" and report.total_iterations > 1
+        assert built == []
+
+
 class TestWithParams:
     def test_shares_operators(self):
         bench = get_benchmark("lq")
         nlp = make_nlp(bench.problem, n_intervals=2, degree=2)
         other = nlp.with_params(0.7, 0.3)
         assert other.eval_op is nlp.eval_op
-        assert other.regularizer is nlp.regularizer
+        assert other.point_op is nlp.point_op
         assert other.params.omega == 0.7 and other.params.tau == 0.3
         assert nlp.params.omega != 0.7
 

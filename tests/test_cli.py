@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ocfem.assembly import AssembledNlp
 from ocfem.harness import build_setup, cli_main, get_benchmark
 from ocfem.solver import default_start, parse_lifted_nlp
@@ -22,6 +24,20 @@ class TestNormCheck:
 
 
 class TestSolve:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--h", "nan"], "invalid mesh size"),
+            (["--h", "inf"], "invalid mesh size"),
+            (["--h", "0.25", "--grad-tol", "nan"], "grad_tol"),
+            (["--h", "0.25", "--grad-tol", "inf"], "grad_tol"),
+        ],
+    )
+    def test_non_finite_value_is_usage_error(self, flags, message, capsys):
+        code = cli_main(["solve", "--problem", "lq", "--d", "4", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_trivial_reports_residual(self, capsys):
         code = cli_main(["solve", "--problem", "trivial", "--h", "0.25", "--d", "4"])
         out = capsys.readouterr().out
@@ -69,6 +85,11 @@ class TestStudy:
 
     def test_single_h_is_usage_error(self, capsys):
         code = cli_main(["study", "--problem", "lq", "--d", "4", "--h-list", "0.25"])
+        assert code == 2
+        assert "insufficient points" in capsys.readouterr().err
+
+    def test_repeated_h_is_usage_error(self, capsys):
+        code = cli_main(["study", "--problem", "lq", "--d", "2", "--h-list", "0.25,0.25,0.25"])
         assert code == 2
         assert "insufficient points" in capsys.readouterr().err
 
@@ -252,6 +273,12 @@ class TestCheckDerivatives:
         assert code == 0
         out = capsys.readouterr().out
         assert "f_gradient" in out and "b_hessian" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_usage_error(self, samples, capsys):
+        code = cli_main(["check-derivatives", "--problem", "lq", "--samples", samples])
+        assert code == 2
+        assert "n_samples" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

@@ -125,8 +125,9 @@ class TestBuildSetup:
 
 class TestRunStudy:
     def test_requires_three_mesh_sizes(self):
-        with pytest.raises(ValueError, match="insufficient points"):
-            run_study("lq", 4, [0.25])
+        for h_list in ([0.25], [0.25, 0.25, 0.25]):
+            with pytest.raises(ValueError, match="insufficient points"):
+                run_study("lq", 4, h_list)
 
     def test_trivial_metrics_at_floor(self):
         result = run_study("trivial", 4, [0.5, 0.25, 0.125])

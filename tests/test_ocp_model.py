@@ -63,8 +63,18 @@ class TestMethodParams:
         assert params.tau == pytest.approx(0.0625, abs=0)
 
     def test_invalid_h(self):
-        with pytest.raises(ValueError, match="invalid mesh size"):
-            default_params(0.0, 1.0, 2)
+        for h in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="invalid mesh size"):
+                default_params(h, 1.0, 2)
+            with pytest.raises(ValueError, match="invalid mesh size"):
+                MethodParams(h=h, sigma=1.0, d=2, omega=1.0, tau=1.0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_penalty_and_barrier(self, value):
+        with pytest.raises(ValueError, match="omega"):
+            MethodParams(h=0.5, sigma=1.0, d=2, omega=value, tau=1.0)
+        with pytest.raises(ValueError, match="tau"):
+            MethodParams(h=0.5, sigma=1.0, d=2, omega=1.0, tau=value)
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError, match="mesh ratio"):
@@ -180,6 +190,15 @@ class TestCheckDerivatives:
         report = check_derivatives(broken, n_samples=3, seed=2)
         assert report.f_hessian > 1e-2
         assert report.f_gradient <= 1e-6
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            check_derivatives(quadratic_problem(), n_samples=n_samples)
+
+    def test_empty_sample_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_derivatives(quadratic_problem(), samples=[])
 
     def test_report_lists_entries(self):
         report = check_derivatives(quadratic_problem(), n_samples=2, seed=3)

@@ -357,5 +357,11 @@ class TestSchedules:
         assert report.stages[-1].tau == nlp.params.tau
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="grad_tol"):
-            SolverOptions(grad_tol=-1.0)
+        for grad_tol in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="grad_tol"):
+                SolverOptions(grad_tol=grad_tol)
+
+    def test_non_finite_continuation_rejected(self):
+        nlp = lq_nlp(h=0.25)
+        with pytest.raises(ValueError, match="omega"):
+            solve(nlp, None, SolverOptions(continuation=[(float("nan"), 0.1)]))
