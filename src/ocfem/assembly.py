@@ -95,11 +95,14 @@ class HessianLayout:
         self.local_eval = local.reshape(E, d1 * B, n_x * d1)
         point_dofs = np.unique(nlp.point_op.indices) if nlp.problem.p > 0 else np.zeros(0, int)
         self.point_eval = nlp.point_op[:, point_dofs].toarray()  # on its own coefficients
-        pairs, slots = [], []  # flat lower pairs of the element and point squares
-        for local_pos in (pos[dofs], pos[point_dofs]):
-            rows, cols = np.broadcast_arrays(local_pos[..., :, None], local_pos[..., None, :])
+        # flat pairs i >= j of the element and point squares; element matrices are
+        # symmetric only to rounding, and natural indices keep values off band_order
+        pairs, slots = [], []
+        for local_dofs in (dofs, point_dofs):
+            rows, cols = np.broadcast_arrays(local_dofs[..., :, None], local_dofs[..., None, :])
             pairs.append(np.flatnonzero(rows >= cols))
-            slots.append(((rows - cols) * N + cols).ravel()[pairs[-1]])
+            rows, cols = pos[rows].ravel()[pairs[-1]], pos[cols].ravel()[pairs[-1]]
+            slots.append(np.abs(rows - cols) * N + np.minimum(rows, cols))
         self.element_pairs, self.point_pairs = pairs
         # the lower entry of each element pair, then of each point pair
         self.band_slot, self.target = np.unique(np.concatenate(slots), return_inverse=True)
@@ -124,7 +127,8 @@ class AssembledNlp:
 
     Immutable apart from a single-slot evaluation cache; ``with_params``
     shares all operators while swapping (omega, tau), which is what the
-    continuation schedule of the solver uses.
+    continuation schedule of the solver uses, and keeps the cache, which does
+    not depend on (omega, tau).
     """
 
     def __init__(self, problem: OcpProblem, space: FESpace, params: MethodParams):
@@ -150,7 +154,7 @@ class AssembledNlp:
         self._sqrt_alpha = np.sqrt(rule.weights)
         self._cache_key: Optional[bytes] = None
         self._cache: Optional[_PointData] = None
-        self._layout: list[HessianLayout] = []  # built on first use, shared by clones
+        self._shared: dict = {}  # built on first use, shared by clones
 
     @property
     def N(self) -> int:
@@ -161,11 +165,9 @@ class AssembledNlp:
         return self.rule.M
 
     def with_params(self, omega: float, tau: float) -> "AssembledNlp":
-        """Same operators, different penalty/barrier weights."""
+        """Same operators and point-data cache, different penalty/barrier weights."""
         clone = copy.copy(self)
         clone.params = replace(self.params, omega=omega, tau=tau)
-        clone._cache_key = None
-        clone._cache = None
         return clone
 
     @property
@@ -173,12 +175,15 @@ class AssembledNlp:
         """Gram matrix S, built on each access; the program weights per-point rows."""
         return build_regularizer(self.space, self.rule, self.eval_op)
 
+    def _on_first_use(self, name: str, build):
+        if name not in self._shared:
+            self._shared[name] = build(self)
+        return self._shared[name]
+
     @property
     def hessian_layout(self) -> HessianLayout:
         """Fixed pattern of ``full_hessian``, built on first use."""
-        if not self._layout:
-            self._layout.append(HessianLayout(self))
-        return self._layout[0]
+        return self._on_first_use("layout", HessianLayout)
 
     def coefficients(self, values) -> CoefficientVector:
         return self.space.coefficient_vector(values)
@@ -266,9 +271,10 @@ class AssembledNlp:
         if self.space.n_z > 0:
             z = self._checked_z(data)
             w[:, 2 * n_y :] -= tau * self._alpha[:, None] / z
-        grad = self.eval_op.T @ w.ravel()
+        eval_t, point_t = self._on_first_use("transposes", lambda nlp: (nlp.eval_op.T, nlp.point_op.T))
+        grad = eval_t @ w.ravel()
         if self.problem.p > 0:
-            grad += (self.point_op.T @ (data.b_jac.T @ data.b)) / omega
+            grad += (point_t @ (data.b_jac.T @ data.b)) / omega
         return np.asarray(grad)
 
     def full_hessian(self, x: CoefficientVector) -> sparse.csr_matrix:

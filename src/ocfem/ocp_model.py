@@ -354,8 +354,9 @@ def check_derivatives(
     """
     if n_samples < 1:
         raise ValueError(f"derivative check needs n_samples >= 1, got {n_samples}")
-    if samples is not None and len(samples) == 0:
-        raise ValueError("derivative check needs at least one sample, got an empty list")
+    for name, given in (("samples", samples), ("b_samples", b_samples)):
+        if given is not None and len(given) == 0:
+            raise ValueError(f"derivative check needs at least one sample in {name}, got an empty list")
     rng = np.random.default_rng(seed)
     t0, t_end = problem.domain
     if samples is None:

@@ -6,15 +6,14 @@ symmetric inertia correction, an Armijo backtracking line search, and a
 fraction-to-the-boundary cap that keeps the auxiliary values strictly
 positive at all quadrature points.
 
-Newton steps are taken in the interval-major order of
-``fespace.interleaved_order``, under which the sparse Hessian is banded: its
-lower triangle is packed into a (kd + 1, N) band by the slots of
-``AssembledNlp.hessian_layout`` and factored by a banded Cholesky (LAPACK
-``pbtrf``), at O(N kd^2) time and O(N kd) memory.  kd is the largest offset
-holding a nonzero at this step, not the structural one: the pattern stores
-the possible y(t0)-y(tE) coupling even when it is zero (kd 24, not 1782, for
-``lq`` at N = 1793).  Point constraints that couple distant times widen kd up
-to N - 1.
+Newton steps are taken in ``fespace.interleaved_order``, under which the
+sparse Hessian is banded: its lower triangle is packed into a (kd + 1, N) band
+by the slots of ``AssembledNlp.hessian_layout``, factored by LAPACK ``pbtrf``
+and solved by ``pbtrs``, at O(N kd^2) time and O(N kd) memory.  kd is the
+largest offset holding a nonzero at this step, not the structural one: the
+pattern stores the possible y(t0)-y(tE) coupling even when it is zero (kd 14,
+not 1782, for ``lq`` at N = 1793).  Point constraints that couple distant
+times widen kd up to N - 1.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import get_lapack_funcs
 
 from .assembly import AssembledNlp, HessianLayout, MultiplierSet, ObjectiveTerms
 from .errors import BarrierDomainError
@@ -43,6 +42,8 @@ _MAX_SHIFT_FACTOR = 1e8
 
 #: First inertia-correction shift; later shifts double it.
 _REGULARIZATION_FLOOR = 1e-12
+
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 #: Armijo line search: step shrink factor, sufficient-decrease constant and
 #: the number of backtracks before the stage reports a line-search failure.
@@ -170,7 +171,7 @@ def _default_schedule(omega: float, tau: float) -> list[tuple[float, float]]:
 
 
 def _packed_band(hess: sparse.csr_matrix, layout: HessianLayout) -> np.ndarray:
-    """Lower band (kd + 1, N) of ``hess`` in interval-major order, in LAPACK's
+    """Lower band (kd + 1, N) of ``hess`` in ``band_order``, in LAPACK's
     lower banded storage; kd is the largest offset holding a nonzero value."""
     n = hess.shape[0]
     values = hess.data[layout.band_at]
@@ -185,24 +186,27 @@ def _packed_band(hess: sparse.csr_matrix, layout: HessianLayout) -> np.ndarray:
 def _newton_direction(
     band: np.ndarray, grad: np.ndarray, floor: float
 ) -> Optional[np.ndarray]:
-    """Solve (H + delta I) p = -g for H in lower band form, doubling delta until PD."""
-    delta = 0.0
-    while True:
-        shifted = band.copy()
+    """Solve (H + delta I) p = -g for H in lower band form, doubling delta until PD;
+    the band is left unchanged, as a shifted retry factors a copy of it."""
+    if not np.isfinite(band).all():
+        raise ValueError("array must not contain infs or NaNs")
+    delta, (factor, info) = 0.0, _PBTRF(band, lower=1)
+    while info != 0:
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of internal pbtrf")
+        delta = floor if delta == 0.0 else 2.0 * delta
+        if delta > _MAX_SHIFT_FACTOR * floor:
+            return None
+        shifted = band.copy(order="F")
         shifted[0] += delta
-        try:
-            factor = cholesky_banded(shifted, overwrite_ab=True, lower=True)
-            return cho_solve_banded((factor, True), -grad)
-        except LinAlgError:
-            delta = floor if delta == 0.0 else 2.0 * delta
-            if delta > _MAX_SHIFT_FACTOR * floor:
-                return None
+        factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
+    return _PBTRS(factor, -grad, lower=1, overwrite_b=1)[0]
 
 
 def _newton_step(
     nlp: AssembledNlp, x: CoefficientVector, grad: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Inertia-corrected Newton step at x, solved in interval-major order."""
+    """Inertia-corrected Newton step at x, solved in ``band_order``."""
     space = nlp.space
     band = _packed_band(nlp.full_hessian(x), nlp.hessian_layout)
     step = _newton_direction(band, grad[space.band_order], _REGULARIZATION_FLOOR)
@@ -305,12 +309,13 @@ def solve(
     x = default_start(nlp) if x0 is None else ensure_interior(nlp, x0)
     stages: list[StageResult] = []
     for omega, tau in schedule:
-        stage_nlp = nlp.with_params(omega, tau)
-        x, stage = _newton_stage(stage_nlp, x, opts, tol)
+        nlp = nlp.with_params(omega, tau)  # a clone keeps the last point data
+        x, stage = _newton_stage(nlp, x, opts, tol)
         stages.append(stage)
         if stage.status != STATUS_CONVERGED:
             break
 
+    nlp = nlp.with_params(params.omega, params.tau)  # as does the report's
     status = stages[-1].status
     grad_norm = stages[-1].grad_norm
     try:

@@ -254,16 +254,19 @@ class TestRegularizer:
 
 
 def loop_interleaved_order(space):
-    """Reference: sort (interval left end, component, local index) tuples."""
-    entries, seen = [], set()
+    """Reference: sort (first + last merged interval of the support, component,
+    local index in the first interval) tuples."""
+    merged = merge_meshes(space.component_meshes).intervals
+    support, entries = {}, {}
     for comp, mesh in enumerate(space.component_meshes):
         for k, iv in enumerate(mesh.intervals):
+            inside = [e for e, m in enumerate(merged) if iv.left < (m.left + m.right) / 2 < iv.right]
             for a in range(space.degree + 1):
                 g = int(space.index_map[comp][k, a])
-                if g not in seen:
-                    seen.add(g)
-                    entries.append((iv.left, comp, a, g))
-    return np.array([g for *_, g in sorted(entries)])
+                support.setdefault(g, []).extend(inside)
+                entries.setdefault(g, (comp, a))
+    keys = [(min(s) + max(s), *entries[g], g) for g, s in support.items()]
+    return np.array([g for *_, g in sorted(keys)])
 
 
 class TestInterleavedOrder:

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ocfem.assembly
+import ocfem.solver
 from ocfem.assembly import AssembledNlp
 from ocfem.fespace import build_space
 from ocfem.harness import build_setup, get_benchmark
@@ -274,6 +276,20 @@ class TestInertiaCorrection:
         step = _newton_direction(band, np.ones(2), 1e-12)
         assert step == pytest.approx(-0.5 * np.ones(2))
 
+    def test_shifted_retry_leaves_band_unchanged(self):
+        # both need a shift; a one-row band is also Fortran-contiguous
+        for band in (np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([[4.0, 0.0]])):
+            kept = band.copy()
+            step = _newton_direction(band, np.ones(2), 1e-12)
+            assert step is not None and np.isfinite(step).all()
+            assert np.array_equal(band, kept)
+
+    def test_non_finite_band_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            band = np.array([[1.0, 1.0], [bad, 0.0]])
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _newton_direction(band, np.ones(2), 1e-12)
+
     def test_strongly_indefinite_gives_up(self):
         # a negative eigenvalue far beyond the shift cap -> gradient fallback
         assert _newton_direction(np.array([[1.0, -1.0]]), np.ones(2), 1e-12) is None
@@ -342,6 +358,21 @@ class TestBandedStep:
             widths.append(_bandwidth(AssembledNlp(bench.problem, space, params)))
         assert widths[0] == widths[1]
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("name", ["lq", "trivial", "barrier-pull"])
+    def test_bandwidth_is_clique_bound(self, name, d):
+        # on a shared mesh every coefficient of one interval couples with every other
+        bench = get_benchmark(name)
+        for h in (1 / 8, 1 / 32):
+            space, params = build_setup(bench, h, d)
+            assert _bandwidth(AssembledNlp(bench.problem, space, params)) == space.n_x * (d + 1) - 1
+
+    def test_multimesh_bandwidth(self):
+        # y on a 2x coarser mesh: its shared endpoint has 48 neighbours
+        bench = get_benchmark("lq-multimesh")
+        space, params = build_setup(bench, 1 / 16, 4)
+        assert _bandwidth(AssembledNlp(bench.problem, space, params)) == 24
+
 
 class TestSchedules:
     def test_explicit_schedule_gets_target_appended(self):
@@ -365,3 +396,24 @@ class TestSchedules:
         nlp = lq_nlp(h=0.25)
         with pytest.raises(ValueError, match="omega"):
             solve(nlp, None, SolverOptions(continuation=[(float("nan"), 0.1)]))
+
+    def test_stages_and_report_reuse_point_data(self, monkeypatch):
+        calls, first, ends = [], [], []
+        evaluate, newton_stage = ocfem.assembly.eval_running_cost, ocfem.solver._newton_stage
+        monkeypatch.setattr(
+            ocfem.assembly, "eval_running_cost", lambda *args: calls.append(1) or evaluate(*args)
+        )
+
+        def counted_stage(nlp, x, opts, tol):
+            before = len(calls)
+            nlp.objective_terms(x)  # the stage's first objective
+            first.append(len(calls) - before)
+            result = newton_stage(nlp, x, opts, tol)
+            ends.append(len(calls))
+            return result
+
+        monkeypatch.setattr(ocfem.solver, "_newton_stage", counted_stage)
+        report = solve(lq_nlp(h=0.25))
+        assert report.status == STATUS_CONVERGED and len(report.stages) > 2
+        assert first[1:] == [0] * (len(first) - 1)
+        assert len(calls) == ends[-1]  # the report evaluates nothing new
