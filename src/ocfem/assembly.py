@@ -80,8 +80,8 @@ class _PointData:
 
 
 class HessianLayout:
-    """Fixed pattern of ``full_hessian``.  Values are summed in lower entries,
-    the coefficient pairs (i, j) with i at or after j in ``FESpace.band_order``,
+    """Fixed pattern of the Hessian.  Values are summed in lower entries, the
+    coefficient pairs (i, j) with i at or after j in ``FESpace.band_order``,
     sorted by their slot offset * N + column in LAPACK lower band storage."""
 
     def __init__(self, nlp: "AssembledNlp"):
@@ -106,17 +106,8 @@ class HessianLayout:
         self.element_pairs, self.point_pairs = pairs
         # the lower entry of each element pair, then of each point pair
         self.band_slot, self.target = np.unique(np.concatenate(slots), return_inverse=True)
-        offset, column = np.divmod(self.band_slot, N)
-        i, j = space.band_order[column + offset], space.band_order[column]
-        off = np.flatnonzero(i != j)  # mirrored into the upper triangle
-        rows, cols, lower = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[np.arange(i.size), off]
-        order = np.argsort(rows * N + cols)
-        self.gather = lower[order]  # lower entry of each stored value
-        self.band_at = np.argsort(order)[: i.size]  # stored value of each lower entry
-        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=N))]
-        # scipy's index dtype, read-only because every returned Hessian shares it
-        self.pattern = sparse.csr_matrix((np.zeros(order.size), cols[order], indptr), shape=(N, N))
-        self.pattern.indices.flags.writeable = self.pattern.indptr.flags.writeable = False
+        # the first lower entry of each offset, where ``hessian_band`` looks for kd
+        self.offset_start = np.flatnonzero(np.diff(self.band_slot // N, prepend=-1))
 
 
 class AssembledNlp:
@@ -182,7 +173,7 @@ class AssembledNlp:
 
     @property
     def hessian_layout(self) -> HessianLayout:
-        """Fixed pattern of ``full_hessian``, built on first use."""
+        """Fixed pattern of the Hessian, built on first use."""
         return self._on_first_use("layout", HessianLayout)
 
     def coefficients(self, values) -> CoefficientVector:
@@ -277,15 +268,14 @@ class AssembledNlp:
             grad += (point_t @ (data.b_jac.T @ data.b)) / omega
         return np.asarray(grad)
 
-    def full_hessian(self, x: CoefficientVector) -> sparse.csr_matrix:
-        """Exact Hessian of the total objective at x, on ``hessian_layout``.
+    def _lower_sums(self, x: CoefficientVector) -> np.ndarray:
+        """The Hessian's lower entries at x, in ``hessian_layout.band_slot`` order.
 
         Per quadrature point the curvature of f, the Gauss-Newton and
         curvature terms of the path penalty, the barrier diagonal
         tau alpha_j / z^2 and omega alpha_j (its share of omega S) form a
         (B, B) block.  Element matrices V_e' blocks V_e and the point term are
-        summed into the lower entries and mirrored: exactly symmetric, with
-        every structurally possible entry stored, zeros included.
+        summed into every structurally possible entry, zeros included.
         """
         data = self._point_data(x)
         layout = self.hessian_layout
@@ -309,8 +299,31 @@ class AssembledNlp:
         point_block = data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
         point = layout.point_eval.T @ point_block @ layout.point_eval / omega
         parts = element.ravel()[layout.element_pairs], point.ravel()[layout.point_pairs]
-        values = np.bincount(layout.target, np.concatenate(parts))[layout.gather]
-        return sparse.csr_matrix((values, layout.pattern.indices, layout.pattern.indptr), (self.N,) * 2)
+        return np.bincount(layout.target, np.concatenate(parts))
+
+    def hessian_band(self, x: CoefficientVector) -> np.ndarray:
+        """Exact Hessian at x as LAPACK's (kd + 1, N) lower band in ``band_order``,
+        kd the widest offset holding a nonzero: stored zeros do not widen it."""
+        values, layout, N = self._lower_sums(x), self.hessian_layout, self.N
+        end = values.size
+        for start in layout.offset_start[::-1]:  # from the widest offset down
+            if values[start:end].any():
+                break
+            end = start
+        kd = int(layout.band_slot[end - 1]) // N if end else 0
+        band = np.zeros((kd + 1) * N)
+        band[layout.band_slot[:end]] = values[:end]
+        return band.reshape(kd + 1, N)
+
+    def full_hessian(self, x: CoefficientVector) -> sparse.csr_matrix:
+        """Exact Hessian at x as a CSR matrix, for export and as an oracle: the lower
+        entries mirrored, every structurally possible one stored, zeros included."""
+        slot, order = self.hessian_layout.band_slot, self.space.band_order
+        offset, column = np.divmod(slot, self.N)
+        i, j, off = order[column + offset], order[column], np.flatnonzero(offset)
+        values = self._lower_sums(x)
+        entries = (np.r_[values, values[off]], (np.r_[i, j[off]], np.r_[j, i[off]]))
+        return sparse.coo_matrix(entries, (self.N,) * 2).tocsr()
 
     def penalty_multipliers(self, x: CoefficientVector) -> MultiplierSet:
         """Multiplier estimates induced by the penalty terms at x.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -172,6 +173,13 @@ class OcpProblem:
         return 2 * self.n_y + self.n_z
 
 
+@lru_cache
+def _mirror_pairs(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of a (width, width) square's strict upper triangle and its mirror."""
+    rows, cols = np.triu_indices(width, 1)
+    return rows * width + cols, cols * width + rows
+
+
 def _checked(what: str, arrays, shapes: list[tuple[int, ...]], batch: bool):
     """Callback outputs as float arrays of the expected shapes, the last symmetric.
 
@@ -186,7 +194,9 @@ def _checked(what: str, arrays, shapes: list[tuple[int, ...]], batch: bool):
         )
     hess = arrays[-1]
     per_point = hess.reshape(len(hess) if batch else 1, -1)
-    asym = np.abs(hess - np.swapaxes(hess, -1, -2)).reshape(per_point.shape).max(axis=1)
+    upper, mirror = _mirror_pairs(hess.shape[-1])  # each off-diagonal pair once
+    squares = hess.reshape(len(per_point), -1, hess.shape[-1] ** 2)
+    asym = np.abs(squares[..., upper] - squares[..., mirror]).max(axis=(1, 2), initial=0.0)
     # the cheap half of the test first: |H_j| is needed only where asym_j > 1e-12
     suspect = np.flatnonzero(asym > 1e-12)
     if suspect.size:

@@ -7,13 +7,13 @@ fraction-to-the-boundary cap that keeps the auxiliary values strictly
 positive at all quadrature points.
 
 Newton steps are taken in ``fespace.interleaved_order``, under which the
-sparse Hessian is banded: its lower triangle is packed into a (kd + 1, N) band
-by the slots of ``AssembledNlp.hessian_layout``, factored by LAPACK ``pbtrf``
-and solved by ``pbtrs``, at O(N kd^2) time and O(N kd) memory.  kd is the
-largest offset holding a nonzero at this step, not the structural one: the
-pattern stores the possible y(t0)-y(tE) coupling even when it is zero (kd 14,
-not 1782, for ``lq`` at N = 1793).  Point constraints that couple distant
-times widen kd up to N - 1.
+Hessian is banded: ``AssembledNlp.hessian_band`` sums the element and point
+terms straight into its (kd + 1, N) lower band, with no sparse matrix between,
+and LAPACK ``pbtrf`` and ``pbtrs`` factor and solve it at O(N kd^2) time and
+O(N kd) memory.  kd is the largest offset holding a nonzero at this step, not
+the structural one: the pattern stores the possible y(t0)-y(tE) coupling even
+when it is zero (kd 14, not 1782, for ``lq`` at N = 1793).  Point constraints
+that couple distant times widen kd up to N - 1.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.linalg import get_lapack_funcs
 
-from .assembly import AssembledNlp, HessianLayout, MultiplierSet, ObjectiveTerms
+from .assembly import AssembledNlp, MultiplierSet, ObjectiveTerms
 from .errors import BarrierDomainError
 from .fespace import CoefficientVector
 from .ocp_model import check_positive
@@ -170,19 +169,6 @@ def _default_schedule(omega: float, tau: float) -> list[tuple[float, float]]:
     return deduped
 
 
-def _packed_band(hess: sparse.csr_matrix, layout: HessianLayout) -> np.ndarray:
-    """Lower band (kd + 1, N) of ``hess`` in ``band_order``, in LAPACK's
-    lower banded storage; kd is the largest offset holding a nonzero value."""
-    n = hess.shape[0]
-    values = hess.data[layout.band_at]
-    nonzero = np.flatnonzero(values)
-    kd = int(layout.band_slot[nonzero[-1]]) // n if nonzero.size else 0
-    kept = np.searchsorted(layout.band_slot, (kd + 1) * n)
-    band = np.zeros((kd + 1) * n)
-    band[layout.band_slot[:kept]] = values[:kept]
-    return band.reshape(kd + 1, n)
-
-
 def _newton_direction(
     band: np.ndarray, grad: np.ndarray, floor: float
 ) -> Optional[np.ndarray]:
@@ -208,7 +194,7 @@ def _newton_step(
 ) -> Optional[np.ndarray]:
     """Inertia-corrected Newton step at x, solved in ``band_order``."""
     space = nlp.space
-    band = _packed_band(nlp.full_hessian(x), nlp.hessian_layout)
+    band = nlp.hessian_band(x)
     step = _newton_direction(band, grad[space.band_order], _REGULARIZATION_FLOOR)
     return None if step is None else step[space.band_position]
 

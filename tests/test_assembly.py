@@ -323,11 +323,13 @@ def oracle_case(name):
     return AssembledNlp(problem, space, params).with_params(1e-2, 1e-2)
 
 
+ORACLE_CASES = [
+    "lq", "lq-multimesh", "breakpoints", "barrier-pull", "trivial", "wrap-around", "curved"
+]
+
+
 class TestHessianLayout:
-    @pytest.mark.parametrize(
-        "name",
-        ["lq", "lq-multimesh", "breakpoints", "barrier-pull", "trivial", "wrap-around", "curved"],
-    )
+    @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_matches_sparse_product_reference(self, name, rng):
         nlp = oracle_case(name)
         for _ in range(3):
@@ -336,6 +338,27 @@ class TestHessianLayout:
             expected = reference_hessian(nlp, x)
             assert np.abs(hess.toarray() - expected).max() <= 1e-13 * np.abs(expected).max()
             assert np.array_equal(hess.toarray(), hess.toarray().T)
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_band_is_lower_band_of_full_hessian(self, name, rng):
+        nlp = oracle_case(name)
+        order, N = nlp.space.band_order, nlp.N
+        for _ in range(3):
+            x = random_interior_point(nlp, rng)
+            band = nlp.hessian_band(x)
+            kd = band.shape[0] - 1
+            dense = nlp.full_hessian(x).toarray()[np.ix_(order, order)]
+            expected = np.zeros((kd + 1, N))
+            for k in range(kd + 1):
+                expected[k, : N - k] = np.diagonal(dense, -k)
+            assert band.tobytes() == expected.tobytes()
+            # kd is the widest offset holding a nonzero; nothing lies past it
+            assert np.diagonal(dense, -kd).any() and not np.tril(dense, -kd - 1).any()
+        if name == "wrap-around":
+            assert kd > N // 2
+        elif name == "lq":
+            # the stored y(t0)-y(tE) pair is zero and stays out of the band
+            assert kd == nlp.space.n_x * 4 - 1 < nlp.hessian_layout.band_slot[-1] // N
 
     def test_curvature_reaches_the_hessian(self, rng):
         nlp = oracle_case("curved")
@@ -360,6 +383,16 @@ class TestHessianLayout:
         assert len(report.stages) > 1 and report.total_iterations > 1
         assert len(built) == 2
         assert fresh._shared["layout"] is built[1].hessian_layout
+
+    def test_solve_builds_no_csr_hessian(self, monkeypatch):
+        built = []
+        full_hessian = AssembledNlp.full_hessian
+        monkeypatch.setattr(
+            AssembledNlp, "full_hessian", lambda *args: built.append(args) or full_hessian(*args)
+        )
+        report = solve(make_nlp(get_benchmark("lq").problem, n_intervals=4, degree=2))
+        assert report.status == "converged" and report.total_iterations > 1
+        assert built == []
 
 
 class TestSolutionNorm:

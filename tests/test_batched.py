@@ -10,7 +10,14 @@ from ocfem.assembly import AssembledNlp
 from ocfem.fespace import build_space
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import merge_meshes, uniform_mesh
-from ocfem.ocp_model import OcpProblem, eval_running_cost, pointwise, residual
+from ocfem.ocp_model import (
+    OcpProblem,
+    eval_path_constraints,
+    eval_point_constraints,
+    eval_running_cost,
+    pointwise,
+    residual,
+)
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
 from ocfem.solver import default_start
 
@@ -20,6 +27,12 @@ def flat_problem(f_eval, c_eval=None, m=0):
     return OcpProblem(
         n_y=1, n_z=0, m=m, p=0, time_points=(0.0, 1.0), f_eval=f_eval, c_eval=c_eval
     )
+
+
+@batched
+def zero_cost(dy, y, z, t):
+    k = len(t)
+    return np.zeros(k), np.zeros((k, 2)), np.zeros((k, 2, 2))
 
 
 def two_points():
@@ -44,6 +57,51 @@ class TestBatchValidation:
         eval_running_cost(problem, values[:1], t[:1])  # point 0 alone passes
         with pytest.raises(ValueError, match="asymmetric at batch point 1"):
             eval_running_cost(problem, values, t)
+
+    def test_asymmetric_path_constraint_row_reported(self):
+        # m = 2: point 1's row 0 is symmetric with larger entries, its row 1 is not
+        hess = np.zeros((2, 2, 2, 2))
+        hess[1, 0] = [[3.0, 7.0], [7.0, 4.0]]
+        hess[1, 1] = [[1.0, 0.125], [0.5, 2.0]]
+
+        @batched
+        def c_eval(dy, y, z, t):
+            k = len(t)
+            return np.zeros((k, 2)), np.zeros((k, 2, 2)), hess[:k]
+
+        problem = flat_problem(zero_cost, c_eval, m=2)
+        values, t = two_points()
+        message = r"path-constraint Hessian is asymmetric at batch point 1 \(max deviation 0.375\)"
+        with pytest.raises(ValueError, match=message):
+            eval_path_constraints(problem, values, t)
+
+    def test_asymmetric_point_constraint_rejected(self):
+        hess = np.array([[[1.0, 0.25], [0.0, 1.0]]])
+        problem = OcpProblem(
+            n_y=1, n_z=0, m=0, p=1, time_points=(0.0, 1.0), f_eval=zero_cost,
+            b_eval=lambda y: (np.zeros(1), np.zeros((1, 2)), hess),
+        )
+        message = r"point-constraint Hessian is asymmetric \(max deviation 0.25\)"
+        with pytest.raises(ValueError, match=message):
+            eval_point_constraints(problem, np.zeros(2))
+
+    def test_width_one_hessians_pass(self):
+        pull = get_benchmark("barrier-pull").problem
+        t = np.linspace(0.1, 0.9, 5)
+        hess = eval_running_cost(pull, np.full((5, 1), 0.5), t)[2]
+        assert hess.shape == (5, 1, 1) and not hess.any()
+
+    def test_nan_hessian_passes_through(self):
+        # a NaN anywhere in a point's Hessian makes its scale NaN, so the point is
+        # never flagged, not even for an asymmetry beside a NaN on the diagonal
+        hess = np.array([[[np.nan, 1.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, np.nan]]])
+
+        @batched
+        def f_eval(dy, y, z, t):
+            return np.zeros(len(t)), np.zeros((len(t), 2)), hess
+
+        values, t = two_points()
+        assert np.isnan(eval_running_cost(flat_problem(f_eval), values, t)[2]).sum() == 2
 
     def test_per_point_gradient_rejected(self):
         @batched

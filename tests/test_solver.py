@@ -17,7 +17,6 @@ from ocfem.solver import (
     SolverOptions,
     _newton_direction,
     _newton_step,
-    _packed_band,
     default_start,
     ensure_interior,
     export_lifted_nlp,
@@ -320,8 +319,7 @@ def _wrap_around(stacked_y):
 
 def _bandwidth(nlp):
     """Half-bandwidth kd of the interleaved Hessian at the default start."""
-    x = default_start(nlp)
-    return _packed_band(nlp.full_hessian(x), nlp.hessian_layout).shape[0] - 1
+    return nlp.hessian_band(default_start(nlp)).shape[0] - 1
 
 
 class TestBandedStep:
