@@ -76,11 +76,12 @@ class FESpace:
             )
         out = np.zeros(self.N)
         nodes = self.basis.nodes
-        for comp, func in enumerate(component_functions):
-            mesh = self.component_meshes[comp]
-            for k, iv in enumerate(mesh.intervals):
-                ts = iv.left + iv.length * nodes
-                out[self.index_map[comp][k]] = [func(float(t)) for t in ts]
+        for mesh, index, func in zip(self.component_meshes, self.index_map, component_functions):
+            index = index.ravel()
+            ts = (mesh.breakpoints[:-1, None] + mesh.lengths[:, None] * nodes).ravel()
+            # a shared endpoint takes its value at the left node of the right interval
+            last = np.diff(index, append=-1) != 0
+            out[index[last]] = [func(t) for t in ts[last].tolist()]
         return CoefficientVector(out, self)
 
 
@@ -126,21 +127,15 @@ def build_space(meshes: Sequence[Mesh], degree: int, n_y: int, n_z: int) -> FESp
         )
     basis = Basis(degree)
 
-    counter = 0
-    index_map = []
+    start, index_map = 0, []
     for comp, mesh in enumerate(meshes):
-        arr = np.empty((mesh.n_intervals, degree + 1), dtype=int)
-        continuous = comp < n_y
-        for k in range(mesh.n_intervals):
-            for a in range(degree + 1):
-                if continuous and a == 0 and k > 0:
-                    arr[k, 0] = arr[k - 1, degree]
-                else:
-                    arr[k, a] = counter
-                    counter += 1
-        arr.flags.writeable = False
-        index_map.append(arr)
-    return FESpace(meshes, degree, n_y, n_z, tuple(index_map), counter, basis)
+        # a continuous component's interval starts on its left neighbour's last index
+        stride = degree if comp < n_y else degree + 1
+        index = start + stride * np.arange(mesh.n_intervals)[:, None] + np.arange(degree + 1)
+        index.flags.writeable = False
+        index_map.append(index)
+        start = int(index[-1, -1]) + 1
+    return FESpace(meshes, degree, n_y, n_z, tuple(index_map), start, basis)
 
 
 def _check_rule(space: FESpace, rule: GlobalRule) -> MergedMesh:
@@ -150,7 +145,7 @@ def _check_rule(space: FESpace, rule: GlobalRule) -> MergedMesh:
     ok = (
         isinstance(mesh, MergedMesh)
         and mesh.n_intervals == points.size - 1
-        and np.allclose(mesh.breakpoints(), points, atol=1e-12, rtol=0)
+        and np.allclose(mesh.breakpoints, points, atol=1e-12, rtol=0)
         and np.array_equal(mesh.provenance, source_intervals(meshes, points))
     )
     if not ok:
@@ -171,15 +166,13 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
     """
     merged = _check_rule(space, rule)
     B, M = space.block_width, rule.M
-    prov = np.array(merged.provenance, dtype=int)
-    src_of_point = prov[rule.interval_of]
+    src_of_point = merged.provenance[rule.interval_of]
     point_base = np.arange(M) * B
 
     rows, cols, vals = [], [], []
     for comp in range(space.n_x):
         mesh = space.component_meshes[comp]
-        lefts = np.array([iv.left for iv in mesh.intervals])
-        lens = mesh.lengths()
+        lefts, lens = mesh.breakpoints[:-1], mesh.lengths
         src = src_of_point[:, comp]
         local = np.clip((rule.points - lefts[src]) / lens[src], 0.0, 1.0)
         col_block = space.index_map[comp][src]
@@ -220,8 +213,7 @@ def build_point_eval_operator(space: FESpace, time_points: Sequence[float]) -> s
         mesh = space.component_meshes[comp]
         for i, t in enumerate(pts):
             k = mesh.interval_index(t)
-            iv = mesh.intervals[k]
-            local = min(max((t - iv.left) / iv.length, 0.0), 1.0)
+            local = min(max((t - mesh.breakpoints[k]) / mesh.lengths[k], 0.0), 1.0)
             values = eval_basis_matrix(space.basis, [local])[0]
             rows.extend([i * space.n_y + comp] * (space.degree + 1))
             cols.extend(space.index_map[comp][k])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .assembly import AssembledNlp
 from .fespace import FESpace, build_space
-from .mesh import Mesh, mesh_from_breakpoints, uniform_mesh
+from .mesh import Mesh, uniform_mesh
 from .ocp_model import (
     MethodParams,
     OcpProblem,
@@ -256,7 +256,7 @@ def build_setup(
             raise ValueError(
                 f"need {problem.n_x} breakpoint lists, got {len(breakpoints)}"
             )
-        meshes: list[Mesh] = [mesh_from_breakpoints(b) for b in breakpoints]
+        meshes: list[Mesh] = [Mesh(b) for b in breakpoints]
         params_h = h if h is not None else max(m.mesh_size for m in meshes)
     else:
         if h is None:

@@ -1,10 +1,14 @@
-"""Interval meshes on a one-dimensional domain and their common refinement."""
+"""Interval meshes on a one-dimensional domain and their common refinement.
+
+A mesh is one read-only array of finite, strictly increasing breakpoints:
+interval k is [breakpoints[k], breakpoints[k + 1]].  Building, merging and
+locating points are numpy operations on those arrays, with no per-interval
+Python objects.
+"""
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -15,70 +19,52 @@ import numpy as np
 ENDPOINT_COLLAPSE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Bounded interval with strictly positive length."""
-
-    left: float
-    right: float
-
-    def __post_init__(self) -> None:
-        if not self.left < self.right:
-            raise ValueError(
-                f"interval requires left < right, got ({self.left}, {self.right})"
-            )
-
-    @property
-    def length(self) -> float:
-        return self.right - self.left
+def _finite(points: np.ndarray) -> np.ndarray:
+    bad = points[~np.isfinite(points)]
+    if bad.size:
+        raise ValueError(f"mesh endpoint {bad[0]} is not finite")
+    return points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Ordered partition of ``domain`` into contiguous intervals.
+    """Partition of the domain [breakpoints[0], breakpoints[-1]] into intervals.
 
-    Geometry is validated once at construction time (sorted intervals that
-    share endpoints exactly and cover the domain), so consumers never
-    re-check it.  Instances are immutable and safe to share across workers.
+    ``breakpoints`` is copied, validated once at construction time (at least
+    two finite, strictly increasing values) and stored read-only together
+    with the interval ``lengths``, so consumers never re-check it.  Instances
+    are immutable and safe to share across workers.
     """
 
-    intervals: tuple[Interval, ...]
-    domain: tuple[float, float]
+    breakpoints: np.ndarray
+    lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        object.__setattr__(
-            self, "domain", (float(self.domain[0]), float(self.domain[1]))
-        )
-        t0, t_end = self.domain
-        if not t0 < t_end:
-            raise ValueError(f"invalid domain ({t0}, {t_end}): need t0 < tE")
-        if not self.intervals:
-            raise ValueError("mesh requires at least one interval")
-        if self.intervals[0].left != t0 or self.intervals[-1].right != t_end:
-            raise ValueError("intervals do not span the domain")
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            if a.right != b.left:
-                raise ValueError(f"gap or overlap between {a} and {b}")
+        points = np.array(self.breakpoints, dtype=float)
+        if points.ndim != 1 or points.size < 2:
+            raise ValueError("need a 1-D array of at least two breakpoints")
+        lengths = np.diff(_finite(points))
+        if not (lengths > 0).all():
+            k = int(np.argmin(lengths > 0))
+            raise ValueError(
+                f"breakpoints must be strictly increasing, got {points[k]} >= {points[k + 1]}"
+            )
+        points.flags.writeable = lengths.flags.writeable = False
+        object.__setattr__(self, "breakpoints", points)
+        object.__setattr__(self, "lengths", lengths)
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
     @property
     def n_intervals(self) -> int:
-        return len(self.intervals)
-
-    @cached_property
-    def _rights(self) -> tuple[float, ...]:
-        return tuple(iv.right for iv in self.intervals)
-
-    def lengths(self) -> np.ndarray:
-        return np.array([iv.length for iv in self.intervals])
+        return self.lengths.size
 
     @property
     def mesh_size(self) -> float:
         """Largest interval length."""
-        return max(iv.length for iv in self.intervals)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.array([self.intervals[0].left, *self._rights])
+        return float(self.lengths.max())
 
     def interval_index(self, t: float) -> int:
         """Index of the interval containing ``t``.
@@ -89,78 +75,70 @@ class Mesh:
         t0, t_end = self.domain
         if t < t0 or t > t_end:
             raise ValueError(f"point {t} outside domain {self.domain}")
-        idx = bisect.bisect_left(self._rights, t)
-        return min(idx, self.n_intervals - 1)
+        return min(int(np.searchsorted(self.breakpoints[1:], t)), self.n_intervals - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MergedMesh(Mesh):
     """Common refinement of several meshes over one domain.
 
-    ``provenance[i][s]`` is the index of the interval of source mesh ``s``
-    that contains merged interval ``i``.
+    ``provenance[i, s]`` is the index of the interval of source mesh ``s``
+    that contains merged interval ``i``: a read-only (n_intervals, n_sources)
+    int array.
     """
 
-    provenance: tuple[tuple[int, ...], ...]
+    provenance: np.ndarray
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(
-            self, "provenance", tuple(tuple(int(i) for i in row) for row in self.provenance)
-        )
-        if len(self.provenance) != self.n_intervals:
+        provenance = np.array(self.provenance, dtype=int)
+        if provenance.ndim != 2 or len(provenance) != self.n_intervals:
             raise ValueError("provenance must have one row per merged interval")
-        widths = {len(row) for row in self.provenance}
-        if len(widths) != 1:
-            raise ValueError("provenance rows must all reference the same sources")
+        provenance.flags.writeable = False
+        object.__setattr__(self, "provenance", provenance)
 
 
 def uniform_mesh(domain: tuple[float, float], n_intervals: int) -> Mesh:
     """Equal-length partition of ``domain`` into ``n_intervals`` pieces."""
-    t0, t_end = float(domain[0]), float(domain[1])
+    t0, t_end = _finite(np.array(domain, dtype=float)).tolist()
     if not t0 < t_end:
         raise ValueError(f"invalid domain ({t0}, {t_end}): need t0 < tE")
     if n_intervals < 1:
         raise ValueError(f"invalid interval count {n_intervals}: need >= 1")
-    step = (t_end - t0) / n_intervals
-    points = t0 + step * np.arange(n_intervals + 1)
+    points = t0 + (t_end - t0) / n_intervals * np.arange(n_intervals + 1)
     points[-1] = t_end
-    intervals = tuple(
-        Interval(float(points[k]), float(points[k + 1])) for k in range(n_intervals)
-    )
-    return Mesh(intervals, (t0, t_end))
-
-
-def mesh_from_breakpoints(points: Sequence[float]) -> Mesh:
-    """Mesh whose interval endpoints are the given strictly increasing reals."""
-    pts = [float(p) for p in points]
-    if len(pts) < 2:
-        raise ValueError("need at least two breakpoints")
-    for a, b in zip(pts, pts[1:]):
-        if not a < b:
-            raise ValueError(f"breakpoints must be strictly increasing, got {a} >= {b}")
-    intervals = tuple(Interval(a, b) for a, b in zip(pts, pts[1:]))
-    return Mesh(intervals, (pts[0], pts[-1]))
+    return Mesh(points)
 
 
 def merged_breakpoints(meshes: Sequence[Mesh]) -> np.ndarray:
     """Endpoints of the common refinement of meshes sharing one domain.
 
-    Endpoints closer than ``ENDPOINT_COLLAPSE_RTOL`` times the domain width
-    are collapsed.
+    Walking the sorted endpoints, one is kept when it lies more than
+    ``ENDPOINT_COLLAPSE_RTOL`` times the domain width past the last kept one,
+    and the last kept one becomes the domain end.  A chain of gaps below the
+    tolerance thus keeps a point each time the gaps add up to more than it.
     """
     t0, t_end = meshes[0].domain
     tol = ENDPOINT_COLLAPSE_RTOL * (t_end - t0)
-    all_points = np.sort(np.concatenate([m.breakpoints() for m in meshes]))
-    kept = [t0]
-    for p in all_points:
-        if p - kept[-1] > tol:
-            kept.append(float(p))
-    if t_end - kept[-1] <= tol:
-        kept[-1] = t_end
-    else:
-        kept.append(t_end)
-    return np.array(kept)
+    points = np.unique(np.concatenate([m.breakpoints for m in meshes]))
+    n = points.size
+    # the first later point more than tol past each point, or n: a bisection
+    # on the walk's own test, which is monotone in the later point
+    lo, hi = np.arange(n), np.full(n, n)
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        far = points[mid] - points > tol
+        lo, hi = np.where(far, lo, mid), np.where(far, mid, hi)
+    # the walk keeps the chain 0, hi[0], hi[hi[0]], ...: after r doublings of
+    # the jump, ``kept`` holds its first 2^r links
+    jump, kept = np.append(hi, n), np.zeros(n + 1, dtype=bool)
+    kept[0] = True
+    for _ in range(n.bit_length()):
+        kept[jump[kept]] = True
+        jump = jump[jump]
+    points = points[kept[:n]]
+    points[-1] = t_end
+    return points
 
 
 def source_intervals(meshes: Sequence[Mesh], points: np.ndarray) -> np.ndarray:
@@ -172,7 +150,7 @@ def source_intervals(meshes: Sequence[Mesh], points: np.ndarray) -> np.ndarray:
     mids = 0.5 * (points[:-1] + points[1:])
     return np.column_stack(
         [
-            np.minimum(np.searchsorted(m.breakpoints()[1:], mids), m.n_intervals - 1)
+            np.minimum(np.searchsorted(m.breakpoints[1:], mids), m.n_intervals - 1)
             for m in meshes
         ]
     )
@@ -191,5 +169,4 @@ def merge_meshes(meshes: Sequence[Mesh]) -> MergedMesh:
         if m.domain != domain:
             raise ValueError(f"domain mismatch: {m.domain} vs {domain}")
     points = merged_breakpoints(meshes)
-    intervals = tuple(Interval(a, b) for a, b in zip(points.tolist(), points[1:].tolist()))
-    return MergedMesh(intervals, domain, source_intervals(meshes, points))
+    return MergedMesh(points, source_intervals(meshes, points))

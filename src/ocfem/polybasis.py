@@ -56,13 +56,13 @@ def gauss_lobatto_nodes(degree: int) -> np.ndarray:
     included and the interior nodes are the extrema of the degree-d Legendre
     polynomial.
     """
-    nodes, _ = _lobatto_data(int(degree))
-    return nodes.copy()
+    return _lobatto_data(int(degree))[0].copy()
 
 
 @lru_cache(maxsize=None)
-def _lobatto_data(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes plus barycentric weights, cached per degree."""
+def _lobatto_data(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, barycentric weights and the basis derivatives at the nodes
+    (row k at node k), cached per degree."""
     if not 0 <= degree <= MAX_DEGREE:
         raise ValueError(f"unsupported degree {degree}: need 0..{MAX_DEGREE}")
     if degree == 0:
@@ -75,9 +75,14 @@ def _lobatto_data(degree: int) -> tuple[np.ndarray, np.ndarray]:
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
     bary = 1.0 / diff.prod(axis=1)
-    nodes.flags.writeable = False
-    bary.flags.writeable = False
-    return nodes, bary
+    at_nodes = np.zeros((degree + 1, degree + 1))
+    for k in range(degree + 1):
+        others = np.arange(degree + 1) != k
+        at_nodes[k, others] = (bary[others] / bary[k]) / (nodes[k] - nodes[others])
+        at_nodes[k, k] = -at_nodes[k, others].sum()
+    for a in (nodes, bary, at_nodes):
+        a.flags.writeable = False
+    return nodes, bary, at_nodes
 
 
 def _check_points(points: np.ndarray) -> np.ndarray:
@@ -112,45 +117,41 @@ def _shifted_legendre(points: np.ndarray, degree: int) -> tuple[np.ndarray, np.n
     return values * scale, 2.0 * derivs * scale
 
 
-def _lagrange_values(points: np.ndarray, degree: int) -> np.ndarray:
-    nodes, bary = _lobatto_data(degree)
-    if degree == 0:
-        return np.ones((points.size, 1))
-    out = np.empty((points.size, degree + 1))
+def _near_nodes(points: np.ndarray, nodes: np.ndarray):
+    """Differences to the nodes, the rows farther than ``_NODE_SNAP`` from
+    every node, and for the other rows the index of the first node in reach."""
     diff = points[:, None] - nodes[None, :]
     at_node = np.abs(diff) < _NODE_SNAP
     regular = ~at_node.any(axis=1)
+    return diff, regular, at_node[~regular].argmax(axis=1)
+
+
+def _lagrange_values(points: np.ndarray, degree: int) -> np.ndarray:
+    nodes, bary, _ = _lobatto_data(degree)
+    if degree == 0:
+        return np.ones((points.size, 1))
+    out = np.empty((points.size, degree + 1))
+    diff, regular, node = _near_nodes(points, nodes)
     if regular.any():
         q = bary / diff[regular]
         out[regular] = q / q.sum(axis=1, keepdims=True)
-    for i in np.nonzero(~regular)[0]:
-        row = np.zeros(degree + 1)
-        row[int(np.argmax(at_node[i]))] = 1.0
-        out[i] = row
+    out[~regular] = np.eye(degree + 1)[node]
     return out
 
 
 def _lagrange_derivatives(points: np.ndarray, degree: int) -> np.ndarray:
-    nodes, bary = _lobatto_data(degree)
+    nodes, bary, at_nodes = _lobatto_data(degree)
     if degree == 0:
         return np.zeros((points.size, 1))
     out = np.empty((points.size, degree + 1))
-    diff = points[:, None] - nodes[None, :]
-    at_node = np.abs(diff) < _NODE_SNAP
-    regular = ~at_node.any(axis=1)
+    diff, regular, node = _near_nodes(points, nodes)
     if regular.any():
         d = diff[regular]
         q = bary / d
         values = q / q.sum(axis=1, keepdims=True)
         s_all = (1.0 / d).sum(axis=1, keepdims=True)
         out[regular] = values * (s_all - 1.0 / d)
-    for i in np.nonzero(~regular)[0]:
-        k = int(np.argmax(at_node[i]))
-        row = np.empty(degree + 1)
-        others = np.arange(degree + 1) != k
-        row[others] = (bary[others] / bary[k]) / (nodes[k] - nodes[others])
-        row[k] = -row[others].sum()
-        out[i] = row
+    out[~regular] = at_nodes[node]
     return out
 
 

@@ -71,16 +71,12 @@ def gauss_legendre_unit(n_nodes: int) -> UnitRule:
 
 def compose_rule(mesh: Mesh, unit: UnitRule) -> GlobalRule:
     """Apply ``unit`` on every interval of ``mesh``, in interval order."""
-    points, weights, owner = [], [], []
-    for k, iv in enumerate(mesh.intervals):
-        points.append(iv.left + iv.length * unit.nodes)
-        weights.append(iv.length * unit.weights)
-        owner.append(np.full(unit.n_nodes, k))
-    interval_of = np.concatenate(owner).astype(int)
+    lefts, lengths = mesh.breakpoints[:-1, None], mesh.lengths[:, None]
+    interval_of = np.repeat(np.arange(mesh.n_intervals), unit.n_nodes)
     interval_of.flags.writeable = False
     return GlobalRule(
-        _readonly(np.concatenate(points)),
-        _readonly(np.concatenate(weights)),
+        _readonly((lefts + lengths * unit.nodes).ravel()),
+        _readonly((lengths * unit.weights).ravel()),
         interval_of,
         mesh,
     )

@@ -153,6 +153,17 @@ class TestConfig:
         assert cli_main(["solve", "--config", str(config)]) == 0
         assert "status: converged" in capsys.readouterr().out
 
+    def test_non_finite_breakpoints_rejected(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            breakpoints = [[0.0, 0.5, 1.0], [0.0, 0.5, bad]]
+            config.write_text(
+                json.dumps({"problem": "trivial", "d": 3, "breakpoints": breakpoints}),
+                encoding="utf-8",
+            )
+            assert cli_main(["solve", "--config", str(config)]) == 2
+            assert f"mesh endpoint {bad} is not finite" in capsys.readouterr().err
+
     def test_study_h_list_from_config(self, capsys, tmp_path):
         config = tmp_path / "study.json"
         config.write_text(

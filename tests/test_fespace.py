@@ -256,11 +256,12 @@ class TestRegularizer:
 def loop_interleaved_order(space):
     """Reference: sort (first + last merged interval of the support, component,
     local index in the first interval) tuples."""
-    merged = merge_meshes(space.component_meshes).intervals
+    merged = merge_meshes(space.component_meshes).breakpoints
+    mids = (merged[:-1] + merged[1:]) / 2
     support, entries = {}, {}
     for comp, mesh in enumerate(space.component_meshes):
-        for k, iv in enumerate(mesh.intervals):
-            inside = [e for e, m in enumerate(merged) if iv.left < (m.left + m.right) / 2 < iv.right]
+        for k, (left, right) in enumerate(zip(mesh.breakpoints, mesh.breakpoints[1:])):
+            inside = [e for e, mid in enumerate(mids) if left < mid < right]
             for a in range(space.degree + 1):
                 g = int(space.index_map[comp][k, a])
                 support.setdefault(g, []).extend(inside)

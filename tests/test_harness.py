@@ -109,7 +109,7 @@ class TestBuildSetup:
             2,
             breakpoints=[[0.0, 0.25, 1.0], [0.0, 0.5, 1.0]],
         )
-        assert space.component_meshes[0].lengths() == pytest.approx([0.25, 0.75])
+        assert space.component_meshes[0].lengths == pytest.approx([0.25, 0.75])
         assert params.h == 0.75  # largest interval
 
     def test_breakpoints_count_checked(self):

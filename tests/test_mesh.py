@@ -1,36 +1,35 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ocfem.mesh import (
-    Interval,
     Mesh,
     MergedMesh,
     merge_meshes,
-    mesh_from_breakpoints,
     uniform_mesh,
 )
 
 
 class TestInterval:
     def test_length(self):
-        assert Interval(0.25, 0.75).length == 0.5
+        assert Mesh([0.25, 0.75]).lengths.tolist() == [0.5]
 
     @pytest.mark.parametrize("left,right", [(1.0, 1.0), (2.0, 1.0)])
     def test_degenerate_rejected(self, left, right):
-        with pytest.raises(ValueError, match="left < right"):
-            Interval(left, right)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Mesh([left, right])
 
 
 class TestUniformMesh:
     def test_single_interval_identity(self):
         mesh = uniform_mesh((0.0, 1.0), 1)
-        assert mesh.intervals == (Interval(0.0, 1.0),)
+        assert mesh.breakpoints.tolist() == [0.0, 1.0]
 
     def test_equal_split(self):
         mesh = uniform_mesh((0.0, 1.0), 4)
-        assert [iv.left for iv in mesh.intervals] == [0.0, 0.25, 0.5, 0.75]
-        assert [iv.right for iv in mesh.intervals] == [0.25, 0.5, 0.75, 1.0]
+        assert mesh.breakpoints.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_size_and_ratio(self):
         mesh = uniform_mesh((0.0, 2.0), 8)
@@ -45,40 +44,56 @@ class TestUniformMesh:
             uniform_mesh((0.0, 1.0), 0)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_breakpoints_rejected(self, bad):
+        for points in ([0.0, 0.5, bad], [bad, 0.5, 1.0], [0.0, bad, 1.0]):
+            with pytest.raises(ValueError, match=f"mesh endpoint {bad} is not finite"):
+                Mesh(points)
+
+    @pytest.mark.parametrize("domain", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)])
+    def test_uniform_domain_rejected_without_warning(self, domain):
+        bad = next(t for t in domain if not np.isfinite(t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"mesh endpoint {bad} is not finite"):
+                uniform_mesh(domain, 2)
+
+
 class TestBreakpoints:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            mesh_from_breakpoints([0.0, 0.5, 0.5, 1.0])
+            Mesh([0.0, 0.5, 0.5, 1.0])
 
     def test_two_points_minimum(self):
         with pytest.raises(ValueError, match="at least two"):
-            mesh_from_breakpoints([0.0])
+            Mesh([0.0])
 
     def test_lengths(self):
-        mesh = mesh_from_breakpoints([0.0, 0.1, 1.0])
-        assert mesh.lengths() == pytest.approx([0.1, 0.9])
+        mesh = Mesh([0.0, 0.1, 1.0])
+        assert mesh.lengths == pytest.approx([0.1, 0.9])
 
 
 class TestMerge:
     def test_self_merge(self):
         mesh = uniform_mesh((0.0, 1.0), 2)
         merged = merge_meshes([mesh])
-        assert merged.breakpoints() == pytest.approx(mesh.breakpoints(), abs=0)
-        assert merged.provenance == ((0,), (1,))
+        assert merged.breakpoints == pytest.approx(mesh.breakpoints, abs=0)
+        assert np.array_equal(merged.provenance, [[0], [1]])
 
     def test_two_and_three(self):
         merged = merge_meshes([uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 3)])
         expected = np.union1d(
-            uniform_mesh((0.0, 1.0), 2).breakpoints(),
-            uniform_mesh((0.0, 1.0), 3).breakpoints(),
+            uniform_mesh((0.0, 1.0), 2).breakpoints,
+            uniform_mesh((0.0, 1.0), 3).breakpoints,
         )
         assert merged.n_intervals == 4
-        assert merged.breakpoints() == pytest.approx(expected, abs=0)
+        assert merged.breakpoints == pytest.approx(expected, abs=0)
 
     def test_nested_refinement(self):
         fine = uniform_mesh((0.0, 1.0), 4)
         merged = merge_meshes([uniform_mesh((0.0, 1.0), 2), fine])
-        assert merged.breakpoints() == pytest.approx(fine.breakpoints(), abs=1e-15)
+        assert merged.breakpoints == pytest.approx(fine.breakpoints, abs=1e-15)
         assert merged.n_intervals == 4
 
     def test_domain_mismatch(self):
@@ -88,16 +103,16 @@ class TestMerge:
     def test_provenance_points_to_containing_interval(self):
         meshes = [uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 3)]
         merged = merge_meshes(meshes)
-        for i, iv in enumerate(merged.intervals):
-            mid = 0.5 * (iv.left + iv.right)
+        mids = 0.5 * (merged.breakpoints[:-1] + merged.breakpoints[1:])
+        for i, mid in enumerate(mids):
             for s, mesh in enumerate(meshes):
-                src = mesh.intervals[merged.provenance[i][s]]
-                assert src.left <= mid <= src.right
+                k = merged.provenance[i, s]
+                assert mesh.breakpoints[k] <= mid <= mesh.breakpoints[k + 1]
 
     def test_near_duplicate_endpoints_collapse(self):
         eps = 1e-15
-        a = mesh_from_breakpoints([0.0, 0.5, 1.0])
-        b = mesh_from_breakpoints([0.0, 0.5 + eps, 1.0])
+        a = Mesh([0.0, 0.5, 1.0])
+        b = Mesh([0.0, 0.5 + eps, 1.0])
         merged = merge_meshes([a, b])
         assert merged.n_intervals == 2
 
@@ -110,45 +125,50 @@ breakpoint_lists = st.lists(
 class TestMergeProperties:
     @given(breakpoint_lists, breakpoint_lists)
     def test_lengths_cover_domain(self, pts_a, pts_b):
-        merged = merge_meshes([mesh_from_breakpoints(pts_a), mesh_from_breakpoints(pts_b)])
-        assert merged.lengths().sum() == pytest.approx(1.0, rel=1e-12)
+        merged = merge_meshes([Mesh(pts_a), Mesh(pts_b)])
+        assert merged.lengths.sum() == pytest.approx(1.0, rel=1e-12)
 
     @given(breakpoint_lists, breakpoint_lists)
     def test_idempotent(self, pts_a, pts_b):
-        sources = [mesh_from_breakpoints(pts_a), mesh_from_breakpoints(pts_b)]
+        sources = [Mesh(pts_a), Mesh(pts_b)]
         merged = merge_meshes(sources)
         again = merge_meshes([merged, *sources])
-        assert again.breakpoints() == pytest.approx(merged.breakpoints(), abs=0)
+        assert again.breakpoints == pytest.approx(merged.breakpoints, abs=0)
 
     @given(breakpoint_lists, st.floats(min_value=0.001, max_value=0.999))
     def test_interior_point_location(self, pts, t):
-        mesh = mesh_from_breakpoints(pts)
+        mesh = Mesh(pts)
         merged = merge_meshes([mesh, uniform_mesh((0.0, 1.0), 3)])
-        hits = [iv for iv in merged.intervals if iv.left < t < iv.right]
-        if not hits:  # t landed on a merged endpoint
+        bp = merged.breakpoints
+        hits = np.flatnonzero((bp[:-1] < t) & (t < bp[1:]))
+        if not hits.size:  # t landed on a merged endpoint
             return
         assert len(hits) == 1
         idx = merged.interval_index(t)
-        src = mesh.intervals[merged.provenance[idx][0]]
-        assert src.left <= t <= src.right
+        k = merged.provenance[idx, 0]
+        assert mesh.breakpoints[k] <= t <= mesh.breakpoints[k + 1]
 
     @given(breakpoint_lists)
     def test_source_endpoints_survive(self, pts):
-        mesh = mesh_from_breakpoints(pts)
+        mesh = Mesh(pts)
         merged = merge_meshes([mesh, uniform_mesh((0.0, 1.0), 2)])
-        merged_pts = merged.breakpoints()
-        for p in mesh.breakpoints():
+        merged_pts = merged.breakpoints
+        for p in mesh.breakpoints:
             assert np.abs(merged_pts - p).min() <= 1e-12
 
 
 class TestMeshValidation:
     def test_gap_rejected(self):
-        with pytest.raises(ValueError, match="gap or overlap"):
-            Mesh((Interval(0.0, 0.4), Interval(0.5, 1.0)), (0.0, 1.0))
+        # a breakpoint array has no gaps; an overlap is a decreasing step
+        with pytest.raises(ValueError, match="strictly increasing, got 0.5 >= 0.4"):
+            Mesh(np.array([0.0, 0.5, 0.4, 1.0]))
 
     def test_span_rejected(self):
-        with pytest.raises(ValueError, match="span"):
-            Mesh((Interval(0.0, 0.5),), (0.0, 1.0))
+        # the domain is the span of the breakpoints, so one point spans none
+        for points in ([0.5], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="at least two breakpoints"):
+                Mesh(np.array(points))
+        assert Mesh(np.array([0.25, 0.5, 2.0])).domain == (0.25, 2.0)
 
     def test_interval_index_left_limit(self):
         mesh = uniform_mesh((0.0, 1.0), 4)
@@ -161,4 +181,4 @@ class TestMeshValidation:
 
     def test_merged_mesh_provenance_shape_checked(self):
         with pytest.raises(ValueError, match="provenance"):
-            MergedMesh((Interval(0.0, 1.0),), (0.0, 1.0), ((0,), (0,)))
+            MergedMesh(np.array([0.0, 1.0]), np.zeros((2, 1), dtype=int))

@@ -89,8 +89,7 @@ class TestCompose:
         merged = merge_meshes([uniform_mesh((0.0, 1.0), 3), uniform_mesh((0.0, 1.0), 4)])
         rule = compose_rule(merged, gauss_legendre_unit(3))
         for t, k in zip(rule.points, rule.interval_of):
-            iv = merged.intervals[k]
-            assert iv.left < t < iv.right
+            assert merged.breakpoints[k] < t < merged.breakpoints[k + 1]
 
 
 class TestIntegrate:

@@ -233,8 +233,8 @@ class TestLiftedExport:
                 mesh = space.component_meshes[comp]
                 for t in problem.time_points:
                     k = mesh.interval_index(t)
-                    iv = mesh.intervals[k]
-                    at_node = np.abs((t - iv.left) / iv.length - space.basis.nodes) < 1e-14
+                    local = (t - mesh.breakpoints[k]) / mesh.lengths[k]
+                    at_node = np.abs(local - space.basis.nodes) < 1e-14
                     block = space.index_map[comp][k]
                     point_cols |= set((block[at_node] if at_node.any() else block).tolist())
             for i in range(problem.p):
