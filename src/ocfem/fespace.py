@@ -80,8 +80,8 @@ class FESpace:
             index = index.ravel()
             ts = (mesh.breakpoints[:-1, None] + mesh.lengths[:, None] * nodes).ravel()
             # a shared endpoint takes its value at the left node of the right interval
-            last = np.diff(index, append=-1) != 0
-            out[index[last]] = [func(t) for t in ts[last].tolist()]
+            last = np.append(index[1:] != index[:-1], True)
+            out[index[last]] = np.fromiter((func(float(t)) for t in ts[last]), float)
         return CoefficientVector(out, self)
 
 
