@@ -80,12 +80,22 @@ class _PointData:
 
 
 class HessianLayout:
-    """Fixed pattern of the Hessian.  Values are summed in lower entries, the
-    coefficient pairs (i, j) with i at or after j in ``FESpace.band_order``,
-    sorted by their slot offset * N + column in LAPACK lower band storage."""
+    """Fixed pattern of the Hessian and the band order it is factored in.
+
+    Each merged interval's element dofs are read off ``eval_op.indices``.
+    ``band_order`` sorts the coefficients by first + last merged interval of
+    their support, ties kept in the natural numbering (a stable argsort).  On
+    a shared mesh each interval's coefficients form one window, shared
+    endpoints between windows, so the half-bandwidth is the clique bound
+    n_x (d + 1) - 1 whatever the number of intervals (14 for ``lq`` at d = 4);
+    per-component meshes give more (``lq-multimesh`` 24).  ``band_position``
+    is its inverse.  Values are summed in lower entries, the coefficient pairs
+    (i, j) with i at or after j in ``band_order``, sorted by their slot
+    offset * N + column in LAPACK lower band storage.
+    """
 
     def __init__(self, nlp: "AssembledNlp"):
-        space, B, N, pos = nlp.space, nlp.space.block_width, nlp.N, nlp.space.band_position
+        space, B, N = nlp.space, nlp.space.block_width, nlp.N
         E, d1, n_x = nlp.rule.mesh.n_intervals, space.degree + 1, space.n_x
         # eval_op on each merged interval's own L coefficients, in the column order
         # of its first point's value rows; block row b is of component b or b - n_y
@@ -93,6 +103,13 @@ class HessianLayout:
         local = np.zeros((E, d1, B, n_x, d1))
         local[:, :, np.arange(B), np.r_[: space.n_y, :n_x]] = nlp.eval_op.data.reshape(E, d1, B, d1)
         self.local_eval = local.reshape(E, d1 * B, n_x * d1)
+        # first and last merged interval of each coefficient's support
+        element = np.repeat(np.arange(E), dofs.shape[1])
+        first, last = np.full(N, E), np.zeros(N, int)
+        np.minimum.at(first, dofs.ravel(), element)
+        np.maximum.at(last, dofs.ravel(), element)
+        self.band_order = np.argsort(first + last, kind="stable")
+        self.band_position = pos = np.argsort(self.band_order)
         point_dofs = np.unique(nlp.point_op.indices) if nlp.problem.p > 0 else np.zeros(0, int)
         self.point_eval = nlp.point_op[:, point_dofs].toarray()  # on its own coefficients
         # flat pairs i >= j of the element and point squares; element matrices are
@@ -302,8 +319,9 @@ class AssembledNlp:
         return np.bincount(layout.target, np.concatenate(parts))
 
     def hessian_band(self, x: CoefficientVector) -> np.ndarray:
-        """Exact Hessian at x as LAPACK's (kd + 1, N) lower band in ``band_order``,
-        kd the widest offset holding a nonzero: stored zeros do not widen it."""
+        """Exact Hessian at x as LAPACK's (kd + 1, N) lower band in the layout's
+        ``band_order``, kd the widest offset holding a nonzero: stored zeros do
+        not widen it."""
         values, layout, N = self._lower_sums(x), self.hessian_layout, self.N
         end = values.size
         for start in layout.offset_start[::-1]:  # from the widest offset down
@@ -318,8 +336,8 @@ class AssembledNlp:
     def full_hessian(self, x: CoefficientVector) -> sparse.csr_matrix:
         """Exact Hessian at x as a CSR matrix, for export and as an oracle: the lower
         entries mirrored, every structurally possible one stored, zeros included."""
-        slot, order = self.hessian_layout.band_slot, self.space.band_order
-        offset, column = np.divmod(slot, self.N)
+        layout = self.hessian_layout
+        order, (offset, column) = layout.band_order, np.divmod(layout.band_slot, self.N)
         i, j, off = order[column + offset], order[column], np.flatnonzero(offset)
         values = self._lower_sums(x)
         entries = (np.r_[values, values[off]], (np.r_[i, j[off]], np.r_[j, i[off]]))
@@ -335,40 +353,3 @@ class AssembledNlp:
         h_c, h_b = self.penalty_blocks(x)
         omega = self.params.omega
         return MultiplierSet(lam=-h_c / omega, nu=-h_b / omega)
-
-    # -- structural patterns ---------------------------------------------------
-
-    def structural_patterns(self) -> dict[str, sparse.csr_matrix]:
-        """Sparsity patterns of the lifted-program Jacobians (x-independent).
-
-        Per-point derivative blocks are taken structurally dense and the
-        evaluation operator stores its structural zeros, so the patterns are
-        safe for any problem instance on this space.
-        """
-        problem = self.problem
-        B, M, N = self.space.block_width, self.M, self.N
-        support = self.eval_op.copy()
-        support.data = np.ones_like(support.data)
-
-        if problem.m > 0:
-            jac_c = (sparse.kron(sparse.identity(M), np.ones((problem.m, B))) @ support).tocsr()
-        else:
-            jac_c = sparse.csr_matrix((0, N))
-        if problem.p > 0:
-            bool_pt = self.point_op.copy()
-            bool_pt.data = np.ones_like(bool_pt.data)
-            jac_b = (sparse.csr_matrix(np.ones((problem.p, bool_pt.shape[0]))) @ bool_pt).tocsr()
-        else:
-            jac_b = sparse.csr_matrix((0, N))
-        h_x = sparse.vstack([jac_c, jac_b]).tocsr() if (problem.m or problem.p) else sparse.csr_matrix((0, N))
-
-        n_z = self.space.n_z
-        if n_z > 0:
-            z_rows = (
-                (np.arange(M) * B)[:, None] + np.arange(2 * self.space.n_y, B)[None, :]
-            ).ravel()
-            g_x = support[z_rows, :].tocsr()
-        else:
-            g_x = sparse.csr_matrix((0, N))
-        return {"H_x": h_x, "G_x": g_x}
-

@@ -5,17 +5,16 @@ degree.  Differential components (the first ``n_y``) are kept continuous by
 sharing endpoint coefficients between neighbouring intervals; auxiliary
 components (the remaining ``n_z``) are discontinuous.  Coefficients are
 numbered component-major, then interval-major, then by local basis index.
-Under that numbering a Hessian couples components whose coefficients lie a
-whole component block apart, so its bandwidth grows with the mesh (1284 for
-``lq`` at N = 1793); ``interleaved_order`` renumbers by the position of each
-coefficient's support, under which the half-bandwidth does not depend on the
-number of intervals (14 for ``lq`` at d = 4, 24 for ``lq-multimesh``).
+The CSR arrays of the evaluation operator are the one record of which
+coefficients each quadrature point touches: every row holds the d + 1
+coefficients of its component's source interval, zero basis values
+included, so the Hessian's band order and the lifted export's patterns are
+read off them (``assembly.HessianLayout``, ``solver.export_lifted_nlp``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,16 +53,6 @@ class FESpace:
     def block_width(self) -> int:
         """Rows per quadrature point in the evaluation operator: 2 n_y + n_z."""
         return 2 * self.n_y + self.n_z
-
-    @cached_property
-    def band_order(self) -> np.ndarray:
-        """``interleaved_order`` of this space, computed on first use."""
-        return interleaved_order(self)
-
-    @cached_property
-    def band_position(self) -> np.ndarray:
-        """Inverse of ``band_order``: the position of each coefficient in it."""
-        return np.argsort(self.band_order)
 
     def coefficient_vector(self, values) -> "CoefficientVector":
         return CoefficientVector(np.asarray(values, dtype=float), self)
@@ -163,37 +152,31 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
     components, then the n_z auxiliary values.  Derivative rows carry the
     1 / |T| chain-rule factor of the containing source interval.  Zero basis
     values stay stored, so the stored entries are the structural support.
+
+    The CSR arrays are written directly: every row holds the d + 1
+    coefficients of its source interval in local basis order, so ``indices``
+    and ``data`` reshape to (M, B, d + 1), a derivative row has the columns
+    of its value row, and ``indptr`` steps by d + 1.
     """
     merged = _check_rule(space, rule)
-    B, M = space.block_width, rule.M
+    B, M, d1, n_y = space.block_width, rule.M, space.degree + 1, space.n_y
     src_of_point = merged.provenance[rule.interval_of]
-    point_base = np.arange(M) * B
-
-    rows, cols, vals = [], [], []
+    indices = np.empty((M, B, d1), dtype=int)
+    data = np.empty((M, B, d1))
     for comp in range(space.n_x):
         mesh = space.component_meshes[comp]
-        lefts, lens = mesh.breakpoints[:-1], mesh.lengths
         src = src_of_point[:, comp]
-        local = np.clip((rule.points - lefts[src]) / lens[src], 0.0, 1.0)
-        col_block = space.index_map[comp][src]
-
-        values = eval_basis_matrix(space.basis, local)
-        row_block = point_base + space.n_y + comp
-        rows.append(np.repeat(row_block, space.degree + 1))
-        cols.append(col_block.ravel())
-        vals.append(values.ravel())
-
-        if comp < space.n_y:
-            derivs = eval_basis_derivative_matrix(space.basis, local) / lens[src][:, None]
-            row_block = point_base + comp
-            rows.append(np.repeat(row_block, space.degree + 1))
-            cols.append(col_block.ravel())
-            vals.append(derivs.ravel())
-
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(B * M, space.N),
-    ).tocsr()
+        local = np.clip((rule.points - mesh.breakpoints[src]) / mesh.lengths[src], 0.0, 1.0)
+        indices[:, n_y + comp] = space.index_map[comp][src]
+        data[:, n_y + comp] = eval_basis_matrix(space.basis, local)
+        if comp < n_y:
+            indices[:, comp] = indices[:, n_y + comp]
+            derivs = eval_basis_derivative_matrix(space.basis, local)
+            data[:, comp] = derivs / mesh.lengths[src][:, None]
+    indptr = np.arange(0, data.size + 1, d1)
+    return sparse.csr_matrix(
+        (data.ravel(), indices.ravel(), indptr), shape=(B * M, space.N)
+    )
 
 
 def build_point_eval_operator(space: FESpace, time_points: Sequence[float]) -> sparse.csr_matrix:
@@ -245,24 +228,3 @@ def build_regularizer(
     gram = ((gram + gram.T) * 0.5).tocsr()
     gram.eliminate_zeros()
     return gram
-
-
-def interleaved_order(space: FESpace) -> np.ndarray:
-    """Permutation sorting coefficients by the position of their support.
-
-    Coefficients are keyed on (first + last merged-interval index of their
-    support, component, local basis index); the last two are the natural
-    numbering's order.  On a shared mesh each merged interval's coefficients
-    form one window, shared endpoints between windows, so the half-bandwidth is
-    the clique bound n_x (d + 1) - 1 whatever the number of intervals (14 for
-    ``lq`` at d = 4); per-component meshes give more (``lq-multimesh`` 24).
-    """
-    meshes = space.component_meshes
-    prov = source_intervals(meshes, merged_breakpoints(meshes))
-    first, last = np.full(space.N, prov.shape[0]), np.zeros(space.N, int)  # of the support
-    for comp, mesh in enumerate(meshes):
-        k = np.repeat(np.arange(mesh.n_intervals), space.degree + 1)
-        index = space.index_map[comp].ravel()
-        np.minimum.at(first, index, np.searchsorted(prov[:, comp], k))
-        np.maximum.at(last, index, np.searchsorted(prov[:, comp], k, side="right") - 1)
-    return np.argsort(first + last, kind="stable")  # ties keep the natural numbering

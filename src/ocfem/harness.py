@@ -74,7 +74,6 @@ class Benchmark:
     problem: OcpProblem
     analytic: Optional[AnalyticSolution] = None
     mesh_plan: Optional[Callable[[int], Sequence[int]]] = None
-    notes: str = ""
 
 
 def _lq_benchmark() -> Benchmark:
@@ -130,12 +129,7 @@ def _lq_benchmark() -> Benchmark:
         initial_guess=lambda t: np.array([1.0]),
     )
     analytic = AnalyticSolution(y=y_star, z=z_star, cost=0.5 * math.tanh(1.0))
-    return Benchmark(
-        "lq",
-        problem,
-        analytic,
-        notes="quadratic tracking, dy = z1 - z2, y(0) = 1",
-    )
+    return Benchmark("lq", problem, analytic)
 
 
 def _trivial_benchmark() -> Benchmark:
@@ -176,7 +170,7 @@ def _trivial_benchmark() -> Benchmark:
         b_eval=b_eval,
     )
     analytic = AnalyticSolution(y=lambda t: np.array([0.0]), cost=0.0)
-    return Benchmark("trivial", problem, analytic, notes="exactly representable zero solution")
+    return Benchmark("trivial", problem, analytic)
 
 
 def _barrier_pull_benchmark() -> Benchmark:
@@ -200,7 +194,7 @@ def _barrier_pull_benchmark() -> Benchmark:
         time_points=(0.0, 1.0),
         f_eval=f_eval,
     )
-    return Benchmark("barrier-pull", problem, notes="minimizer sits at the barrier floor ~ tau")
+    return Benchmark("barrier-pull", problem)
 
 
 _LQ = _lq_benchmark()
@@ -215,7 +209,6 @@ _BENCHMARKS = {
             _LQ.problem,
             _LQ.analytic,
             mesh_plan=lambda n: [max(1, n // 2), n, n],
-            notes="lq with the differential component on a 2x coarser mesh",
         ),
         _trivial_benchmark(),
         _barrier_pull_benchmark(),

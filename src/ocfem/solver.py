@@ -6,8 +6,9 @@ symmetric inertia correction, an Armijo backtracking line search, and a
 fraction-to-the-boundary cap that keeps the auxiliary values strictly
 positive at all quadrature points.
 
-Newton steps are taken in ``fespace.interleaved_order``, under which the
-Hessian is banded: ``AssembledNlp.hessian_band`` sums the element and point
+Newton steps are taken in the ``band_order`` of ``AssembledNlp.hessian_layout``,
+which sorts coefficients by the position of their support and under which
+the Hessian is banded: ``AssembledNlp.hessian_band`` sums the element and point
 terms straight into its (kd + 1, N) lower band, with no sparse matrix between,
 and LAPACK ``pbtrf`` and ``pbtrs`` factor and solve it at O(N kd^2) time and
 O(N kd) memory.  kd is the largest offset holding a nonzero at this step, not
@@ -113,13 +114,6 @@ class SolveReport:
         return sum(self.iterations)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    min_z: float
-    strictly_positive: bool
-    theoretical_floor: Optional[float] = None
-
-
 def default_start(nlp: AssembledNlp) -> CoefficientVector:
     """Interior starting point: hinted differential values, auxiliaries at max(1, tau)."""
     space, hint = nlp.space, nlp.problem.initial_guess
@@ -192,11 +186,10 @@ def _newton_direction(
 def _newton_step(
     nlp: AssembledNlp, x: CoefficientVector, grad: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Inertia-corrected Newton step at x, solved in ``band_order``."""
-    space = nlp.space
-    band = nlp.hessian_band(x)
-    step = _newton_direction(band, grad[space.band_order], _REGULARIZATION_FLOOR)
-    return None if step is None else step[space.band_position]
+    """Inertia-corrected Newton step at x, solved in the layout's ``band_order``."""
+    band, layout = nlp.hessian_band(x), nlp.hessian_layout
+    step = _newton_direction(band, grad[layout.band_order], _REGULARIZATION_FLOOR)
+    return None if step is None else step[layout.band_position]
 
 
 def _boundary_cap(nlp: AssembledNlp, x: CoefficientVector, step: np.ndarray) -> float:
@@ -322,21 +315,6 @@ def solve(
     )
 
 
-def strict_positivity_check(
-    report: SolveReport, nlp: AssembledNlp, lipschitz_bound: Optional[float] = None
-) -> PositivityReport:
-    """Smallest auxiliary quadrature value of the solution and its sign.
-
-    The quantitative floor tau / L holds for a bound L on the slope of the
-    barrier-free objective; it is reported only when the caller supplies such
-    an estimate, since L is an analysis quantity that is not computable in
-    general.
-    """
-    min_z = float(nlp.z_values(report.x_final).min()) if nlp.space.n_z else math.inf
-    floor = nlp.params.tau / lipschitz_bound if lipschitz_bound else None
-    return PositivityReport(min_z, min_z > 0.0, floor)
-
-
 def lifted_objective(
     nlp: AssembledNlp, x: CoefficientVector, lam: np.ndarray, nu: np.ndarray
 ) -> float:
@@ -435,27 +413,34 @@ class LiftedNlpExport:
             fh.write(self.to_text())
 
 
+def _pairs(cols: np.ndarray, first_row: int = 0) -> tuple[tuple[int, int], ...]:
+    """(row, column) pairs of a pattern whose row first_row + r holds cols[r]."""
+    rows = np.repeat(np.arange(first_row, first_row + len(cols)), cols.shape[1])
+    return tuple(zip(rows.tolist(), cols.ravel().tolist()))
+
+
 def export_lifted_nlp(nlp: AssembledNlp) -> LiftedNlpExport:
     """Build the lifted constrained export of the assembled program."""
     problem = nlp.problem
     m_rows = problem.m * nlp.M
     slack_rows = nlp.space.n_z * nlp.M
-    struct = nlp.structural_patterns()
-
-    def coords(matrix) -> tuple[tuple[int, int], ...]:
-        coo = matrix.tocoo()
-        return tuple(sorted(zip(coo.row.tolist(), coo.col.tolist())))
-
+    # every row of eval_op holds the d + 1 coefficients of its source interval,
+    # ascending, and the components' blocks ascend: rows come out sorted
+    space, d1 = nlp.space, nlp.space.degree + 1
+    support = nlp.eval_op.indices.reshape(nlp.M, space.block_width, d1)
+    path_cols = support[:, space.n_y :].reshape(nlp.M, -1).repeat(problem.m, axis=0)
+    point_cols = np.unique(nlp.point_op.indices)[None].repeat(problem.p, axis=0)
+    slack_cols = support[:, 2 * space.n_y :].reshape(slack_rows, d1)
     eq_rows = m_rows + problem.p
     patterns = (
-        ("JH_x", eq_rows, nlp.N, coords(struct["H_x"])),
+        ("JH_x", eq_rows, nlp.N, _pairs(path_cols) + _pairs(point_cols, m_rows)),
         (
             "JH_lambda_nu",
             eq_rows,
             eq_rows,
             tuple((i, i) for i in range(eq_rows)),
         ),
-        ("JG_x", slack_rows, nlp.N, coords(struct["G_x"])),
+        ("JG_x", slack_rows, nlp.N, _pairs(slack_cols)),
         ("JG_s", slack_rows, slack_rows, tuple((i, i) for i in range(slack_rows))),
     )
     tau = nlp.params.tau

@@ -5,9 +5,11 @@ import pytest
 import scipy.sparse as sparse
 
 import ocfem.assembly
+import ocfem.fespace
+import ocfem.mesh
 from ocfem.assembly import AssembledNlp
 from ocfem.errors import BarrierDomainError
-from ocfem.fespace import build_regularizer, build_space, interleaved_order
+from ocfem.fespace import build_regularizer, build_space
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import uniform_mesh
 from ocfem.ocp_model import MethodParams, OcpProblem, default_params, residual
@@ -247,7 +249,7 @@ class TestHessians:
         bench = get_benchmark("lq")
         nlp = make_nlp(bench.problem, n_intervals=4, degree=3)
         x = random_interior_point(nlp, rng)
-        order = interleaved_order(nlp.space)
+        order = nlp.hessian_layout.band_order
         hess = nlp.full_hessian(x).toarray()[np.ix_(order, order)]
         rows, cols = np.nonzero(hess)
         bound = (nlp.space.degree + 1) * nlp.space.n_x - 1
@@ -342,7 +344,7 @@ class TestHessianLayout:
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_band_is_lower_band_of_full_hessian(self, name, rng):
         nlp = oracle_case(name)
-        order, N = nlp.space.band_order, nlp.N
+        order, N = nlp.hessian_layout.band_order, nlp.N
         for _ in range(3):
             x = random_interior_point(nlp, rng)
             band = nlp.hessian_band(x)
@@ -383,6 +385,17 @@ class TestHessianLayout:
         assert len(report.stages) > 1 and report.total_iterations > 1
         assert len(built) == 2
         assert fresh._shared["layout"] is built[1].hessian_layout
+
+    def test_set_up_merges_the_meshes_twice(self, monkeypatch, rng):
+        # once to compose the rule, once to check it; the band order reads eval_op
+        calls = []
+        merge = ocfem.mesh.merged_breakpoints
+        counting = lambda meshes: calls.append(meshes) or merge(meshes)
+        monkeypatch.setattr(ocfem.mesh, "merged_breakpoints", counting)
+        monkeypatch.setattr(ocfem.fespace, "merged_breakpoints", counting)
+        nlp = oracle_case("lq-multimesh")
+        nlp.hessian_band(random_interior_point(nlp, rng))
+        assert len(calls) == 2
 
     def test_solve_builds_no_csr_hessian(self, monkeypatch):
         built = []

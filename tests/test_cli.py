@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +235,15 @@ class TestExportAndSparsity:
         assert code == 0
         export = parse_lifted_nlp(capsys.readouterr().out)
         assert export.p == 0
+
+    @pytest.mark.parametrize("problem", ["lq-multimesh", "barrier-pull"])
+    def test_export_matches_golden(self, problem, capsys):
+        # recorded from ``ocfem export-nlp --problem P --h 0.5 --d 2``; the output
+        # must stay byte-identical (barrier-pull has empty lambda and nu blocks)
+        golden = Path(__file__).parent / "data" / f"export_{problem}_h0.5_d2.txt"
+        code = cli_main(["export-nlp", "--problem", problem, "--h", "0.5", "--d", "2"])
+        assert code == 0
+        assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
     def test_sparsity_files(self, capsys, tmp_path):
         out = tmp_path / "spy"

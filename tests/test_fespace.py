@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ocfem.assembly import AssembledNlp
 from ocfem.fespace import (
     CoefficientVector,
     build_eval_operator,
     build_point_eval_operator,
     build_regularizer,
     build_space,
-    interleaved_order,
 )
+from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import merge_meshes, uniform_mesh
+from ocfem.ocp_model import OcpProblem, batched, default_params
 from ocfem.polybasis import eval_basis_matrix
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
 
@@ -156,6 +158,27 @@ class TestEvalOperator:
         per_row = np.diff(op.indptr)
         assert per_row.max() <= space.degree + 1
 
+    @pytest.mark.parametrize("name", ["lq-multimesh", "stretched"])
+    def test_csr_layout_contract(self, name):
+        # the Hessian's band order and the lifted export read the support off
+        # these arrays: (M, B, d + 1) point/row/entry order, d + 1 per row
+        breakpoints = None
+        if name == "stretched":
+            t = np.linspace(0.0, 1.0, 9)
+            breakpoints = [(t + 0.3 * t * (1 - t)).tolist(), t.tolist(), (t**1.5).tolist()]
+        bench = get_benchmark("lq" if name == "stretched" else name)
+        meshes = build_setup(bench, 1 / 8, 3, breakpoints)[0].component_meshes
+        space, rule = space_and_rule(meshes, 3, bench.problem.n_y, bench.problem.n_z)
+        op = build_eval_operator(space, rule)
+        B, d1, n_y = space.block_width, space.degree + 1, space.n_y
+        assert np.array_equal(op.indptr, np.arange(0, op.nnz + 1, d1))
+        cols = op.indices.reshape(rule.M, B, d1)
+        for comp, mesh in enumerate(space.component_meshes):
+            src = [mesh.interval_index(float(t)) for t in rule.points]
+            assert np.array_equal(cols[:, n_y + comp], space.index_map[comp][src])
+        # each derivative row has the columns of its value row
+        assert np.array_equal(cols[:, :n_y], cols[:, n_y : 2 * n_y])
+
     @given(
         degree=st.integers(min_value=1, max_value=6),
         pieces=st.integers(min_value=1, max_value=4),
@@ -270,23 +293,40 @@ def loop_interleaved_order(space):
     return np.array([g for *_, g in sorted(keys)])
 
 
+def zero_cost_nlp(space):
+    """The space's AssembledNlp under a zero-cost problem, for its Hessian layout."""
+    width = space.block_width
+
+    @batched
+    def f_eval(dy, y, z, t):
+        M = len(t)
+        return np.zeros(M), np.zeros((M, width)), np.zeros((M, width, width))
+
+    problem = OcpProblem(
+        n_y=space.n_y, n_z=space.n_z, m=0, p=0, time_points=space.domain, f_eval=f_eval
+    )
+    return AssembledNlp(problem, space, default_params(0.25, d=space.degree))
+
+
 class TestInterleavedOrder:
     @pytest.mark.parametrize("counts,n_y", [([4], 1), ([3, 5, 5], 1), ([6, 4], 0), ([5, 2, 7], 2)])
     def test_matches_loop_reference(self, counts, n_y):
         meshes = [uniform_mesh((0.0, 1.0), n) for n in counts]
         space = build_space(meshes, 3, n_y, len(counts) - n_y)
-        assert np.array_equal(interleaved_order(space), loop_interleaved_order(space))
+        layout = zero_cost_nlp(space).hessian_layout
+        assert np.array_equal(layout.band_order, loop_interleaved_order(space))
 
     def test_is_permutation(self):
         space = build_space(
             [uniform_mesh((0.0, 1.0), 3), uniform_mesh((0.0, 1.0), 3)], 2, 1, 1
         )
-        order = interleaved_order(space)
-        assert np.sort(order).tolist() == list(range(space.N))
+        layout = zero_cost_nlp(space).hessian_layout
+        assert np.sort(layout.band_order).tolist() == list(range(space.N))
+        assert np.array_equal(layout.band_order[layout.band_position], np.arange(space.N))
 
     def test_groups_by_interval(self):
         space = build_space([uniform_mesh((0.0, 1.0), 2)] * 2, 1, 1, 1)
-        order = interleaved_order(space)
+        order = zero_cost_nlp(space).hessian_layout.band_order
         # first interval's coefficients of both components come first
         first = {int(space.index_map[0][0][a]) for a in range(2)}
         first |= {int(space.index_map[1][0][a]) for a in range(2)}

@@ -23,7 +23,6 @@ from ocfem.solver import (
     lifted_objective,
     parse_lifted_nlp,
     solve,
-    strict_positivity_check,
 )
 
 
@@ -136,13 +135,9 @@ class TestBarrierPull:
     def test_positivity_report(self):
         nlp = barrier_pull_nlp(1e-2)
         report = solve(nlp)
-        check = strict_positivity_check(report, nlp)
-        assert check.strictly_positive
-        assert check.min_z == pytest.approx(report.min_z)
-        assert check.theoretical_floor is None
-        with_bound = strict_positivity_check(report, nlp, lipschitz_bound=1.0)
-        assert with_bound.theoretical_floor == pytest.approx(nlp.params.tau)
-        assert with_bound.min_z >= 0.9 * with_bound.theoretical_floor
+        # the floor tau / L of the pull problem, whose slope bound L is 1
+        assert report.min_z > 0.0
+        assert report.min_z >= 0.9 * nlp.params.tau
 
 
 class TestLiftedExport:
