@@ -9,7 +9,7 @@ The CSR arrays of the evaluation operator are the one record of which
 coefficients each quadrature point touches: every row holds the d + 1
 coefficients of its component's source interval, zero basis values
 included, so the Hessian's band order and the lifted export's patterns are
-read off them (``assembly.HessianLayout``, ``solver.export_lifted_nlp``).
+read off them (``assembly.HessianLayout``, ``solver.lifted_patterns``).
 """
 
 from __future__ import annotations

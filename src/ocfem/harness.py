@@ -709,13 +709,13 @@ def _cmd_norm_check(merged: dict) -> int:
 
 def _cmd_export_nlp(merged: dict) -> int:
     _, nlp = _nlp_from(merged)
-    export = export_lifted_nlp(nlp)
+    text = export_lifted_nlp(nlp)
     out = _out_dir(merged)
     if out is not None:
-        export.write(out / "lifted_nlp.txt")
+        (out / "lifted_nlp.txt").write_bytes(text.encode("utf-8"))
         print(f"wrote {out / 'lifted_nlp.txt'}")
     else:
-        print(export.to_text(), end="")
+        print(text, end="")
     return 0
 
 

@@ -136,9 +136,8 @@ def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVecto
     values = x.values.copy()
     for comp_z, low in enumerate(mins):
         if low <= 0:
-            comp = nlp.space.n_y + comp_z
-            for block in nlp.space.index_map[comp]:
-                values[block] += _INTERIOR_MARGIN - low
+            # auxiliary blocks are disjoint: one add per coefficient
+            values[nlp.space.index_map[nlp.space.n_y + comp_z].ravel()] += _INTERIOR_MARGIN - low
     return x.replace_values(values)
 
 
@@ -334,206 +333,65 @@ def lifted_objective(
     )
 
 
-_OBJECTIVE_TEXT = "F(x) + (omega/2)*x'*S*x + (omega/2)*(||lambda||^2 + ||nu||^2)"
-_CONSTRAINT_TEXT = ("H(x) - omega*(lambda;nu) = 0", "Gpt(x) - s = 0")
-_BOUNDS_TEXT = "s >= 0"
+def lifted_patterns(nlp: AssembledNlp) -> dict[str, tuple[int, int, np.ndarray, np.ndarray]]:
+    """Jacobian patterns of the lifted program as ``{name: (n_rows, n_cols, i, j)}``.
 
-Pattern = tuple[str, int, int, tuple[tuple[int, int], ...]]
+    ``JH_x`` and ``JH_lambda_nu`` are the equality rows ``H(x) - omega (lambda; nu)``,
+    ``JG_x`` and ``JG_s`` the slack rows ``Gpt(x) - s``.  Every row of eval_op
+    holds the d + 1 coefficients of its source interval, ascending, and the
+    components' blocks ascend: coordinates come out sorted by row, then column.
+    """
+    problem, space, d1 = nlp.problem, nlp.space, nlp.space.degree + 1
+    m_rows, slack_rows = problem.m * nlp.M, space.n_z * nlp.M
+    eq_rows = m_rows + problem.p
+    support = nlp.eval_op.indices.reshape(nlp.M, space.block_width, d1)
+    path_cols = support[:, space.n_y :].reshape(nlp.M, -1).repeat(problem.m, axis=0)
+    point_cols = np.unique(nlp.point_op.indices)[None].repeat(problem.p, axis=0)
+    slack_cols = support[:, 2 * space.n_y :].reshape(slack_rows, d1)
+    widths = [path_cols.shape[1]] * m_rows + [point_cols.shape[1]] * problem.p
+    jh_rows = np.arange(eq_rows).repeat(widths)
+    jh_cols = np.concatenate([path_cols.ravel(), point_cols.ravel()])
+    eq_diag, slack_diag = np.arange(eq_rows), np.arange(slack_rows)
+    return {
+        "JH_x": (eq_rows, nlp.N, jh_rows, jh_cols),
+        "JH_lambda_nu": (eq_rows, eq_rows, eq_diag, eq_diag),
+        "JG_x": (slack_rows, nlp.N, slack_diag.repeat(d1), slack_cols.ravel()),
+        "JG_s": (slack_rows, slack_rows, slack_diag, slack_diag),
+    }
 
 
-@dataclass(frozen=True)
-class LiftedNlpExport:
-    """Constrained reformulation of the penalty-barrier program.
+def export_lifted_nlp(nlp: AssembledNlp) -> str:
+    """Text of the constrained reformulation of the penalty-barrier program.
 
     Variables are the coefficient vector, one multiplier per scaled
     path-constraint row, one per point constraint, and one slack per
     auxiliary quadrature value.  Positivity is encoded on the slacks through
     Gpt(x), the plain stacked auxiliary values; an interior-point solver run
     with barrier target theta = tau reproduces the unconstrained program.
+    The layout is specified in ``docs/lifted_nlp_format.md``.
     """
-
-    n_coefficients: int
-    n_path_multipliers: int
-    n_point_multipliers: int
-    n_slacks: int
-    n_y: int
-    n_z: int
-    m: int
-    p: int
-    M: int
-    n_T: int
-    omega: float
-    tau: float
-    barrier_target: float
-    objective: str
-    constraints: tuple[str, ...]
-    bounds: str
-    patterns: tuple[Pattern, ...]
-    options: tuple[str, ...]
-
-    @property
-    def n_variables(self) -> int:
-        return (
-            self.n_coefficients
-            + self.n_path_multipliers
-            + self.n_point_multipliers
-            + self.n_slacks
-        )
-
-    @property
-    def n_constraints(self) -> int:
-        return self.n_path_multipliers + self.n_point_multipliers + self.n_slacks
-
-    def to_text(self) -> str:
-        lines = ["lifted-nlp v1"]
-        for key in ("n_y", "n_z", "m", "p", "M", "n_T"):
-            lines.append(f"dim {key} {getattr(self, key)}")
-        lines.append(f"param omega {self.omega!r}")
-        lines.append(f"param tau {self.tau!r}")
-        lines.append(f"param theta {self.barrier_target!r}")
-        lines.append(f"var x {self.n_coefficients}")
-        lines.append(f"var lambda {self.n_path_multipliers}")
-        lines.append(f"var nu {self.n_point_multipliers}")
-        lines.append(f"var s {self.n_slacks}")
-        lines.append(f"objective {self.objective}")
-        for c in self.constraints:
-            lines.append(f"subjectto {c}")
-        lines.append(f"bounds {self.bounds}")
-        for name, n_rows, n_cols, coords in self.patterns:
-            lines.append(f"pattern {name} {n_rows} {n_cols} {len(coords)}")
-            for r, c in coords:
-                lines.append(f"{r} {c}")
-        for opt in self.options:
-            lines.append(f"option {opt}")
-        lines.append("end")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_text())
-
-
-def _pairs(cols: np.ndarray, first_row: int = 0) -> tuple[tuple[int, int], ...]:
-    """(row, column) pairs of a pattern whose row first_row + r holds cols[r]."""
-    rows = np.repeat(np.arange(first_row, first_row + len(cols)), cols.shape[1])
-    return tuple(zip(rows.tolist(), cols.ravel().tolist()))
-
-
-def export_lifted_nlp(nlp: AssembledNlp) -> LiftedNlpExport:
-    """Build the lifted constrained export of the assembled program."""
-    problem = nlp.problem
-    m_rows = problem.m * nlp.M
-    slack_rows = nlp.space.n_z * nlp.M
-    # every row of eval_op holds the d + 1 coefficients of its source interval,
-    # ascending, and the components' blocks ascend: rows come out sorted
-    space, d1 = nlp.space, nlp.space.degree + 1
-    support = nlp.eval_op.indices.reshape(nlp.M, space.block_width, d1)
-    path_cols = support[:, space.n_y :].reshape(nlp.M, -1).repeat(problem.m, axis=0)
-    point_cols = np.unique(nlp.point_op.indices)[None].repeat(problem.p, axis=0)
-    slack_cols = support[:, 2 * space.n_y :].reshape(slack_rows, d1)
-    eq_rows = m_rows + problem.p
-    patterns = (
-        ("JH_x", eq_rows, nlp.N, _pairs(path_cols) + _pairs(point_cols, m_rows)),
-        (
-            "JH_lambda_nu",
-            eq_rows,
-            eq_rows,
-            tuple((i, i) for i in range(eq_rows)),
-        ),
-        ("JG_x", slack_rows, nlp.N, _pairs(slack_cols)),
-        ("JG_s", slack_rows, slack_rows, tuple((i, i) for i in range(slack_rows))),
+    problem, omega, tau = nlp.problem, nlp.params.omega, nlp.params.tau
+    dims = dict(
+        n_y=problem.n_y, n_z=problem.n_z, m=problem.m, p=problem.p, M=nlp.M, n_T=problem.n_T
     )
-    tau = nlp.params.tau
-    options = (
-        f"mu_min = {tau!r}  barrier floor handed to an interior-point solver",
-        f"mu_target = {tau!r}  barrier target; theta = tau recovers the penalty-barrier program",
-    )
-    return LiftedNlpExport(
-        n_coefficients=nlp.N,
-        n_path_multipliers=m_rows,
-        n_point_multipliers=problem.p,
-        n_slacks=slack_rows,
-        n_y=problem.n_y,
-        n_z=problem.n_z,
-        m=problem.m,
-        p=problem.p,
-        M=nlp.M,
-        n_T=problem.n_T,
-        omega=nlp.params.omega,
-        tau=tau,
-        barrier_target=tau,
-        objective=_OBJECTIVE_TEXT,
-        constraints=_CONSTRAINT_TEXT,
-        bounds=_BOUNDS_TEXT,
-        patterns=patterns,
-        options=options,
-    )
-
-
-def parse_lifted_nlp(text: str) -> LiftedNlpExport:
-    """Parse the text layout produced by ``LiftedNlpExport.to_text``."""
-    lines = text.splitlines()
-    if not lines or lines[0] != "lifted-nlp v1":
-        raise ValueError("not a lifted-nlp v1 document")
-    dims: dict[str, int] = {}
-    params: dict[str, float] = {}
-    variables: dict[str, int] = {}
-    objective = ""
-    constraints: list[str] = []
-    bounds = ""
-    patterns: list[Pattern] = []
-    options: list[str] = []
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        if line == "end":
-            break
-        head, _, rest = line.partition(" ")
-        if head == "dim":
-            key, value = rest.rsplit(" ", 1)
-            dims[key] = int(value)
-        elif head == "param":
-            key, value = rest.rsplit(" ", 1)
-            params[key] = float(value)
-        elif head == "var":
-            key, value = rest.rsplit(" ", 1)
-            variables[key] = int(value)
-        elif head == "objective":
-            objective = rest
-        elif head == "subjectto":
-            constraints.append(rest)
-        elif head == "bounds":
-            bounds = rest
-        elif head == "pattern":
-            name, n_rows, n_cols, nnz = rest.rsplit(" ", 3)
-            coords = []
-            for _ in range(int(nnz)):
-                r, c = lines[i].split()
-                coords.append((int(r), int(c)))
-                i += 1
-            patterns.append((name, int(n_rows), int(n_cols), tuple(coords)))
-        elif head == "option":
-            options.append(rest)
-        else:
-            raise ValueError(f"unrecognized line in lifted-nlp document: {line!r}")
-    return LiftedNlpExport(
-        n_coefficients=variables["x"],
-        n_path_multipliers=variables["lambda"],
-        n_point_multipliers=variables["nu"],
-        n_slacks=variables["s"],
-        n_y=dims["n_y"],
-        n_z=dims["n_z"],
-        m=dims["m"],
-        p=dims["p"],
-        M=dims["M"],
-        n_T=dims["n_T"],
-        omega=params["omega"],
-        tau=params["tau"],
-        barrier_target=params["theta"],
-        objective=objective,
-        constraints=tuple(constraints),
-        bounds=bounds,
-        patterns=tuple(patterns),
-        options=tuple(options),
-    )
+    lines = ["lifted-nlp v1"] + [f"dim {key} {value}" for key, value in dims.items()]
+    lines += [f"param omega {omega!r}", f"param tau {tau!r}", f"param theta {tau!r}"]
+    lines += [
+        f"var x {nlp.N}",
+        f"var lambda {problem.m * nlp.M}",
+        f"var nu {problem.p}",
+        f"var s {nlp.space.n_z * nlp.M}",
+        "objective F(x) + (omega/2)*x'*S*x + (omega/2)*(||lambda||^2 + ||nu||^2)",
+        "subjectto H(x) - omega*(lambda;nu) = 0",
+        "subjectto Gpt(x) - s = 0",
+        "bounds s >= 0",
+    ]
+    for name, (n_rows, n_cols, rows, cols) in lifted_patterns(nlp).items():
+        lines.append(f"pattern {name} {n_rows} {n_cols} {len(rows)}")
+        lines += [f"{r} {c}" for r, c in zip(rows.tolist(), cols.tolist())]
+    lines += [
+        f"option mu_min = {tau!r}  barrier floor handed to an interior-point solver",
+        f"option mu_target = {tau!r}  barrier target; theta = tau recovers the penalty-barrier program",
+        "end",
+    ]
+    return "\n".join(lines) + "\n"

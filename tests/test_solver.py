@@ -19,9 +19,8 @@ from ocfem.solver import (
     _newton_step,
     default_start,
     ensure_interior,
-    export_lifted_nlp,
     lifted_objective,
-    parse_lifted_nlp,
+    lifted_patterns,
     solve,
 )
 
@@ -143,38 +142,27 @@ class TestBarrierPull:
 class TestLiftedExport:
     def test_dimensions(self):
         nlp = lq_nlp(h=0.25)
-        export = export_lifted_nlp(nlp)
-        m_rows = nlp.problem.m * nlp.M
+        patterns = lifted_patterns(nlp)
+        eq_rows = nlp.problem.m * nlp.M + nlp.problem.p
         slacks = nlp.space.n_z * nlp.M
-        assert export.n_coefficients == nlp.N
-        assert export.n_path_multipliers == m_rows
-        assert export.n_point_multipliers == nlp.problem.p
-        assert export.n_slacks == slacks
-        assert export.n_variables == nlp.N + m_rows + nlp.problem.p + slacks
-        assert export.n_constraints == m_rows + nlp.problem.p + slacks
-        assert export.barrier_target == nlp.params.tau
+        assert {name: shape[:2] for name, shape in patterns.items()} == {
+            "JH_x": (eq_rows, nlp.N),
+            "JH_lambda_nu": (eq_rows, eq_rows),
+            "JG_x": (slacks, nlp.N),
+            "JG_s": (slacks, slacks),
+        }
+        for name in ("JH_lambda_nu", "JG_s"):
+            n_rows, _, rows, cols = patterns[name]
+            assert np.array_equal(rows, np.arange(n_rows))
+            assert np.array_equal(cols, np.arange(n_rows))
 
     def test_empty_point_block(self):
         nlp = barrier_pull_nlp(1e-2)
-        export = export_lifted_nlp(nlp)
-        assert export.n_point_multipliers == 0
-        assert export.n_path_multipliers == 0
-        assert export.n_slacks == nlp.M
-        parsed = parse_lifted_nlp(export.to_text())
-        assert parsed == export
-
-    def test_round_trip(self, tmp_path):
-        nlp = lq_nlp(h=0.25)
-        export = export_lifted_nlp(nlp)
-        path = tmp_path / "lifted.txt"
-        export.write(path)
-        parsed = parse_lifted_nlp(path.read_text(encoding="utf-8"))
-        assert parsed == export
-        assert parsed.to_text() == export.to_text()
-
-    def test_rejects_foreign_text(self):
-        with pytest.raises(ValueError, match="lifted-nlp"):
-            parse_lifted_nlp("something else\n")
+        patterns = lifted_patterns(nlp)
+        for name in ("JH_x", "JH_lambda_nu"):
+            n_rows, _, rows, cols = patterns[name]
+            assert n_rows == 0 and len(rows) == 0 and len(cols) == 0
+        assert patterns["JG_s"][0] == nlp.M
 
     def test_slack_pattern_matches_auxiliary_rows(self):
         # at even d the middle Gauss point is a Lobatto node, where all but
@@ -183,13 +171,11 @@ class TestLiftedExport:
             bench = get_benchmark(name)
             space, params = build_setup(bench, 0.5, 4)
             nlp = AssembledNlp(bench.problem, space, params)
-            export = export_lifted_nlp(nlp)
-            patterns = dict((p[0], p) for p in export.patterns)
-            _, n_rows, n_cols, coords = patterns["JG_x"]
+            n_rows, n_cols, coord_rows, coord_cols = lifted_patterns(nlp)["JG_x"]
             assert n_rows == space.n_z * nlp.M
             assert n_cols == nlp.N
             rows = {}
-            for r, c in coords:
+            for r, c in zip(coord_rows.tolist(), coord_cols.tolist()):
                 rows.setdefault(r, set()).add(c)
             expected = {}
             for j, t in enumerate(nlp.rule.points):
@@ -210,11 +196,10 @@ class TestLiftedExport:
             space, params = build_setup(bench, 0.5, 4)
             nlp = AssembledNlp(bench.problem, space, params)
             problem = nlp.problem
-            patterns = dict((p[0], p) for p in export_lifted_nlp(nlp).patterns)
-            _, n_rows, n_cols, coords = patterns["JH_x"]
+            n_rows, n_cols, coord_rows, coord_cols = lifted_patterns(nlp)["JH_x"]
             assert (n_rows, n_cols) == (problem.m * nlp.M + problem.p, nlp.N)
             rows = {}
-            for r, c in coords:
+            for r, c in zip(coord_rows.tolist(), coord_cols.tolist()):
                 rows.setdefault(r, set()).add(c)
             expected = {}
             for j, t in enumerate(nlp.rule.points):
