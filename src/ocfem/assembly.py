@@ -149,6 +149,8 @@ class AssembledNlp:
             raise ValueError(
                 f"space domain {space.domain} differs from problem domain {problem.domain}"
             )
+        if params.d != space.degree:
+            raise ValueError(f"params.d = {params.d} differs from space degree {space.degree}")
         self.problem = problem
         self.space = space
         self.params = params

@@ -7,7 +7,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -37,20 +37,6 @@ from .solver import (
 #: Metric values at or below this are treated as "at floor": they carry no
 #: order information, only rounding noise.
 ORDER_FIT_FLOOR = 1e-10
-
-CSV_COLUMNS = (
-    "h",
-    "d",
-    "omega",
-    "tau",
-    "N",
-    "M",
-    "iterations",
-    "objective_gap",
-    "residual",
-    "x_error",
-    "status",
-)
 
 
 @dataclass(frozen=True)
@@ -285,8 +271,8 @@ class ConvergenceRow:
     objective_gap: Optional[float]
     residual: float
     x_error: Optional[float]
-    wall_time: float
     status: str
+    wall_time: float  # the one field left out of study.csv
 
 
 @dataclass
@@ -320,6 +306,8 @@ def _x_error(benchmark: Benchmark, nlp: AssembledNlp, report: SolveReport) -> Op
 
 
 def _fit_order(h_values: list[float], metric: list[Optional[float]]) -> tuple[Optional[float], Optional[str]]:
+    if all(v is None for v in metric):
+        return None, "no reference value; order fit skipped"
     pairs = [
         (h, v)
         for h, v in zip(h_values, metric)
@@ -375,8 +363,8 @@ def run_study(
                 objective_gap=gap,
                 residual=report.residual,
                 x_error=_x_error(benchmark, nlp, report),
-                wall_time=wall,
                 status=report.status,
+                wall_time=wall,
             )
         )
         reports.append(report)
@@ -413,57 +401,37 @@ def _csv_cell(value) -> str:
 
 
 def study_csv(rows: Sequence[ConvergenceRow]) -> str:
-    """Fixed-column CSV of the study rows.
+    """CSV of the study rows, one column per ``ConvergenceRow`` field.
 
     Wall time is deliberately left to the JSON report so that repeated runs
     with identical inputs produce bitwise-identical CSV.
     """
-    lines = [",".join(CSV_COLUMNS)]
+    columns = [f.name for f in fields(ConvergenceRow) if f.name != "wall_time"]
+    lines = [",".join(columns)]
     for r in rows:
-        lines.append(
-            ",".join(_csv_cell(getattr(r, column)) for column in CSV_COLUMNS)
-        )
+        lines.append(",".join(_csv_cell(getattr(r, column)) for column in columns))
     return "\n".join(lines) + "\n"
 
 
 def _report_summary(report: SolveReport) -> dict:
+    """The report without the coefficients and the per-stage objective histories."""
+    stages = [
+        {k: v for k, v in asdict(s).items() if k != "objective_history"} for s in report.stages
+    ]
     return {
         "status": report.status,
         "grad_norm": report.grad_norm,
         "iterations": report.iterations,
         "residual": report.residual,
         "min_z": None if math.isinf(report.min_z) else report.min_z,
-        "stages": [
-            {
-                "omega": s.omega,
-                "tau": s.tau,
-                "iterations": s.iterations,
-                "grad_norm": s.grad_norm,
-                "objective": s.objective,
-                "residual": s.residual,
-                "status": s.status,
-            }
-            for s in report.stages
-        ],
-        "terms": None
-        if report.terms is None
-        else {
-            "f": report.terms.f,
-            "quad_norm": report.terms.quad_norm,
-            "penalty": report.terms.penalty,
-            "barrier": report.terms.barrier,
-            "total": report.terms.total,
-        },
+        "stages": stages,
+        "terms": None if report.terms is None else report.terms._asdict(),
     }
 
 
 def study_json(result: StudyResult) -> str:
     payload = {
-        "rows": [
-            {column: getattr(r, column) for column in CSV_COLUMNS}
-            | {"wall_time": r.wall_time}
-            for r in result.rows
-        ],
+        "rows": [asdict(r) for r in result.rows],
         "orders": result.orders,
         "notes": result.notes,
         "failed": result.failed,
@@ -485,18 +453,30 @@ def write_study_outputs(result: StudyResult, out_dir: str) -> tuple[Path, Path]:
 # -- command-line interface ---------------------------------------------------
 
 
-class UsageError(Exception):
-    pass
+def _float_list(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _parse_h_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"could not parse mesh-size list {text!r}") from exc
-    if not values:
-        raise UsageError("empty mesh-size list")
-    return values
+#: Every flag by destination: the parser of its text, whether that comes
+#: from the command line or a config file; its default when neither sets it;
+#: and its help.
+_FLAGS: dict[str, tuple[Callable[[str], object], object, Optional[str]]] = {
+    "config": (str, None, "JSON config file supplying defaults for flags"),
+    "out": (str, None, "output directory"),
+    "problem": (str, None, None),
+    "h": (float, None, None),
+    "d": (int, None, None),
+    "max_iters": (int, None, None),
+    "grad_tol": (float, None, None),
+    "h_list": (_float_list, None, None),
+    "d_max": (int, 30, None),
+    "samples": (int, 5, None),
+    "seed": (int, 0, None),
+}
+
+
+def _flag_name(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -508,130 +488,85 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file supplying defaults for flags")
-    common.add_argument("--out", help="output directory")
-    setup = argparse.ArgumentParser(add_help=False)
-    setup.add_argument("--problem")
-    setup.add_argument("--h", type=float)
-    setup.add_argument("--d", type=int)
-    newton = argparse.ArgumentParser(add_help=False)
-    newton.add_argument("--max-iters", type=int, dest="max_iters")
-    newton.add_argument("--grad-tol", type=float, dest="grad_tol")
-
-    sub.add_parser(
-        "solve", parents=[common, setup, newton], help="solve one benchmark at fixed h and d"
-    )
-    p_study = sub.add_parser(
-        "study", parents=[common, newton], help="mesh-refinement study with order fits"
-    )
-    p_study.add_argument("--problem")
-    p_study.add_argument("--d", type=int)
-    p_study.add_argument("--h-list", dest="h_list")
-
-    p_norm = sub.add_parser("norm-check", parents=[common], help="minimum-norm constants per degree")
-    p_norm.add_argument("--d-max", type=int, dest="d_max")
-
-    sub.add_parser(
-        "export-nlp", parents=[common, setup], help="write the lifted constrained program"
-    )
-    sub.add_parser("sparsity", parents=[common, setup], help="write operator sparsity patterns")
-
-    p_check = sub.add_parser(
-        "check-derivatives", parents=[common], help="finite-difference derivative report"
-    )
-    p_check.add_argument("--problem")
-    p_check.add_argument("--samples", type=int)
-    p_check.add_argument("--seed", type=int)
+    for command, (_, help_text, flags, _) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for key in ("config", "out", *flags):
+            command_parser.add_argument(_flag_name(key), dest=key, help=_FLAGS[key][2])
     return parser
 
 
-def _flag_types(parser: argparse.ArgumentParser) -> dict[str, Callable[[str], object]]:
-    """Parser of each subcommand flag's text by destination; a config file may set these."""
-    types = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                for flag in sub._actions:
-                    if flag.option_strings and flag.dest not in ("help", "config"):
-                        types[flag.dest] = flag.type or str
-    return types
-
-
-def _parse_text(key: str, parse: Callable[[str], object], value) -> object:
+def _parse(where: str, parse: Callable[[str], object], value) -> object:
     try:
         return parse(str(value))
     except ValueError:
-        raise UsageError(f"config key {key}: invalid value {value!r}") from None
+        raise ValueError(f"{where}: invalid value {value!r}") from None
 
 
-def _config_value(key: str, value, types: dict[str, Callable[[str], object]]):
+def _config_value(key: str, value):
     """A config value parsed as its flag's text would be.
 
     ``h_list`` may also be a list of numbers and ``breakpoints`` is one list
     of numbers per component; every other value is a JSON scalar.
     """
+    where = f"config key {key}"
     if value is None:
         return None
     if key == "breakpoints":
         if not isinstance(value, list) or not all(isinstance(b, list) for b in value):
-            raise UsageError("config key breakpoints must hold one list per component")
-        return [[_parse_text(key, float, p) for p in b] for b in value]
+            raise ValueError(f"{where} must hold one list per component")
+        return [[_parse(where, float, p) for p in b] for b in value]
     if key == "h_list" and isinstance(value, list):
         value = ",".join(str(v) for v in value)
     if isinstance(value, (list, dict)):
-        raise UsageError(f"config key {key} must be a single value, got {value!r}")
-    return _parse_text(key, types[key], value)
+        raise ValueError(f"{where} must be a single value, got {value!r}")
+    return _parse(where, _FLAGS[key][0], value)
 
 
-def _merge_config(args: argparse.Namespace, types: dict[str, Callable[[str], object]]) -> dict:
-    merged = {k: v for k, v in vars(args).items() if k != "config"}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            config = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(config, dict):
-            raise UsageError("config file must hold a JSON object")
-        config = {key.replace("-", "_"): value for key, value in config.items()}
-        unknown = sorted(set(config) - set(types) - {"breakpoints"})
-        if unknown:
-            raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
-        for key, value in config.items():
-            if merged.get(key) is None:
-                merged[key] = _config_value(key, value, types)
+def _read_config(path: str) -> dict:
+    """Every value of the config file, parsed, by flag destination."""
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    config = {key.replace("-", "_"): value for key, value in config.items()}
+    unknown = sorted(set(config) - (set(_FLAGS) - {"config"} | {"breakpoints"}))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    return {key: _config_value(key, value) for key, value in config.items()}
+
+
+def _options(args: argparse.Namespace) -> dict:
+    """Each flag of the subcommand: as given, else from the config file, else its default."""
+    _, _, flags, required = _COMMANDS[args.command]
+    config = _read_config(args.config) if args.config else {}
+    merged = {"breakpoints": config.get("breakpoints")}
+    for key in ("out", *flags):
+        parse, default, _ = _FLAGS[key]
+        text = getattr(args, key)
+        value = config.get(key) if text is None else _parse(_flag_name(key), parse, text)
+        merged[key] = default if value is None else value
+    missing = [_flag_name(key) for key in required if merged[key] is None]
+    if missing:
+        raise ValueError("missing required option(s): " + ", ".join(missing))
     return merged
 
 
-def _require(merged: dict, *keys: str) -> None:
-    missing = [k for k in keys if merged.get(k) is None]
-    if missing:
-        raise UsageError(
-            "missing required option(s): " + ", ".join(f"--{k.replace('_', '-')}" for k in missing)
-        )
-
-
 def _solver_options(merged: dict) -> Optional[SolverOptions]:
-    kwargs = {k: merged[k] for k in ("max_iters", "grad_tol") if merged.get(k) is not None}
+    kwargs = {k: merged[k] for k in ("max_iters", "grad_tol") if merged[k] is not None}
     return SolverOptions(**kwargs) if kwargs else None
 
 
 def _nlp_from(merged: dict) -> tuple[Benchmark, AssembledNlp]:
     """The benchmark and assembled program named by --problem, --d and --h or breakpoints."""
-    _require(merged, "problem", "d")
-    if merged.get("h") is None and merged.get("breakpoints") is None:
-        raise UsageError("missing required option(s): --h")
     benchmark = get_benchmark(merged["problem"])
-    return benchmark, _assemble(benchmark, merged.get("h"), merged["d"], merged.get("breakpoints"))
+    return benchmark, _assemble(benchmark, merged["h"], merged["d"], merged["breakpoints"])
 
 
 def _out_dir(merged: dict) -> Optional[Path]:
     """The --out directory, created if missing; None when it was not given."""
-    if not merged.get("out"):
+    if not merged["out"]:
         return None
     out = Path(merged["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -674,17 +609,13 @@ def _cmd_solve(merged: dict) -> int:
 
 
 def _cmd_study(merged: dict) -> int:
-    _require(merged, "problem", "d", "h_list")
-    try:
-        result = run_study(
-            merged["problem"],
-            merged["d"],
-            _parse_h_list(merged["h_list"]),
-            solver_options=_solver_options(merged),
-            out_dir=merged.get("out"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    result = run_study(
+        merged["problem"],
+        merged["d"],
+        merged["h_list"],
+        solver_options=_solver_options(merged),
+        out_dir=merged["out"],
+    )
     print(study_csv(result.rows), end="")
     for name, order in sorted(result.orders.items()):
         if order is None:
@@ -697,8 +628,7 @@ def _cmd_study(merged: dict) -> int:
 
 
 def _cmd_norm_check(merged: dict) -> int:
-    d_max = merged["d_max"] if merged.get("d_max") is not None else 30
-    rows = verify_norm_constants(d_max)
+    rows = verify_norm_constants(merged["d_max"])
     text = norm_constants_csv(rows)
     print(text, end="")
     out = _out_dir(merged)
@@ -749,40 +679,51 @@ def _cmd_sparsity(merged: dict) -> int:
 
 
 def _cmd_check_derivatives(merged: dict) -> int:
-    _require(merged, "problem")
     benchmark = get_benchmark(merged["problem"])
-    n_samples = merged["samples"] if merged.get("samples") is not None else 5
-    seed = merged["seed"] if merged.get("seed") is not None else 0
-    report = check_derivatives(benchmark.problem, n_samples=n_samples, seed=seed)
+    report = check_derivatives(benchmark.problem, n_samples=merged["samples"], seed=merged["seed"])
     print(report)
     return 0
 
 
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "study": _cmd_study,
-    "norm-check": _cmd_norm_check,
-    "export-nlp": _cmd_export_nlp,
-    "sparsity": _cmd_sparsity,
-    "check-derivatives": _cmd_check_derivatives,
+_SETUP = ("problem", "h", "d")
+_NEWTON = ("max_iters", "grad_tol")
+
+#: Every subcommand: its handler, its help, its flags after --config and
+#: --out in --help order, and the flags it cannot run without.
+_COMMANDS = {
+    "solve": (
+        _cmd_solve, "solve one benchmark at fixed h and d", _SETUP + _NEWTON, ("problem", "d")
+    ),
+    "study": (
+        _cmd_study,
+        "mesh-refinement study with order fits",
+        _NEWTON + ("problem", "d", "h_list"),
+        ("problem", "d", "h_list"),
+    ),
+    "norm-check": (_cmd_norm_check, "minimum-norm constants per degree", ("d_max",), ()),
+    "export-nlp": (
+        _cmd_export_nlp, "write the lifted constrained program", _SETUP, ("problem", "d")
+    ),
+    "sparsity": (_cmd_sparsity, "write operator sparsity patterns", _SETUP, ("problem", "d")),
+    "check-derivatives": (
+        _cmd_check_derivatives,
+        "finite-difference derivative report",
+        ("problem", "samples", "seed"),
+        ("problem",),
+    ),
 }
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns 0 on success, 1 on solver failure, 2 on usage errors."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exit_:  # argparse signals usage errors via SystemExit
         code = exit_.code
         return int(code) if code is not None else 0
     try:
-        merged = _merge_config(args, _flag_types(parser))
-        return _HANDLERS[args.command](merged)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # bad user input surfacing from the library
+        return _COMMANDS[args.command][0](_options(args))
+    except (ValueError, OSError) as exc:  # bad input, or an unusable --config or --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,6 +66,16 @@ def random_interior_point(nlp, rng):
     return space.coefficient_vector(values)
 
 
+class TestConstruction:
+    def test_degree_must_match_space(self):
+        # the program uses only the space's degree, so another params.d would
+        # be reported without having had any effect
+        bench = get_benchmark("lq")
+        space, params = build_setup(bench, 0.25, 4)
+        with pytest.raises(ValueError, match="params.d = 2 differs from space degree 4"):
+            AssembledNlp(bench.problem, space, replace(params, d=2))
+
+
 class TestObjectiveTerms:
     def test_flat_problem_all_zero(self):
         nlp = make_nlp(constant_cost_problem(0.0), degree=2)

@@ -123,6 +123,63 @@ class TestUsage:
         assert "unknown benchmark" in capsys.readouterr().err
 
 
+class TestPathErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--problem", "trivial", "--h", "0.5", "--d", "3", "--out", "{file}/x"],
+            ["norm-check", "--d-max", "2", "--out", "{file}"],
+            ["solve", "--config", "{dir}"],
+        ],
+        ids=["out-below-a-file", "out-is-a-file", "config-is-a-directory"],
+    )
+    def test_unusable_path_is_usage_error(self, args, capsys, tmp_path):
+        existing = tmp_path / "file.txt"
+        existing.write_text("", encoding="utf-8")
+        args = [a.format(file=existing, dir=tmp_path) for a in args]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestJsonKeys:
+    """The key sets of report.json and study.json, which are derived from the
+    report dataclasses and must not gain or lose a key unnoticed; the
+    per-stage objective histories stay out."""
+
+    REPORT = {"grad_norm", "iterations", "min_z", "residual", "stages", "status", "terms"}
+    STAGE = {"grad_norm", "iterations", "objective", "omega", "residual", "status", "tau"}
+    TERMS = {"barrier", "f", "penalty", "quad_norm", "total"}
+    ROW = {
+        "h", "d", "omega", "tau", "N", "M", "iterations",
+        "objective_gap", "residual", "x_error", "status", "wall_time",
+    }
+
+    def check_stages_and_terms(self, report):
+        assert report["stages"]
+        for stage in report["stages"]:
+            assert set(stage) == self.STAGE
+        assert set(report["terms"]) == self.TERMS
+
+    def test_report_json(self, capsys, tmp_path):
+        args = ["solve", "--problem", "trivial", "--h", "0.5", "--d", "3", "--out", str(tmp_path)]
+        assert cli_main(args) == 0
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        run = {"M", "N", "coefficients", "d", "h", "omega", "problem", "tau"}
+        assert set(payload) == self.REPORT | run
+        self.check_stages_and_terms(payload)
+
+    def test_study_json(self, capsys, tmp_path):
+        args = ["study", "--problem", "trivial", "--d", "3", "--h-list", "0.5,0.25,0.125"]
+        assert cli_main([*args, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "study.json").read_text(encoding="utf-8"))
+        assert set(payload) == {"failed", "notes", "orders", "reports", "rows"}
+        assert [set(row) for row in payload["rows"]] == [self.ROW] * 3
+        assert len(payload["reports"]) == 3
+        for report in payload["reports"]:
+            assert set(report) == self.REPORT
+            self.check_stages_and_terms(report)
+
+
 class TestConfig:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         config = tmp_path / "run.json"

@@ -138,6 +138,15 @@ class TestRunStudy:
         assert result.orders["residual"] is None
         assert any("order fit skipped" in note for note in result.notes)
 
+    def test_notes_name_why_each_fit_was_skipped(self):
+        # barrier-pull has no reference cost, so every objective_gap is None,
+        # while its residual is identically zero (no constraints)
+        result = run_study("barrier-pull", 2, [0.5, 0.25, 0.125])
+        assert result.notes == [
+            "objective_gap: no reference value; order fit skipped",
+            "residual: metric at floor; order fit skipped",
+        ]
+
     def test_lq_coarse_orders(self):
         result = run_study("lq", 4, [0.5, 0.25, 0.125])
         assert not result.failed
