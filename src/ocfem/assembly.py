@@ -68,6 +68,8 @@ class MultiplierSet:
 @dataclass
 class _PointData:
     values: np.ndarray  # (M, B) stacked (dy, y, z) rows
+    z: np.ndarray  # (M, n_z) view of the auxiliary columns
+    z_min: float  # smallest auxiliary value, inf without auxiliaries
     f: np.ndarray
     f_grad: np.ndarray
     f_hess: np.ndarray
@@ -108,17 +110,23 @@ class HessianLayout:
         first, last = np.full(N, E), np.zeros(N, int)
         np.minimum.at(first, dofs.ravel(), element)
         np.maximum.at(last, dofs.ravel(), element)
-        self.band_order = np.argsort(first + last, kind="stable")
-        self.band_position = pos = np.argsort(self.band_order)
-        point_dofs = np.unique(nlp.point_op.indices) if nlp.problem.p > 0 else np.zeros(0, int)
-        self.point_eval = nlp.point_op[:, point_dofs].toarray()  # on its own coefficients
+        self.band_order = order = np.argsort(first + last, kind="stable")
+        self.band_position = pos = np.empty(N, int)
+        pos[order] = np.arange(N)
+        # point_op on its own coefficients, read off its CSR arrays
+        op = nlp.point_op
+        point_dofs = np.unique(op.indices) if nlp.problem.p > 0 else np.zeros(0, int)
+        self.point_eval = np.zeros((op.shape[0], point_dofs.size))
+        if point_dofs.size:
+            rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+            self.point_eval[rows, np.searchsorted(point_dofs, op.indices)] = op.data
         # flat pairs i >= j of the element and point squares; element matrices are
         # symmetric only to rounding, and natural indices keep values off band_order
         pairs, slots = [], []
         for local_dofs in (dofs, point_dofs):
             rows, cols = np.broadcast_arrays(local_dofs[..., :, None], local_dofs[..., None, :])
             pairs.append(np.flatnonzero(rows >= cols))
-            rows, cols = pos[rows].ravel()[pairs[-1]], pos[cols].ravel()[pairs[-1]]
+            rows, cols = pos[rows.ravel()[pairs[-1]]], pos[cols.ravel()[pairs[-1]]]
             slots.append(np.abs(rows - cols) * N + np.minimum(rows, cols))
         self.element_pairs, self.point_pairs = pairs
         # the lower entry of each element pair, then of each point pair
@@ -206,6 +214,7 @@ class AssembledNlp:
             return self._cache
         problem = self.problem
         values = (self.eval_op @ x.values).reshape(self.M, self.space.block_width)
+        z = values[:, 2 * self.space.n_y :]
         f, f_grad, f_hess = eval_running_cost(problem, values, self.rule.points)
         if problem.m > 0:
             c, c_jac, c_hess = eval_path_constraints(problem, values, self.rule.points)
@@ -219,19 +228,20 @@ class AssembledNlp:
             b_jac = np.zeros((0, width))
             b_hess = np.zeros((0, width, width))
 
-        data = _PointData(values, f, f_grad, f_hess, c, c_jac, c_hess, b, b_jac, b_hess)
+        z_min = float(z.min()) if z.size else np.inf
+        data = _PointData(values, z, z_min, f, f_grad, f_hess, c, c_jac, c_hess, b, b_jac, b_hess)
         self._cache_key = key
         self._cache = data
         return data
 
     def z_values(self, x: CoefficientVector) -> np.ndarray:
         """Auxiliary-component values at the quadrature points, shape (M, n_z)."""
-        data = self._point_data(x)
-        return data.values[:, 2 * self.space.n_y :]
+        return self._point_data(x).z
 
-    def _checked_z(self, data: _PointData) -> np.ndarray:
-        z = data.values[:, 2 * self.space.n_y :]
-        if z.size and z.min() <= 0.0:
+    @staticmethod
+    def _checked_z(data: _PointData) -> np.ndarray:
+        z = data.z
+        if data.z_min <= 0.0:
             j, k = np.unravel_index(np.argmin(z), z.shape)
             raise BarrierDomainError(j, k, z[j, k])
         return z
@@ -244,8 +254,7 @@ class AssembledNlp:
         omega, tau = self.params.omega, self.params.tau
         f_term = float(self._alpha @ data.f)
         quad_norm = float(self._alpha @ (data.values**2).sum(axis=1))
-        h_c, h_b = self.penalty_blocks(x)
-        penalty = (float(h_c @ h_c) + float(h_b @ h_b)) / (2.0 * omega)
+        penalty = self._residual(data) / (2.0 * omega)
         if self.space.n_z > 0:
             z = self._checked_z(data)
             barrier = tau * float(self._alpha @ np.log(z).sum(axis=1))
@@ -254,19 +263,23 @@ class AssembledNlp:
         total = f_term + 0.5 * omega * quad_norm + penalty - barrier
         return ObjectiveTerms(f_term, quad_norm, penalty, barrier, total)
 
+    def _h_c(self, data: _PointData) -> np.ndarray:
+        if self.problem.m > 0:
+            return (self._sqrt_alpha[:, None] * data.c).ravel()
+        return np.zeros(0)
+
     def penalty_blocks(self, x: CoefficientVector) -> tuple[np.ndarray, np.ndarray]:
         """H_c (sqrt(alpha_j) c_j stacked) and H_b (point-constraint values)."""
         data = self._point_data(x)
-        if self.problem.m > 0:
-            h_c = (self._sqrt_alpha[:, None] * data.c).ravel()
-        else:
-            h_c = np.zeros(0)
-        return h_c, data.b.copy()
+        return self._h_c(data), data.b.copy()
+
+    def _residual(self, data: _PointData) -> float:
+        h_c = self._h_c(data)
+        return float(h_c @ h_c) + float(data.b @ data.b)
 
     def residual_value(self, x: CoefficientVector) -> float:
         """Squared constraint residual |H_c|^2 + |H_b|^2."""
-        h_c, h_b = self.penalty_blocks(x)
-        return float(h_c @ h_c) + float(h_b @ h_b)
+        return self._residual(self._point_data(x))
 
     def gradient(self, x: CoefficientVector) -> np.ndarray:
         """Gradient of the total objective with respect to the coefficients."""
@@ -302,11 +315,11 @@ class AssembledNlp:
         B, n_y, n_z = self.space.block_width, self.space.n_y, self.space.n_z
         blocks = self._alpha[:, None, None] * data.f_hess
         if self.problem.m > 0:
-            gauss_newton = np.einsum("jia,jib->jab", data.c_jac, data.c_jac)
-            curvature = np.einsum("ji,jiab->jab", data.c, data.c_hess)
-            blocks = blocks + (self._alpha / omega)[:, None, None] * (
-                gauss_newton + curvature
-            )
+            # the path penalty's Gauss-Newton and curvature terms, summed in place
+            path = np.einsum("jia,jib->jab", data.c_jac, data.c_jac)
+            path += np.einsum("ji,jiab->jab", data.c, data.c_hess)
+            path *= (self._alpha / omega)[:, None, None]
+            blocks += path
         diagonal = np.einsum("jbb->jb", blocks)  # a writable view
         diagonal += omega * self._alpha[:, None]
         if n_z > 0:
@@ -315,10 +328,12 @@ class AssembledNlp:
         E, rows, L = local.shape
         weighted = blocks.reshape(E, -1, B, B) @ local.reshape(E, -1, B, L)
         element = local.transpose(0, 2, 1) @ weighted.reshape(E, rows, L)
-        point_block = data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
-        point = layout.point_eval.T @ point_block @ layout.point_eval / omega
-        parts = element.ravel()[layout.element_pairs], point.ravel()[layout.point_pairs]
-        return np.bincount(layout.target, np.concatenate(parts))
+        sums = element.ravel()[layout.element_pairs]
+        if self.problem.p > 0:
+            point_block = data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
+            point = layout.point_eval.T @ point_block @ layout.point_eval / omega
+            sums = np.concatenate([sums, point.ravel()[layout.point_pairs]])
+        return np.bincount(layout.target, sums)
 
     def hessian_band(self, x: CoefficientVector) -> np.ndarray:
         """Exact Hessian at x as LAPACK's (kd + 1, N) lower band in the layout's

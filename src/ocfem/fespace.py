@@ -57,6 +57,14 @@ class FESpace:
     def coefficient_vector(self, values) -> "CoefficientVector":
         return CoefficientVector(np.asarray(values, dtype=float), self)
 
+    def nodes(self, comp: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficient indices of component ``comp``, each once, and the times of
+        their basis nodes; a shared endpoint takes the left node of the right interval."""
+        mesh, index = self.component_meshes[comp], self.index_map[comp].ravel()
+        ts = (mesh.breakpoints[:-1, None] + mesh.lengths[:, None] * self.basis.nodes).ravel()
+        last = np.append(index[1:] != index[:-1], True)
+        return index[last], ts[last]
+
     def interpolate(self, component_functions: Sequence[Callable[[float], float]]) -> "CoefficientVector":
         """Interpolate one scalar function per component at the basis nodes."""
         if len(component_functions) != self.n_x:
@@ -64,13 +72,9 @@ class FESpace:
                 f"need {self.n_x} component functions, got {len(component_functions)}"
             )
         out = np.zeros(self.N)
-        nodes = self.basis.nodes
-        for mesh, index, func in zip(self.component_meshes, self.index_map, component_functions):
-            index = index.ravel()
-            ts = (mesh.breakpoints[:-1, None] + mesh.lengths[:, None] * nodes).ravel()
-            # a shared endpoint takes its value at the left node of the right interval
-            last = np.append(index[1:] != index[:-1], True)
-            out[index[last]] = np.fromiter((func(float(t)) for t in ts[last]), float)
+        for comp, func in enumerate(component_functions):
+            index, ts = self.nodes(comp)
+            out[index] = np.fromiter((func(float(t)) for t in ts), float)
         return CoefficientVector(out, self)
 
 

@@ -337,6 +337,8 @@ def run_study(
     benchmark = get_benchmark(problem)
     if len(set(h_list)) < 3:
         raise ValueError("insufficient points for order fit: need at least 3 distinct mesh sizes")
+    if out_dir is not None:  # an unusable directory fails before the first solve
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     rows: list[ConvergenceRow] = []
     reports: list[SolveReport] = []
     for h in h_list:
@@ -576,6 +578,7 @@ def _out_dir(merged: dict) -> Optional[Path]:
 def _cmd_solve(merged: dict) -> int:
     benchmark, nlp = _nlp_from(merged)
     params = nlp.params
+    out = _out_dir(merged)  # an unusable --out fails before the solve
     report = solve(nlp, None, _solver_options(merged))
     print(f"problem: {benchmark.name}")
     print(f"h: {params.h!r}  d: {params.d}")
@@ -590,7 +593,6 @@ def _cmd_solve(merged: dict) -> int:
     print(f"residual: {report.residual!r}")
     if not math.isinf(report.min_z):
         print(f"min_z: {report.min_z!r}")
-    out = _out_dir(merged)
     if out is not None:
         payload = _report_summary(report) | {
             "problem": benchmark.name,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -173,18 +172,13 @@ class OcpProblem:
         return 2 * self.n_y + self.n_z
 
 
-@lru_cache
-def _mirror_pairs(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of a (width, width) square's strict upper triangle and its mirror."""
-    rows, cols = np.triu_indices(width, 1)
-    return rows * width + cols, cols * width + rows
-
-
 def _checked(what: str, arrays, shapes: list[tuple[int, ...]], batch: bool):
     """Callback outputs as float arrays of the expected shapes, the last symmetric.
 
     With ``batch`` the leading axis indexes points and each point's Hessians
     are tested against their own scale: asym_j > 1e-12 max(1, max |H_j|).
+    A stack with leading stride 0, as ``np.broadcast_to`` returns, holds the
+    same Hessians at every point and is tested once.
     """
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     if [a.shape for a in arrays] != shapes:
@@ -193,14 +187,16 @@ def _checked(what: str, arrays, shapes: list[tuple[int, ...]], batch: bool):
             f"{what} outputs have shapes {got}, expected {'/'.join(map(str, shapes))}"
         )
     hess = arrays[-1]
-    per_point = hess.reshape(len(hess) if batch else 1, -1)
-    upper, mirror = _mirror_pairs(hess.shape[-1])  # each off-diagonal pair once
-    squares = hess.reshape(len(per_point), -1, hess.shape[-1] ** 2)
-    asym = np.abs(squares[..., upper] - squares[..., mirror]).max(axis=(1, 2), initial=0.0)
-    # the cheap half of the test first: |H_j| is needed only where asym_j > 1e-12
-    suspect = np.flatnonzero(asym > 1e-12)
+    width = hess.shape[-1]
+    squares = hess.reshape(len(hess) if batch else 1, -1, width, width)
+    if squares.strides[0] == 0:
+        squares = squares[:1]
+    asym = np.abs(squares - squares.swapaxes(2, 3)).max(axis=(1, 2, 3), initial=0.0)
+    # the cheap half of the test first: |H_j| is needed only where asym_j > 1e-12;
+    # a NaN at one point leaves the others' verdicts as they are
+    suspect = (asym > 1e-12).nonzero()[0]
     if suspect.size:
-        scale = np.abs(per_point[suspect]).max(axis=1)
+        scale = np.abs(squares[suspect]).max(axis=(1, 2, 3))
         bad = suspect[asym[suspect] > 1e-12 * scale]
         if bad.size:
             j = bad[0]

@@ -115,14 +115,19 @@ class SolveReport:
 
 
 def default_start(nlp: AssembledNlp) -> CoefficientVector:
-    """Interior starting point: hinted differential values, auxiliaries at max(1, tau)."""
+    """Interior starting point: hinted differential values, auxiliaries at max(1, tau).
+
+    The basis is nodal, so a component's coefficients are its values at the nodes.
+    """
     space, hint = nlp.space, nlp.problem.initial_guess
-    z_level = max(1.0, nlp.params.tau)
-    functions = [
-        (lambda t, c=comp: float(hint(t)[c])) if hint is not None else (lambda t: 0.0)
-        for comp in range(space.n_y)
-    ] + [lambda t: z_level] * space.n_z
-    return ensure_interior(nlp, space.interpolate(functions))
+    values = np.zeros(space.N)
+    if hint is not None:
+        for comp in range(space.n_y):
+            index, ts = space.nodes(comp)
+            values[index] = np.fromiter((float(hint(float(t))[comp]) for t in ts), float)
+    for index in space.index_map[space.n_y :]:
+        values[index.ravel()] = max(1.0, nlp.params.tau)
+    return ensure_interior(nlp, space.coefficient_vector(values))
 
 
 def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVector:
@@ -169,7 +174,8 @@ def _newton_direction(
     the band is left unchanged, as a shifted retry factors a copy of it."""
     if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    delta, (factor, info) = 0.0, _PBTRF(band, lower=1)
+    # a Fortran-ordered copy: cheaper than the conversion inside pbtrf's wrapper
+    delta, (factor, info) = 0.0, _PBTRF(band.copy(order="F"), lower=1, overwrite_ab=1)
     while info != 0:
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of internal pbtrf")
@@ -218,14 +224,15 @@ def _newton_stage(
     grad_norm = math.inf
     for _ in range(opts.max_iters):
         grad = nlp.gradient(x)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.sqrt(grad @ grad)
         if grad_norm <= tol:
             status = STATUS_CONVERGED
             break
         step = _newton_step(nlp, x, grad)
-        if step is None or float(grad @ step) >= 0.0:
+        slope = math.inf if step is None else float(grad @ step)
+        if slope >= 0.0:  # no descent direction: a gradient step
             step = -grad
-        slope = float(grad @ step)
+            slope = float(grad @ step)
         alpha = min(1.0, _boundary_cap(nlp, x, step))
         accepted = False
         for _ in range(_LS_MAX_BACKTRACKS):
@@ -252,7 +259,8 @@ def _newton_stage(
         history.append(total)
         iterations += 1
     else:
-        grad_norm = float(np.linalg.norm(nlp.gradient(x)))
+        grad = nlp.gradient(x)
+        grad_norm = math.sqrt(grad @ grad)
         if grad_norm <= tol:
             status = STATUS_CONVERGED
     result = StageResult(
@@ -298,7 +306,8 @@ def solve(
     grad_norm = stages[-1].grad_norm
     try:
         terms = nlp.objective_terms(x)
-        grad_norm = float(np.linalg.norm(nlp.gradient(x)))
+        grad = nlp.gradient(x)
+        grad_norm = math.sqrt(grad @ grad)
     except BarrierDomainError:
         terms = None
     min_z = float(nlp.z_values(x).min()) if nlp.space.n_z > 0 else math.inf

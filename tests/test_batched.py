@@ -103,6 +103,32 @@ class TestBatchValidation:
         values, t = two_points()
         assert np.isnan(eval_running_cost(flat_problem(f_eval), values, t)[2]).sum() == 2
 
+    def test_broadcast_hessian_tested_once(self):
+        # a stack with leading stride 0 is one square for all points: point 0 is named
+        square = np.array([[1.0, 0.25], [0.0, 1.0]])
+
+        @batched
+        def f_eval(dy, y, z, t):
+            k = len(t)
+            return np.zeros(k), np.zeros((k, 2)), np.broadcast_to(square, (k, 2, 2))
+
+        values, t = np.zeros((3, 2)), np.array([0.25, 0.5, 0.75])
+        message = r"objective Hessian is asymmetric at batch point 0 \(max deviation 0.25\)"
+        with pytest.raises(ValueError, match=message):
+            eval_running_cost(flat_problem(f_eval), values, t)
+
+    def test_nan_point_does_not_hide_an_asymmetric_one(self):
+        hess = np.array([[[1.0, np.nan], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]])
+
+        @batched
+        def f_eval(dy, y, z, t):
+            return np.zeros(len(t)), np.zeros((len(t), 2)), hess
+
+        values, t = two_points()
+        message = r"objective Hessian is asymmetric at batch point 1 \(max deviation 0.5\)"
+        with pytest.raises(ValueError, match=message):
+            eval_running_cost(flat_problem(f_eval), values, t)
+
     def test_per_point_gradient_rejected(self):
         @batched
         def f_eval(dy, y, z, t):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ocfem import harness
 from ocfem.assembly import AssembledNlp
 from ocfem.harness import build_setup, cli_main, get_benchmark
 from ocfem.solver import default_start
@@ -139,6 +140,24 @@ class TestPathErrors:
         args = [a.format(file=existing, dir=tmp_path) for a in args]
         assert cli_main(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--problem", "lq", "--h", "0.25", "--d", "2", "--out", "{file}/x"],
+            ["study", "--problem", "lq", "--d", "2", "--h-list", "0.5,0.25,0.125", "--out", "{file}/x"],
+        ],
+        ids=["solve", "study"],
+    )
+    def test_unusable_out_fails_before_solving(self, args, capsys, tmp_path, monkeypatch):
+        existing = tmp_path / "file.txt"
+        existing.write_text("", encoding="utf-8")
+        monkeypatch.setattr(harness, "solve", lambda *a, **k: pytest.fail("solved before --out"))
+        assert cli_main([a.format(file=existing) for a in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestJsonKeys:

@@ -99,7 +99,46 @@ class TestSolveLq:
         assert report.status == STATUS_MAX_ITERS
 
 
+def interpolated_start(nlp):
+    """The default start written as an interpolation of one function per component."""
+    space, hint = nlp.space, nlp.problem.initial_guess
+    z_level = max(1.0, nlp.params.tau)
+    functions = [
+        (lambda t, c=comp: float(hint(t)[c])) if hint is not None else (lambda t: 0.0)
+        for comp in range(space.n_y)
+    ] + [lambda t: z_level] * space.n_z
+    return ensure_interior(nlp, space.interpolate(functions))
+
+
+START_CASES = [
+    (name, h, d, None)
+    for name in ("lq", "lq-multimesh", "trivial", "barrier-pull")
+    for h, d in ((0.5, 1), (0.25, 4), (0.125, 3))
+] + [("lq", None, 3, [[0.0, 0.05, 0.2, 0.45, 1.0], [0.0, 0.1, 0.3, 1.0], [0.0, 0.5, 0.7, 0.9, 1.0]])]
+
+
 class TestStartingPoint:
+    @pytest.mark.parametrize(
+        "name, h, d, breakpoints",
+        START_CASES,
+        ids=[f"{c[0]}-h{c[1]}-d{c[2]}" if c[3] is None else f"{c[0]}-stretched" for c in START_CASES],
+    )
+    def test_default_start_equals_interpolation(self, name, h, d, breakpoints):
+        # ``ocfem sparsity`` writes the Hessian at this point, so its .coo files depend on it
+        bench = get_benchmark(name)
+        space, params = build_setup(bench, h, d, breakpoints)
+        nlp = AssembledNlp(bench.problem, space, params)
+        assert default_start(nlp).values.tobytes() == interpolated_start(nlp).values.tobytes()
+
+    def test_varying_hint_per_component_mesh_and_large_tau(self):
+        bench = get_benchmark("lq-multimesh")
+        space, params = build_setup(bench, 0.25, 3)
+        problem = replace(bench.problem, initial_guess=lambda t: np.array([np.cos(3.0 * t)]))
+        nlp = AssembledNlp(problem, space, replace(params, tau=2.5))
+        x0 = default_start(nlp)
+        assert x0.values.tobytes() == interpolated_start(nlp).values.tobytes()
+        assert (nlp.z_values(x0) == pytest.approx(2.5)) and x0.values.min() < 0.0
+
     def test_default_start_is_interior(self):
         nlp = lq_nlp(h=0.25)
         x0 = default_start(nlp)
