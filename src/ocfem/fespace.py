@@ -148,6 +148,18 @@ def _check_rule(space: FESpace, rule: GlobalRule) -> MergedMesh:
     return mesh
 
 
+def _basis_rows(space: FESpace, comp: int, t: np.ndarray, src: np.ndarray):
+    """Columns, basis values and, for a differential component, 1 / |T|-scaled
+    derivatives (else None) of component ``comp`` at times ``t`` in intervals ``src``."""
+    mesh = space.component_meshes[comp]
+    lengths = mesh.lengths[src]
+    local = np.clip((t - mesh.breakpoints[src]) / lengths, 0.0, 1.0)
+    derivs = None
+    if comp < space.n_y:
+        derivs = eval_basis_derivative_matrix(space.basis, local) / lengths[:, None]
+    return space.index_map[comp][src], eval_basis_matrix(space.basis, local), derivs
+
+
 def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
     """Map coefficients to stacked per-point values.
 
@@ -168,15 +180,10 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
     indices = np.empty((M, B, d1), dtype=int)
     data = np.empty((M, B, d1))
     for comp in range(space.n_x):
-        mesh = space.component_meshes[comp]
-        src = src_of_point[:, comp]
-        local = np.clip((rule.points - mesh.breakpoints[src]) / mesh.lengths[src], 0.0, 1.0)
-        indices[:, n_y + comp] = space.index_map[comp][src]
-        data[:, n_y + comp] = eval_basis_matrix(space.basis, local)
-        if comp < n_y:
-            indices[:, comp] = indices[:, n_y + comp]
-            derivs = eval_basis_derivative_matrix(space.basis, local)
-            data[:, comp] = derivs / mesh.lengths[src][:, None]
+        cols, values, derivs = _basis_rows(space, comp, rule.points, src_of_point[:, comp])
+        indices[:, n_y + comp], data[:, n_y + comp] = cols, values
+        if derivs is not None:
+            indices[:, comp], data[:, comp] = cols, derivs
     indptr = np.arange(0, data.size + 1, d1)
     return sparse.csr_matrix(
         (data.ravel(), indices.ravel(), indptr), shape=(B * M, space.N)
@@ -189,25 +196,22 @@ def build_point_eval_operator(space: FESpace, time_points: Sequence[float]) -> s
     Row i * n_y + c holds the evaluation of component c at time_points[i].
     Evaluation at an interior mesh point uses the interval on its left; the
     continuity of the differential components makes the choice immaterial.
+    The CSR arrays are written in (n_T, n_y, d + 1) order, then zero basis
+    values are dropped: the Hessian's band and the export's patterns read the
+    stored entries as the coefficients a point constraint couples.
     """
-    t0, t_end = space.domain
-    pts = [float(t) for t in time_points]
-    for t in pts:
-        if t < t0 or t > t_end:
-            raise ValueError(f"point {t} outside domain {space.domain}")
-    rows, cols, vals = [], [], []
-    for comp in range(space.n_y):
-        mesh = space.component_meshes[comp]
-        for i, t in enumerate(pts):
-            k = mesh.interval_index(t)
-            local = min(max((t - mesh.breakpoints[k]) / mesh.lengths[k], 0.0), 1.0)
-            values = eval_basis_matrix(space.basis, [local])[0]
-            rows.extend([i * space.n_y + comp] * (space.degree + 1))
-            cols.extend(space.index_map[comp][k])
-            vals.extend(values)
-    op = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(space.n_y * len(pts), space.N)
-    ).tocsr()
+    ts = np.asarray(time_points, dtype=float)
+    n_y, d1 = space.n_y, space.degree + 1
+    space.component_meshes[0].interval_index(ts)  # rejects outside times also when n_y = 0
+    indices = np.empty((ts.size, n_y, d1), dtype=int)
+    data = np.empty((ts.size, n_y, d1))
+    for comp in range(n_y):
+        src = space.component_meshes[comp].interval_index(ts)
+        indices[:, comp], data[:, comp], _ = _basis_rows(space, comp, ts, src)
+    indptr = np.arange(0, data.size + 1, d1)
+    op = sparse.csr_matrix(
+        (data.ravel(), indices.ravel(), indptr), shape=(n_y * ts.size, space.N)
+    )
     op.eliminate_zeros()
     return op
 

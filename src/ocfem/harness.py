@@ -331,18 +331,19 @@ def run_study(
     """Solve one benchmark over a list of mesh widths and fit observed orders.
 
     Rows are produced in the given h order; a solver failure marks its row
-    and the study continues.  Results are persisted as CSV and JSON when an
-    output directory is given.
+    and the study continues.  Every row is set up before the first solve, and
+    fewer than three distinct meshes are rejected.  Results are persisted as
+    CSV and JSON when an output directory is given.
     """
     benchmark = get_benchmark(problem)
-    if len(set(h_list)) < 3:
-        raise ValueError("insufficient points for order fit: need at least 3 distinct mesh sizes")
+    nlps = [_assemble(benchmark, h, d) for h in h_list]
+    if len({nlp.N for nlp in nlps}) < 3:
+        raise ValueError("insufficient points for order fit: need at least 3 distinct meshes")
     if out_dir is not None:  # an unusable directory fails before the first solve
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     rows: list[ConvergenceRow] = []
     reports: list[SolveReport] = []
-    for h in h_list:
-        nlp = _assemble(benchmark, h, d)
+    for h, nlp in zip(h_list, nlps):
         started = time.perf_counter()
         report = solve(nlp, None, solver_options)
         wall = time.perf_counter() - started

@@ -1,9 +1,9 @@
 """Interval meshes on a one-dimensional domain and their common refinement.
 
 A mesh is one read-only array of finite, strictly increasing breakpoints:
-interval k is [breakpoints[k], breakpoints[k + 1]].  Building, merging and
-locating points are numpy operations on those arrays, with no per-interval
-Python objects.
+interval k is [breakpoints[k], breakpoints[k + 1]].  Building meshes and
+locating points are numpy operations on those arrays; merging walks their
+sorted endpoints once.
 """
 
 from __future__ import annotations
@@ -66,16 +66,19 @@ class Mesh:
         """Largest interval length."""
         return float(self.lengths.max())
 
-    def interval_index(self, t: float) -> int:
-        """Index of the interval containing ``t``.
+    def interval_index(self, t):
+        """Index of the interval holding each time in ``t``; a float gives an int.
 
-        Interior mesh points resolve to the interval on their left; the
-        domain start resolves to the first interval.
+        The one statement of the rule: an interior mesh point belongs to the
+        interval on its left, the domain start to the first interval.
         """
         t0, t_end = self.domain
-        if t < t0 or t > t_end:
-            raise ValueError(f"point {t} outside domain {self.domain}")
-        return min(int(np.searchsorted(self.breakpoints[1:], t)), self.n_intervals - 1)
+        ts = np.asarray(t, dtype=float)
+        outside = (ts < t0) | (ts > t_end)
+        if outside.any():
+            raise ValueError(f"point {ts[outside][0]} outside domain {self.domain}")
+        k = np.minimum(np.searchsorted(self.breakpoints[1:], ts), self.n_intervals - 1)
+        return int(k) if k.ndim == 0 else k
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,40 +123,23 @@ def merged_breakpoints(meshes: Sequence[Mesh]) -> np.ndarray:
     """
     t0, t_end = meshes[0].domain
     tol = ENDPOINT_COLLAPSE_RTOL * (t_end - t0)
-    points = np.unique(np.concatenate([m.breakpoints for m in meshes]))
-    n = points.size
-    # the first later point more than tol past each point, or n: a bisection
-    # on the walk's own test, which is monotone in the later point
-    lo, hi = np.arange(n), np.full(n, n)
-    while (hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        far = points[mid] - points > tol
-        lo, hi = np.where(far, lo, mid), np.where(far, mid, hi)
-    # the walk keeps the chain 0, hi[0], hi[hi[0]], ...: after r doublings of
-    # the jump, ``kept`` holds its first 2^r links
-    jump, kept = np.append(hi, n), np.zeros(n + 1, dtype=bool)
-    kept[0] = True
-    for _ in range(n.bit_length()):
-        kept[jump[kept]] = True
-        jump = jump[jump]
-    points = points[kept[:n]]
-    points[-1] = t_end
-    return points
+    points = np.unique(np.concatenate([m.breakpoints for m in meshes])).tolist()
+    kept = points[:1]
+    for p in points[1:]:
+        if p - kept[-1] > tol:
+            kept.append(p)
+    kept[-1] = t_end
+    return np.array(kept)
 
 
 def source_intervals(meshes: Sequence[Mesh], points: np.ndarray) -> np.ndarray:
     """(n, len(meshes)) index of the interval of each mesh holding each midpoint.
 
     The midpoints are those of the n intervals between consecutive
-    ``points``; the lookup is ``Mesh.interval_index``'s.
+    ``points``, looked up by ``Mesh.interval_index``.
     """
     mids = 0.5 * (points[:-1] + points[1:])
-    return np.column_stack(
-        [
-            np.minimum(np.searchsorted(m.breakpoints[1:], mids), m.n_intervals - 1)
-            for m in meshes
-        ]
-    )
+    return np.column_stack([m.interval_index(mids) for m in meshes])
 
 
 def merge_meshes(meshes: Sequence[Mesh]) -> MergedMesh:

@@ -95,6 +95,21 @@ class TestStudy:
         assert code == 2
         assert "insufficient points" in capsys.readouterr().err
 
+    def test_coincident_meshes_are_usage_error(self, capsys):
+        code = cli_main(["study", "--problem", "lq", "--d", "2", "--h-list", "0.3,0.31,0.32"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "insufficient points for order fit" in captured.err
+        assert captured.out == ""
+
+    def test_bad_h_is_usage_error_before_any_solve(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "solve", lambda *args: calls.append(args))
+        code = cli_main(["study", "--problem", "lq", "--d", "2", "--h-list", "0.0625,0.03125,-0.1"])
+        assert code == 2
+        assert "invalid mesh size -0.1" in capsys.readouterr().err
+        assert calls == []
+
     def test_bad_h_list(self, capsys):
         code = cli_main(["study", "--problem", "lq", "--d", "4", "--h-list", "a,b"])
         assert code == 2
@@ -335,6 +350,17 @@ class TestExportAndSparsity:
         header = (out / "regularizer.coo").read_text(encoding="utf-8").split("\n")[0]
         _, name, n_rows, n_cols, nnz = header.split()
         assert name == "regularizer" and n_rows == n_cols
+
+    @pytest.mark.parametrize("name", ["eval_operator", "point_operator"])
+    def test_sparsity_matches_golden(self, name, capsys, tmp_path):
+        # recorded from ``ocfem sparsity --problem lq-multimesh --h 0.5 --d 2
+        # --out D``; the set-up's operators must stay byte-identical (the
+        # Hessian's values go through a BLAS product, so it has no golden)
+        golden = Path(__file__).parent / "data" / f"sparsity_lq-multimesh_h0.5_d2_{name}.coo"
+        out = tmp_path / "spy"
+        args = ["sparsity", "--problem", "lq-multimesh", "--h", "0.5", "--d", "2"]
+        assert cli_main([*args, "--out", str(out)]) == 0
+        assert (out / f"{name}.coo").read_bytes() == golden.read_bytes()
 
     def test_sparsity_lines_are_numeric_triplets(self, capsys, tmp_path):
         out = tmp_path / "spy"

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ocfem import harness
 from ocfem.assembly import AssembledNlp
 from ocfem.harness import (
     ORDER_FIT_FLOOR,
@@ -128,6 +129,18 @@ class TestRunStudy:
         for h_list in ([0.25], [0.25, 0.25, 0.25]):
             with pytest.raises(ValueError, match="insufficient points"):
                 run_study("lq", 4, h_list)
+
+    def test_coincident_meshes_rejected(self):
+        # 0.3, 0.31 and 0.32 all give 3 intervals: one mesh, three penalty strengths
+        with pytest.raises(ValueError, match="insufficient points for order fit"):
+            run_study("lq", 2, [0.3, 0.31, 0.32])
+
+    def test_bad_h_fails_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "solve", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="invalid mesh size"):
+            run_study("lq", 2, [0.0625, 0.03125, -0.1])
+        assert calls == []
 
     def test_trivial_metrics_at_floor(self):
         result = run_study("trivial", 4, [0.5, 0.25, 0.125])

@@ -1,15 +1,17 @@
 """Set-up steps against their loop forms, compared bitwise.
 
-Each reference below is the per-interval (or per-point) loop that the
-vectorized set-up replaced; the two must agree to the last bit on uniform,
-explicit-breakpoint and per-component (``lq-multimesh``) meshes.
+Each reference below is a per-interval (or per-point) loop form of a set-up
+step, most of them the loops the array code replaced; the two must agree to
+the last bit on uniform, explicit-breakpoint and per-component
+(``lq-multimesh``) meshes.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, strategies as st
 
-from ocfem.fespace import build_space
+from ocfem.fespace import build_point_eval_operator, build_space
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import (
     ENDPOINT_COLLAPSE_RTOL,
@@ -18,7 +20,12 @@ from ocfem.mesh import (
     merged_breakpoints,
     uniform_mesh,
 )
-from ocfem.polybasis import _lagrange_derivatives, _lagrange_values, _lobatto_data
+from ocfem.polybasis import (
+    _lagrange_derivatives,
+    _lagrange_values,
+    _lobatto_data,
+    eval_basis_matrix,
+)
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
 
 DEGREES = [1, 2, 3, 4, 8]
@@ -92,6 +99,42 @@ def loop_interpolate(space, functions):
     return out
 
 
+def loop_interval_index(mesh, t):
+    """The first interval whose right end is at or past ``t``."""
+    bp = mesh.breakpoints.tolist()
+    return next(k for k in range(mesh.n_intervals) if t <= bp[k + 1] or k == mesh.n_intervals - 1)
+
+
+def loop_point_eval_operator(space, time_points):
+    t0, t_end = space.domain
+    pts = [float(t) for t in time_points]
+    for t in pts:
+        if t < t0 or t > t_end:
+            raise ValueError(f"point {t} outside domain {space.domain}")
+    rows, cols, vals = [], [], []
+    for comp in range(space.n_y):
+        mesh = space.component_meshes[comp]
+        for i, t in enumerate(pts):
+            k = loop_interval_index(mesh, t)
+            local = min(max((t - mesh.breakpoints[k]) / mesh.lengths[k], 0.0), 1.0)
+            values = eval_basis_matrix(space.basis, [local])[0]
+            rows.extend([i * space.n_y + comp] * (space.degree + 1))
+            cols.extend(space.index_map[comp][k])
+            vals.extend(values)
+    op = sparse.coo_matrix(
+        (vals, (rows, cols)), shape=(space.n_y * len(pts), space.N)
+    ).tocsr()
+    op.eliminate_zeros()
+    return op
+
+
+def point_times(meshes):
+    """The domain ends, every interior breakpoint of every mesh, one time off every node."""
+    t0, t_end = meshes[0].domain
+    points = np.unique(np.concatenate([m.breakpoints for m in meshes]))
+    return np.append(points, t0 + 0.3137 * (t_end - t0))
+
+
 def mesh_sets():
     """(label, meshes, n_y): uniform, explicit breakpoints, lq-multimesh."""
     multimesh = build_setup(get_benchmark("lq-multimesh"), 1.0 / 16, 4)[0]
@@ -141,6 +184,15 @@ class TestAgainstLoops:
         functions = [lambda t, c=c: np.sin(3.0 * t + c) + 1e-3 * c for c in range(len(meshes))]
         assert bitwise(space.interpolate(functions).values, loop_interpolate(space, functions))
 
+    def test_point_operator(self, label, meshes, n_y, degree):
+        space = build_space(meshes, degree, n_y, len(meshes) - n_y)
+        times = point_times(meshes)
+        op = build_point_eval_operator(space, times)
+        expected = loop_point_eval_operator(space, times)
+        assert op.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            assert bitwise(getattr(op, name), getattr(expected, name))
+
     def test_at_node_rows(self, label, meshes, n_y, degree):
         merged = merge_meshes(meshes)
         rule = compose_rule(merged, gauss_legendre_unit(degree + 1))
@@ -162,6 +214,30 @@ def test_shared_endpoint_written_by_right_interval():
     values = space.interpolate([lambda t: t]).values
     assert values[space.index_map[0][2, 0]] == 0.45
     assert bitwise(values, loop_interpolate(space, [lambda t: t]))
+
+
+@pytest.mark.parametrize("label,meshes,n_y", SETS, ids=[s[0] for s in SETS])
+def test_interval_index_on_arrays(label, meshes, n_y):
+    for mesh in meshes:
+        mids = 0.5 * (mesh.breakpoints[:-1] + mesh.breakpoints[1:])
+        times = np.concatenate([point_times(meshes), mids])
+        scalar = [mesh.interval_index(float(t)) for t in times]
+        assert all(type(k) is int for k in scalar)
+        assert scalar == [loop_interval_index(mesh, float(t)) for t in times]
+        assert mesh.interval_index(times).tolist() == scalar
+
+
+class TestOutsideTimes:
+    def test_array_with_one_outside_time(self):
+        mesh = uniform_mesh((0.0, 1.0), 4)
+        with pytest.raises(ValueError, match=r"point 1\.5 outside domain"):
+            mesh.interval_index(np.array([0.0, 0.5, 1.5, 1.0]))
+
+    @pytest.mark.parametrize("n_y", [0, 1])
+    def test_point_operator_rejects_outside_time(self, n_y):
+        space = build_space([uniform_mesh((0.0, 1.0), 4)] * 2, 2, n_y, 2 - n_y)
+        with pytest.raises(ValueError, match=r"point -0\.25 outside domain"):
+            build_point_eval_operator(space, [0.5, -0.25])
 
 
 class TestMergedBreakpointChains:
