@@ -42,6 +42,10 @@ from .quadrature import compose_rule, gauss_legendre_unit
 from .mesh import merge_meshes
 
 
+#: Relative slack of the mesh-ratio check: uniform widths differ in the last bits.
+_MESH_RATIO_RTOL = 1e-12
+
+
 class ObjectiveTerms(NamedTuple):
     """Value of each objective term; ``total`` subtracts the barrier."""
 
@@ -159,6 +163,12 @@ class AssembledNlp:
             )
         if params.d != space.degree:
             raise ValueError(f"params.d = {params.d} differs from space degree {space.degree}")
+        for comp, mesh in enumerate(space.component_meshes):
+            if mesh.width_ratio < params.sigma * (1 - _MESH_RATIO_RTOL):
+                raise ValueError(
+                    f"component {comp} mesh has width ratio {mesh.width_ratio:.6g}, "
+                    f"below sigma = {params.sigma}"
+                )
         self.problem = problem
         self.space = space
         self.params = params

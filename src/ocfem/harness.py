@@ -226,7 +226,8 @@ def build_setup(
     Uniform meshes with width h are the default; explicit per-component
     breakpoint lists (from the config file) take precedence.  The method
     parameters use the requested h, so a mixed-mesh plan coarsens the
-    approximation space without touching the penalty strength.
+    approximation space without touching the penalty strength.  sigma is
+    the least ``Mesh.width_ratio`` of the meshes.
     """
     problem = benchmark.problem
     t0, t_end = problem.domain
@@ -246,7 +247,8 @@ def build_setup(
         meshes = [uniform_mesh((t0, t_end), c) for c in counts]
         params_h = h
     space = build_space(meshes, d, problem.n_y, problem.n_z)
-    return space, default_params(params_h, d=d)
+    sigma = min(m.width_ratio for m in meshes)
+    return space, default_params(params_h, sigma, d)
 
 
 def _assemble(

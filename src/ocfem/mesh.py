@@ -66,6 +66,11 @@ class Mesh:
         """Largest interval length."""
         return float(self.lengths.max())
 
+    @property
+    def width_ratio(self) -> float:
+        """Smallest over largest interval length, the mesh ratio sigma bounds below."""
+        return float(self.lengths.min()) / self.mesh_size
+
     def interval_index(self, t):
         """Index of the interval holding each time in ``t``; a float gives an int.
 
@@ -74,7 +79,7 @@ class Mesh:
         """
         t0, t_end = self.domain
         ts = np.asarray(t, dtype=float)
-        outside = (ts < t0) | (ts > t_end)
+        outside = ~((ts >= t0) & (ts <= t_end))  # NaN is outside too
         if outside.any():
             raise ValueError(f"point {ts[outside][0]} outside domain {self.domain}")
         k = np.minimum(np.searchsorted(self.breakpoints[1:], ts), self.n_intervals - 1)

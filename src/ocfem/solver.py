@@ -35,6 +35,7 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_LINE_SEARCH = "line_search_failure"
 STATUS_BARRIER = "barrier_domain_violation"
+STATUS_ROUNDING_FLOOR = "rounding_floor"
 
 #: Largest inertia-correction shift tried before falling back to a gradient
 #: step, as a multiple of the regularization floor.
@@ -53,6 +54,12 @@ _LS_MAX_BACKTRACKS = 60
 
 #: Share of the distance to z = 0 that one step may cover at any quadrature point.
 _BOUNDARY_FRACTION = 0.995
+
+#: A stage is at the rounding floor when each of its last ``_FLOOR_STEPS``
+#: accepted steps changed F by at most ``_FLOOR_REL_CHANGE`` |F| and none
+#: took |g| below its least earlier value: rounding, not progress, moves x.
+_FLOOR_STEPS = 8
+_FLOOR_REL_CHANGE = 4 * np.finfo(float).eps
 
 #: Stages of the default geometric (omega, tau) continuation.
 _CONTINUATION_STAGES = 4
@@ -146,25 +153,19 @@ def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVecto
     return x.replace_values(values)
 
 
-def _default_schedule(omega: float, tau: float) -> list[tuple[float, float]]:
-    start_omega = max(omega, 1e-1)
-    start_tau = max(tau, 1e-1)
-    schedule = []
-    for i in range(_CONTINUATION_STAGES):
-        frac = i / (_CONTINUATION_STAGES - 1)
-        schedule.append(
-            (
-                start_omega ** (1 - frac) * omega**frac,
-                start_tau ** (1 - frac) * tau**frac,
-            )
-        )
-    deduped = [schedule[0]]
-    for pair in schedule[1:]:
-        if pair != deduped[-1]:
-            deduped.append(pair)
-    if deduped[-1] != (omega, tau):
-        deduped.append((omega, tau))
-    return deduped
+def _schedule(
+    omega: float, tau: float, continuation: Optional[Sequence[tuple[float, float]]]
+) -> list[tuple[float, float]]:
+    """The (omega, tau) stages: by default geometric from max(omega, 0.1), max(tau, 0.1),
+    then the target; a repeat of the stage before would take no step and is dropped."""
+    if continuation is None:
+        start_omega, start_tau = max(omega, 1e-1), max(tau, 1e-1)
+        fracs = [i / (_CONTINUATION_STAGES - 1) for i in range(_CONTINUATION_STAGES)]
+        pairs = [(start_omega ** (1 - f) * omega**f, start_tau ** (1 - f) * tau**f) for f in fracs]
+    else:
+        pairs = [(float(w), float(t)) for w, t in continuation]
+    pairs.append((omega, tau))
+    return [pair for i, pair in enumerate(pairs) if i == 0 or pair != pairs[i - 1]]
 
 
 def _newton_direction(
@@ -210,6 +211,23 @@ def _boundary_cap(nlp: AssembledNlp, x: CoefficientVector, step: np.ndarray) -> 
     return min(1.0, float(caps.min()))
 
 
+def _stage_status(
+    history: list[float], norms: list[float], tol: float, max_iters: int
+) -> Optional[str]:
+    """How the stage ends at its latest iterate, or None to take another step;
+    ``history`` and ``norms`` hold F and |g| at every iterate of the stage."""
+    if norms[-1] <= tol:
+        return STATUS_CONVERGED
+    k = _FLOOR_STEPS
+    if len(history) > k and min(norms[-k:]) >= min(norms[:-k]):
+        changes = zip(history[-k - 1 : -1], history[-k:])
+        if all(abs(new - old) <= _FLOOR_REL_CHANGE * abs(new) for old, new in changes):
+            return STATUS_ROUNDING_FLOOR
+    if len(history) - 1 >= max_iters:
+        return STATUS_MAX_ITERS
+    return None
+
+
 def _newton_stage(
     nlp: AssembledNlp, x: CoefficientVector, opts: SolverOptions, tol: float
 ) -> tuple[CoefficientVector, StageResult]:
@@ -218,62 +236,39 @@ def _newton_stage(
         total = nlp.objective_terms(x).total
     except BarrierDomainError:
         return x, StageResult(omega, tau, 0, math.inf, math.inf, math.inf, STATUS_BARRIER)
-    history = [total]
-    status = STATUS_MAX_ITERS
-    iterations = 0
-    grad_norm = math.inf
-    for _ in range(opts.max_iters):
+    history, norms = [total], []
+    while True:
         grad = nlp.gradient(x)
-        grad_norm = math.sqrt(grad @ grad)
-        if grad_norm <= tol:
-            status = STATUS_CONVERGED
+        norms.append(math.sqrt(grad @ grad))
+        status = _stage_status(history, norms, tol, opts.max_iters)
+        if status is not None:
             break
         step = _newton_step(nlp, x, grad)
         slope = math.inf if step is None else float(grad @ step)
         if slope >= 0.0:  # no descent direction: a gradient step
             step = -grad
             slope = float(grad @ step)
-        alpha = min(1.0, _boundary_cap(nlp, x, step))
-        accepted = False
+        alpha = _boundary_cap(nlp, x, step)
         for _ in range(_LS_MAX_BACKTRACKS):
             trial_values = x.values + alpha * step
-            if not np.isfinite(trial_values).all():
-                alpha *= _LS_BACKTRACK
-                continue
-            trial = x.replace_values(trial_values)
-            try:
-                trial_total = nlp.objective_terms(trial).total
-            except BarrierDomainError:
-                trial_total = math.inf
-            if math.isfinite(trial_total) and trial_total <= total + (
-                _LS_SUFFICIENT_DECREASE * alpha * slope
-            ):
-                accepted = True
-                break
+            if np.isfinite(trial_values).all():
+                trial = x.replace_values(trial_values)
+                try:
+                    trial_total = nlp.objective_terms(trial).total
+                except BarrierDomainError:
+                    trial_total = math.inf
+                if math.isfinite(trial_total) and trial_total <= total + (
+                    _LS_SUFFICIENT_DECREASE * alpha * slope
+                ):
+                    break
             alpha *= _LS_BACKTRACK
-        if not accepted:
+        else:
             status = STATUS_LINE_SEARCH
             break
-        x = trial
-        total = trial_total
+        x, total = trial, trial_total
         history.append(total)
-        iterations += 1
-    else:
-        grad = nlp.gradient(x)
-        grad_norm = math.sqrt(grad @ grad)
-        if grad_norm <= tol:
-            status = STATUS_CONVERGED
-    result = StageResult(
-        omega=omega,
-        tau=tau,
-        iterations=iterations,
-        grad_norm=grad_norm,
-        objective=total,
-        residual=nlp.residual_value(x),
-        status=status,
-        objective_history=history,
-    )
-    return x, result
+    residual = nlp.residual_value(x)
+    return x, StageResult(omega, tau, len(history) - 1, norms[-1], total, residual, status, history)
 
 
 def solve(
@@ -285,16 +280,9 @@ def solve(
     opts = opts or SolverOptions()
     tol = opts.resolved_grad_tol(nlp.N)
     params = nlp.params
-    if opts.continuation is not None:
-        schedule = [(float(w), float(t)) for w, t in opts.continuation]
-        if not schedule or schedule[-1] != (params.omega, params.tau):
-            schedule.append((params.omega, params.tau))
-    else:
-        schedule = _default_schedule(params.omega, params.tau)
-
     x = default_start(nlp) if x0 is None else ensure_interior(nlp, x0)
     stages: list[StageResult] = []
-    for omega, tau in schedule:
+    for omega, tau in _schedule(params.omega, params.tau, opts.continuation):
         nlp = nlp.with_params(omega, tau)  # a clone keeps the last point data
         x, stage = _newton_stage(nlp, x, opts, tol)
         stages.append(stage)

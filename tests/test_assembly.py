@@ -75,6 +75,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="params.d = 2 differs from space degree 4"):
             AssembledNlp(bench.problem, space, replace(params, d=2))
 
+    def test_mesh_ratio_checked_against_sigma(self):
+        bench = get_benchmark("lq")
+        graded = [0.0, 0.1, 0.5, 1.0]  # widths 0.1, 0.4, 0.5: ratio 0.2
+        space, params = build_setup(bench, None, 2, [graded, [0.0, 1.0], [0.0, 0.5, 1.0]])
+        assert params.sigma == 0.1 / 0.5
+        AssembledNlp(bench.problem, space, params)
+        message = "component 0 mesh has width ratio 0.2, below sigma = 0.25"
+        with pytest.raises(ValueError, match=message):
+            AssembledNlp(bench.problem, space, replace(params, sigma=0.25))
+
+    def test_uniform_widths_pass_sigma_one(self):
+        # ten uniform widths differ in their last bits; the check allows for it
+        space = build_space([uniform_mesh((0.0, 1.0), 10)], 2, 0, 1)
+        lengths = space.component_meshes[0].lengths
+        assert lengths.min() < lengths.max()
+        AssembledNlp(constant_cost_problem(), space, default_params(0.1, 1.0, 2))
+
 
 class TestObjectiveTerms:
     def test_flat_problem_all_zero(self):

@@ -69,6 +69,11 @@ class TestSolve:
         assert code == 1
         assert "status: max_iters" in capsys.readouterr().out
 
+    def test_rounding_floor_exit_code(self, capsys):
+        code = cli_main(["solve", "--problem", "lq", "--h", "0.0625", "--d", "10"])
+        assert code == 1
+        assert "status: rounding_floor" in capsys.readouterr().out
+
 
 class TestStudy:
     def test_full_run(self, capsys, tmp_path):

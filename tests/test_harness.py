@@ -113,6 +113,13 @@ class TestBuildSetup:
         assert space.component_meshes[0].lengths == pytest.approx([0.25, 0.75])
         assert params.h == 0.75  # largest interval
 
+    def test_sigma_is_least_mesh_ratio(self):
+        _, params = build_setup(get_benchmark("lq-multimesh"), 0.1, 2)
+        assert 1.0 - 1e-12 < params.sigma <= 1.0
+        stretched = [[0.0, 0.25, 1.0], [0.0, 0.5, 1.0], [0.0, 0.4, 1.0]]
+        _, params = build_setup(get_benchmark("lq"), None, 2, stretched)
+        assert params.sigma == 0.25 / 0.75
+
     def test_breakpoints_count_checked(self):
         bench = get_benchmark("trivial")
         with pytest.raises(ValueError, match="breakpoint lists"):
@@ -125,6 +132,11 @@ class TestBuildSetup:
 
 
 class TestRunStudy:
+    def test_rounding_floor_row_fails_study(self):
+        result = run_study("lq", 10, [0.25, 0.125, 0.0625])
+        assert [r.status for r in result.rows] == ["converged", "converged", "rounding_floor"]
+        assert result.failed
+
     def test_requires_three_mesh_sizes(self):
         for h_list in ([0.25], [0.25, 0.25, 0.25]):
             with pytest.raises(ValueError, match="insufficient points"):

@@ -34,6 +34,8 @@ class TestUniformMesh:
     def test_size_and_ratio(self):
         mesh = uniform_mesh((0.0, 2.0), 8)
         assert mesh.mesh_size == pytest.approx(0.25, abs=0)
+        assert mesh.width_ratio == 1.0
+        assert Mesh([0.0, 0.1, 0.5, 1.0]).width_ratio == 0.1 / 0.5
 
     def test_invalid_domain(self):
         with pytest.raises(ValueError, match="invalid domain"):
@@ -178,6 +180,12 @@ class TestMeshValidation:
         assert mesh.interval_index(1.0) == 3
         with pytest.raises(ValueError, match="outside"):
             mesh.interval_index(1.5)
+
+    @pytest.mark.parametrize("t", [float("nan"), np.array([0.5, np.nan, 1.0])])
+    def test_interval_index_rejects_nan(self, t):
+        # NaN fails every comparison, so it must not pass as "not outside"
+        with pytest.raises(ValueError, match="outside domain"):
+            uniform_mesh((0.0, 1.0), 4).interval_index(t)
 
     def test_merged_mesh_provenance_shape_checked(self):
         with pytest.raises(ValueError, match="provenance"):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,17 +7,24 @@ import pytest
 import ocfem.assembly
 import ocfem.solver
 from ocfem.assembly import AssembledNlp
+from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_space
 from ocfem.harness import build_setup, get_benchmark
-from ocfem.mesh import uniform_mesh
-from ocfem.ocp_model import MethodParams, OcpProblem, default_params, residual
+from ocfem.mesh import Mesh, uniform_mesh
+from ocfem.ocp_model import MethodParams, OcpProblem, batched, default_params, residual
 from ocfem.solver import (
+    _FLOOR_REL_CHANGE,
+    _FLOOR_STEPS,
     STATUS_CONVERGED,
     STATUS_LINE_SEARCH,
     STATUS_MAX_ITERS,
+    STATUS_ROUNDING_FLOOR,
     SolverOptions,
     _newton_direction,
+    _newton_stage,
     _newton_step,
+    _schedule,
+    _stage_status,
     default_start,
     ensure_interior,
     lifted_objective,
@@ -97,6 +105,151 @@ class TestSolveLq:
     def test_max_iters_status(self):
         report = solve(lq_nlp(), opts=SolverOptions(max_iters=1, grad_tol=1e-14))
         assert report.status == STATUS_MAX_ITERS
+
+
+class TestStageExits:
+    def test_zero_iterations_from_stationary_start(self):
+        nlp = lq_nlp(h=0.25)
+        done = solve(nlp)
+        opts = SolverOptions(max_iters=0, continuation=[(nlp.params.omega, nlp.params.tau)])
+        again = solve(nlp, done.x_final, opts)
+        assert again.status == STATUS_CONVERGED and again.iterations == [0]
+        assert again.x_final.values.tobytes() == done.x_final.values.tobytes()
+
+    def test_zero_iterations_from_non_stationary_start(self):
+        nlp = lq_nlp(h=0.25)
+        opts = SolverOptions(max_iters=0, continuation=[(nlp.params.omega, nlp.params.tau)])
+        report = solve(nlp, None, opts)
+        assert report.status == STATUS_MAX_ITERS and report.iterations == [0]
+        grad = nlp.gradient(default_start(nlp))
+        assert report.stages[0].grad_norm == math.sqrt(grad @ grad)
+        assert math.isfinite(report.stages[0].grad_norm)
+        assert report.stages[0].grad_norm > opts.resolved_grad_tol(nlp.N)
+
+    def test_line_search_failure_reports_failing_iterate(self, monkeypatch):
+        # every trial after the second gradient leaves the barrier domain
+        nlp = lq_nlp(h=0.25).with_params(0.5, 0.5)
+        grads = []
+        gradient, objective_terms = nlp.gradient, nlp.objective_terms
+
+        def recorded_gradient(x):
+            grads.append(gradient(x))
+            return grads[-1]
+
+        def failing_objective(x):
+            if len(grads) >= 2:
+                raise BarrierDomainError(0, 0, 0.0)
+            return objective_terms(x)
+
+        monkeypatch.setattr(nlp, "gradient", recorded_gradient)
+        monkeypatch.setattr(nlp, "objective_terms", failing_objective)
+        x, stage = _newton_stage(nlp, default_start(nlp), SolverOptions(), 1e-14)
+        assert stage.status == STATUS_LINE_SEARCH
+        assert stage.iterations == 1 and len(grads) == 2
+        norms = [math.sqrt(g @ g) for g in grads]
+        assert stage.grad_norm == norms[1] != norms[0]
+
+
+class TestStageStatus:
+    K, TOL = _FLOOR_STEPS, 1e-8
+
+    def test_converged_beats_floor_and_max_iters(self):
+        flat = [1.0] * (self.K + 1)
+        assert _stage_status(flat, [1e-9] * (self.K + 1), self.TOL, self.K) == STATUS_CONVERGED
+
+    def test_floor_beats_max_iters(self):
+        flat, norms = [1.0] * (self.K + 1), [1e-6] * (self.K + 1)
+        assert _stage_status(flat, norms, self.TOL, self.K) == STATUS_ROUNDING_FLOOR
+        assert _stage_status(flat, norms, self.TOL, 200) == STATUS_ROUNDING_FLOOR
+        assert _stage_status(flat[:-1], norms[:-1], self.TOL, 200) is None  # K - 1 steps
+        assert _stage_status(flat[:-1], norms[:-1], self.TOL, self.K - 1) == STATUS_MAX_ITERS
+
+    def test_new_least_gradient_is_progress(self):
+        flat = [1.0] * (self.K + 1)
+        norms = [1e-6] * self.K + [0.9e-6]
+        assert _stage_status(flat, norms, self.TOL, 200) is None
+        norms = [1e-6] + [0.9e-6] + [1e-6] * (self.K - 1)
+        assert _stage_status(flat, norms, self.TOL, 200) is None
+        norms = [0.9e-6] + [1e-6] * self.K  # none of the last K below the earlier least
+        assert _stage_status(flat, norms, self.TOL, 200) == STATUS_ROUNDING_FLOOR
+
+    def test_change_of_f_is_progress(self):
+        norms = [1e-6] * (self.K + 1)
+        cases = ((_FLOOR_REL_CHANGE / 2, STATUS_ROUNDING_FLOOR), (2 * _FLOOR_REL_CHANGE, None))
+        for step, expected in cases:
+            history = [1.0] * self.K + [1.0 - step]
+            assert _stage_status(history, norms, self.TOL, 200) == expected
+            history = [-1.0 + step] + [-1.0] * self.K
+            assert _stage_status(history, norms, self.TOL, 200) == expected
+
+
+def stiff_nlp(n=64, d=4, lam=1000.0):
+    """min 1/2 int y^2 + u^2 with y' = -lam y + u, y(0) = 1, u = z1 - z2, on a graded mesh.
+
+    Half of the n intervals are graded quadratically on [0, 10 / lam], where
+    the boundary layer lies, the rest are uniform; omega and tau follow h = 1/n.
+    """
+    f_hess = np.zeros((4, 4))
+    f_hess[1, 1] = f_hess[2, 2] = f_hess[3, 3] = 1.0
+    f_hess[2, 3] = f_hess[3, 2] = -1.0
+
+    @batched
+    def f_eval(dy, y, z, t):
+        u = z[:, 0] - z[:, 1]
+        grad = np.stack([np.zeros_like(u), y[:, 0], u, -u], axis=1)
+        return 0.5 * (y[:, 0] ** 2 + u**2), grad, np.broadcast_to(f_hess, (len(t), 4, 4))
+
+    @batched
+    def c_eval(dy, y, z, t):
+        values = (dy[:, 0] + lam * y[:, 0] - z[:, 0] + z[:, 1])[:, None]
+        jac = np.broadcast_to([[1.0, lam, -1.0, 1.0]], (len(t), 1, 4))
+        return values, jac, np.broadcast_to(0.0, (len(t), 1, 4, 4))
+
+    def b_eval(stacked_y):
+        jac = np.zeros((1, len(stacked_y)))
+        jac[0, 0] = 1.0
+        return np.array([stacked_y[0] - 1.0]), jac, np.zeros((1, len(stacked_y), len(stacked_y)))
+
+    problem = OcpProblem(
+        n_y=1, n_z=2, m=1, p=1, time_points=(0.0, 1.0), f_eval=f_eval, c_eval=c_eval,
+        b_eval=b_eval, initial_guess=lambda t: np.array([1.0]),
+    )
+    layer = 10.0 / lam
+    graded = layer * (np.arange(n // 2 + 1) / (n // 2)) ** 2
+    mesh = Mesh(np.concatenate([graded, np.linspace(layer, 1.0, n - n // 2 + 1)[1:]]))
+    space = build_space([mesh] * 3, d, 1, 2)
+    h = 1.0 / n
+    params = MethodParams(h=h, sigma=mesh.width_ratio, d=d, omega=h ** (d / 2), tau=h**d)
+    return AssembledNlp(problem, space, params)
+
+
+FLOOR_CASES = [
+    ("lq", 8, 32), ("lq", 10, 16), ("lq-multimesh", 4, 512), ("lq", 4, 512), ("lq", 4, 1024)
+]
+
+
+class TestRoundingFloor:
+    @pytest.mark.parametrize(
+        "name, d, n", FLOOR_CASES + [("stiff", 4, 64)], ids=lambda v: str(v)
+    )
+    def test_stalled_stage_ends_at_floor(self, name, d, n):
+        # without the floor test each would spend all 200 steps of its last stage
+        if name == "stiff":
+            nlp = stiff_nlp(n, d)
+        else:
+            bench = get_benchmark(name)
+            nlp = AssembledNlp(bench.problem, *build_setup(bench, 1.0 / n, d))
+        report = solve(nlp)
+        last = report.stages[-1]
+        assert report.status == last.status == STATUS_ROUNDING_FLOOR
+        assert all(stage.status == STATUS_CONVERGED for stage in report.stages[:-1])
+        assert SolverOptions().resolved_grad_tol(nlp.N) < last.grad_norm < math.inf
+        history = last.objective_history
+        stalled = next(
+            i for i in range(1, len(history))
+            if abs(history[i] - history[i - 1]) <= _FLOOR_REL_CHANGE * abs(history[i])
+        )
+        assert len(history) - stalled <= _FLOOR_STEPS + 10
 
 
 def interpolated_start(nlp):
@@ -391,7 +544,63 @@ class TestBandedStep:
         assert _bandwidth(AssembledNlp(bench.problem, space, params)) == 24
 
 
+def loop_default_schedule(omega, tau, stages=4):
+    """The default continuation as a loop: geometric stages, deduplicated, then the target."""
+    start_omega = max(omega, 1e-1)
+    start_tau = max(tau, 1e-1)
+    schedule = []
+    for i in range(stages):
+        frac = i / (stages - 1)
+        schedule.append(
+            (
+                start_omega ** (1 - frac) * omega**frac,
+                start_tau ** (1 - frac) * tau**frac,
+            )
+        )
+    deduped = [schedule[0]]
+    for pair in schedule[1:]:
+        if pair != deduped[-1]:
+            deduped.append(pair)
+    if deduped[-1] != (omega, tau):
+        deduped.append((omega, tau))
+    return deduped
+
+
+def _hex(schedule):
+    return [(w.hex(), t.hex()) for w, t in schedule]
+
+
 class TestSchedules:
+    def test_default_matches_loop_oracle(self):
+        grid = [10.0**e for e in range(-16, 3)] + [0.1, 0.3, 1.0 / 3.0, 1.0, 2.5]
+        widths = [2.0**-k for k in range(11)]
+        coupled = [(h ** (d / 2), h**d) for h in widths for d in range(11)]
+        for omega, tau in [(w, t) for w in grid for t in grid] + coupled:
+            assert _hex(_schedule(omega, tau, None)) == _hex(loop_default_schedule(omega, tau))
+
+    def test_explicit_schedule_collapses_repeats(self):
+        assert _schedule(0.01, 0.001, []) == [(0.01, 0.001)]
+        stages = [(0.5, 0.5), (0.5, 0.5), (0.1, 0.2), (0.01, 0.001)]
+        assert _schedule(0.01, 0.001, stages) == [(0.5, 0.5), (0.1, 0.2), (0.01, 0.001)]
+        # only neighbours collapse
+        assert _schedule(0.01, 0.001, [(0.5, 0.5), (0.1, 0.1), (0.5, 0.5)]) == [
+            (0.5, 0.5), (0.1, 0.1), (0.5, 0.5), (0.01, 0.001)
+        ]
+
+    def test_repeated_stage_changes_only_stage_count(self):
+        nlp = lq_nlp(h=0.25)
+        once = solve(nlp, opts=SolverOptions(continuation=[(0.5, 0.5), (0.1, 0.1)]))
+        twice = solve(nlp, opts=SolverOptions(continuation=[(0.5, 0.5), (0.5, 0.5), (0.1, 0.1)]))
+        assert twice.iterations == once.iterations and len(once.stages) == 3
+        assert twice.x_final.values.tobytes() == once.x_final.values.tobytes()
+        # the dropped stage would have started at a converged point and taken no step
+        tol = SolverOptions().resolved_grad_tol(nlp.N)
+        nlp = nlp.with_params(0.5, 0.5)
+        first = solve(nlp, opts=SolverOptions(continuation=[]))
+        _, again = _newton_stage(nlp, first.x_final, SolverOptions(), tol)
+        assert first.status == again.status == STATUS_CONVERGED and len(first.stages) == 1
+        assert again.iterations == 0
+
     def test_explicit_schedule_gets_target_appended(self):
         nlp = lq_nlp(h=0.25)
         report = solve(nlp, opts=SolverOptions(continuation=[(0.5, 0.5)]))
