@@ -95,9 +95,10 @@ class HessianLayout:
     endpoints between windows, so the half-bandwidth is the clique bound
     n_x (d + 1) - 1 whatever the number of intervals (14 for ``lq`` at d = 4);
     per-component meshes give more (``lq-multimesh`` 24).  ``band_position``
-    is its inverse.  Values are summed in lower entries, the coefficient pairs
-    (i, j) with i at or after j in ``band_order``, sorted by their slot
-    offset * N + column in LAPACK lower band storage.
+    is its inverse.  ``sum_op`` sums the flat element squares, then the flat
+    point square, into the lower entries, one CSR row each: the coefficient pairs
+    (i, j) with i at or after j in ``band_order``, sorted by their (``offset``,
+    ``column``) in LAPACK lower band storage.
     """
 
     def __init__(self, nlp: "AssembledNlp"):
@@ -126,17 +127,20 @@ class HessianLayout:
             self.point_eval[rows, np.searchsorted(point_dofs, op.indices)] = op.data
         # flat pairs i >= j of the element and point squares; element matrices are
         # symmetric only to rounding, and natural indices keep values off band_order
-        pairs, slots = [], []
+        pairs, slots, squares = [], [], dofs.size * dofs.shape[1]
         for local_dofs in (dofs, point_dofs):
             rows, cols = np.broadcast_arrays(local_dofs[..., :, None], local_dofs[..., None, :])
             pairs.append(np.flatnonzero(rows >= cols))
             rows, cols = pos[rows.ravel()[pairs[-1]]], pos[cols.ravel()[pairs[-1]]]
             slots.append(np.abs(rows - cols) * N + np.minimum(rows, cols))
-        self.element_pairs, self.point_pairs = pairs
-        # the lower entry of each element pair, then of each point pair
-        self.band_slot, self.target = np.unique(np.concatenate(slots), return_inverse=True)
+        # one CSR row per lower entry, summing in pair order: COO -> CSR is a stable counting sort
+        band_slot, target = np.unique(np.concatenate(slots), return_inverse=True)
+        columns = np.concatenate([pairs[0], squares + pairs[1]])
+        shape = (band_slot.size, squares + point_dofs.size**2)
+        self.sum_op = sparse.csr_matrix((np.ones(columns.size), (target, columns)), shape)
+        self.offset, self.column = np.divmod(band_slot, N)
         # the first lower entry of each offset, where ``hessian_band`` looks for kd
-        self.offset_start = np.flatnonzero(np.diff(self.band_slot // N, prepend=-1))
+        self.offset_start = np.flatnonzero(np.diff(self.offset, prepend=-1))
 
 
 class AssembledNlp:
@@ -311,13 +315,14 @@ class AssembledNlp:
         return np.asarray(grad)
 
     def _lower_sums(self, x: CoefficientVector) -> np.ndarray:
-        """The Hessian's lower entries at x, in ``hessian_layout.band_slot`` order.
+        """The Hessian's lower entries at x, in ``hessian_layout.sum_op``'s row order.
 
         Per quadrature point the curvature of f, the Gauss-Newton and
         curvature terms of the path penalty, the barrier diagonal
         tau alpha_j / z^2 and omega alpha_j (its share of omega S) form a
-        (B, B) block.  Element matrices V_e' blocks V_e and the point term are
-        summed into every structurally possible entry, zeros included.
+        (B, B) block.  The element matrices V_e' blocks V_e, then the point term,
+        are written into one flat buffer, each temporary dropped once consumed, and
+        ``sum_op`` sums them into every structurally possible entry, zeros included.
         """
         data = self._point_data(x)
         layout = self.hessian_layout
@@ -330,41 +335,46 @@ class AssembledNlp:
             path += np.einsum("ji,jiab->jab", data.c, data.c_hess)
             path *= (self._alpha / omega)[:, None, None]
             blocks += path
+            del path
         diagonal = np.einsum("jbb->jb", blocks)  # a writable view
         diagonal += omega * self._alpha[:, None]
         if n_z > 0:
             diagonal[:, 2 * n_y :] += tau * self._alpha[:, None] / self._checked_z(data) ** 2
         local = layout.local_eval  # (E, points x B, L)
         E, rows, L = local.shape
-        weighted = blocks.reshape(E, -1, B, B) @ local.reshape(E, -1, B, L)
-        element = local.transpose(0, 2, 1) @ weighted.reshape(E, rows, L)
-        sums = element.ravel()[layout.element_pairs]
+        weighted = (blocks.reshape(E, -1, B, B) @ local.reshape(E, -1, B, L)).reshape(E, rows, L)
+        del blocks, diagonal
+        flat = np.empty(layout.sum_op.shape[1])
+        np.matmul(local.transpose(0, 2, 1), weighted, out=flat[: E * L * L].reshape(E, L, L))
+        del weighted
         if self.problem.p > 0:
             point_block = data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
             point = layout.point_eval.T @ point_block @ layout.point_eval / omega
-            sums = np.concatenate([sums, point.ravel()[layout.point_pairs]])
-        return np.bincount(layout.target, sums)
+            flat[E * L * L :] = point.ravel()
+        return layout.sum_op @ flat
 
     def hessian_band(self, x: CoefficientVector) -> np.ndarray:
-        """Exact Hessian at x as LAPACK's (kd + 1, N) lower band in the layout's
-        ``band_order``, kd the widest offset holding a nonzero: stored zeros do
-        not widen it."""
-        values, layout, N = self._lower_sums(x), self.hessian_layout, self.N
+        """Exact Hessian at x as LAPACK's Fortran-contiguous (kd + 1, N) lower band in
+        the layout's ``band_order``, each entry written once; kd is the widest offset
+        holding a nonzero: stored zeros do not widen it."""
+        values, layout = self._lower_sums(x), self.hessian_layout
         end = values.size
         for start in layout.offset_start[::-1]:  # from the widest offset down
             if values[start:end].any():
                 break
             end = start
-        kd = int(layout.band_slot[end - 1]) // N if end else 0
-        band = np.zeros((kd + 1) * N)
-        band[layout.band_slot[:end]] = values[:end]
-        return band.reshape(kd + 1, N)
+        kd = int(layout.offset[end - 1]) if end else 0
+        band = np.zeros((self.N, kd + 1))
+        index = layout.column[:end] * (kd + 1)
+        index += layout.offset[:end]  # in place: one index array alive, not two
+        band.ravel()[index] = values[:end]
+        return band.T
 
     def full_hessian(self, x: CoefficientVector) -> sparse.csr_matrix:
         """Exact Hessian at x as a CSR matrix, for export and as an oracle: the lower
         entries mirrored, every structurally possible one stored, zeros included."""
         layout = self.hessian_layout
-        order, (offset, column) = layout.band_order, np.divmod(layout.band_slot, self.N)
+        order, offset, column = layout.band_order, layout.offset, layout.column
         i, j, off = order[column + offset], order[column], np.flatnonzero(offset)
         values = self._lower_sums(x)
         entries = (np.r_[values, values[off]], (np.r_[i, j[off]], np.r_[j, i[off]]))

@@ -9,7 +9,7 @@ positive at all quadrature points.
 Newton steps are taken in the ``band_order`` of ``AssembledNlp.hessian_layout``,
 which sorts coefficients by the position of their support and under which
 the Hessian is banded: ``AssembledNlp.hessian_band`` sums the element and point
-terms straight into its (kd + 1, N) lower band, with no sparse matrix between,
+terms into its (kd + 1, N) lower band with one constant sparse sum operator,
 and LAPACK ``pbtrf`` and ``pbtrs`` factor and solve it at O(N kd^2) time and
 O(N kd) memory.  kd is the largest offset holding a nonzero at this step, not
 the structural one: the pattern stores the possible y(t0)-y(tE) coupling even
@@ -175,7 +175,7 @@ def _newton_direction(
     the band is left unchanged, as a shifted retry factors a copy of it."""
     if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    # a Fortran-ordered copy: cheaper than the conversion inside pbtrf's wrapper
+    # hessian_band's band is Fortran-contiguous, so the copy pbtrf overwrites is one memcpy
     delta, (factor, info) = 0.0, _PBTRF(band.copy(order="F"), lower=1, overwrite_ab=1)
     while info != 0:
         if info < 0:

@@ -357,6 +357,42 @@ ORACLE_CASES = [
 ]
 
 
+def bincount_lower_sums(nlp, x):
+    """The lower entries as element and point squares gathered pair by pair and
+    summed with np.bincount, in input order: the reference summation order."""
+    data, layout, space = nlp._point_data(x), nlp.hessian_layout, nlp.space
+    omega, tau, alpha = nlp.params.omega, nlp.params.tau, nlp.rule.weights
+    B, n_y, N = space.block_width, space.n_y, nlp.N
+    blocks = alpha[:, None, None] * data.f_hess
+    if nlp.problem.m > 0:
+        path = np.einsum("jia,jib->jab", data.c_jac, data.c_jac)
+        path += np.einsum("ji,jiab->jab", data.c, data.c_hess)
+        path *= (alpha / omega)[:, None, None]
+        blocks += path
+    diagonal = np.einsum("jbb->jb", blocks)
+    diagonal += omega * alpha[:, None]
+    diagonal[:, 2 * n_y :] += tau * alpha[:, None] / data.z**2
+    local = layout.local_eval
+    E, rows, L = local.shape
+    weighted = blocks.reshape(E, -1, B, B) @ local.reshape(E, -1, B, L)
+    element = local.transpose(0, 2, 1) @ weighted.reshape(E, rows, L)
+    dofs = nlp.eval_op.indices.reshape(E, space.degree + 1, B, -1)[:, 0, n_y:].reshape(E, -1)
+    squares = [(element, dofs)]
+    if nlp.problem.p > 0:
+        point_block = data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
+        point = layout.point_eval.T @ point_block @ layout.point_eval / omega
+        squares.append((point, np.unique(nlp.point_op.indices)))
+    sums, slots, pos = [], [], layout.band_position
+    for square, local_dofs in squares:
+        i, j = np.broadcast_arrays(local_dofs[..., :, None], local_dofs[..., None, :])
+        pairs = np.flatnonzero(i >= j)
+        i, j = pos[i.ravel()[pairs]], pos[j.ravel()[pairs]]
+        sums.append(square.ravel()[pairs])
+        slots.append(np.abs(i - j) * N + np.minimum(i, j))
+    _, target = np.unique(np.concatenate(slots), return_inverse=True)
+    return np.bincount(target, np.concatenate(sums))
+
+
 class TestHessianLayout:
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_matches_sparse_product_reference(self, name, rng):
@@ -367,6 +403,14 @@ class TestHessianLayout:
             expected = reference_hessian(nlp, x)
             assert np.abs(hess.toarray() - expected).max() <= 1e-13 * np.abs(expected).max()
             assert np.array_equal(hess.toarray(), hess.toarray().T)
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_sums_bitwise_equal_bincount_reference(self, name, rng):
+        # lq-multimesh's shared y endpoints take four element contributions each
+        nlp = oracle_case(name)
+        for _ in range(3):
+            x = random_interior_point(nlp, rng)
+            assert nlp._lower_sums(x).tobytes() == bincount_lower_sums(nlp, x).tobytes()
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_band_is_lower_band_of_full_hessian(self, name, rng):
@@ -387,7 +431,7 @@ class TestHessianLayout:
             assert kd > N // 2
         elif name == "lq":
             # the stored y(t0)-y(tE) pair is zero and stays out of the band
-            assert kd == nlp.space.n_x * 4 - 1 < nlp.hessian_layout.band_slot[-1] // N
+            assert kd == nlp.space.n_x * 4 - 1 < nlp.hessian_layout.offset[-1]
 
     def test_curvature_reaches_the_hessian(self, rng):
         nlp = oracle_case("curved")

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -542,6 +544,28 @@ class TestBandedStep:
         bench = get_benchmark("lq-multimesh")
         space, params = build_setup(bench, 1 / 16, 4)
         assert _bandwidth(AssembledNlp(bench.problem, space, params)) == 24
+
+    @pytest.mark.parametrize(
+        "name, d, h",
+        [("lq", 4, 1 / 64), ("lq-multimesh", 4, 1 / 64), ("lq", 8, 1 / 16), ("barrier-pull", 4, 1 / 256)],
+    )
+    def test_step_peak_within_band_multiple(self, name, d, h):
+        # the band, the copy pbtrf factors and short-lived element products; a
+        # gathered copy of the pairs or a second sum buffer would pass the bound
+        bench = get_benchmark(name)
+        nlp = AssembledNlp(bench.problem, *build_setup(bench, h, d))
+        x = default_start(nlp)
+        grad = nlp.gradient(x)
+        _newton_step(nlp, x, grad)  # builds the layout; the point data is cached
+        band_bytes = nlp.hessian_band(x).nbytes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _newton_step(nlp, x, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * band_bytes
 
 
 def loop_default_schedule(omega, tau, stages=4):
