@@ -5,6 +5,10 @@ degree.  Differential components (the first ``n_y``) are kept continuous by
 sharing endpoint coefficients between neighbouring intervals; auxiliary
 components (the remaining ``n_z``) are discontinuous.  Coefficients are
 numbered component-major, then interval-major, then by local basis index.
+An evaluation operator accepts only a rule composed over a mesh that
+``merge_meshes`` made from the space's meshes, checked against the sources
+the merged mesh records, and takes each component's basis values and slopes
+from one ``eval_basis`` call.
 The CSR arrays of the evaluation operator are the one record of which
 coefficients each quadrature point touches: every row holds the d + 1
 coefficients of its component's source interval, zero basis values
@@ -20,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .mesh import MergedMesh, Mesh, merged_breakpoints, source_intervals
-from .polybasis import Basis, eval_basis_derivative_matrix, eval_basis_matrix
+from .mesh import MergedMesh, Mesh
+from .polybasis import Basis, eval_basis
 from .quadrature import GlobalRule
 
 
@@ -132,14 +136,12 @@ def build_space(meshes: Sequence[Mesh], degree: int, n_y: int, n_z: int) -> FESp
 
 
 def _check_rule(space: FESpace, rule: GlobalRule) -> MergedMesh:
-    mesh = rule.mesh
-    meshes = space.component_meshes
-    points = merged_breakpoints(meshes)
-    ok = (
-        isinstance(mesh, MergedMesh)
-        and mesh.n_intervals == points.size - 1
-        and np.allclose(mesh.breakpoints, points, atol=1e-12, rtol=0)
-        and np.array_equal(mesh.provenance, source_intervals(meshes, points))
+    """The rule's merged mesh, if ``merge_meshes`` made it from the space's meshes
+    (compared by breakpoints, in component order)."""
+    mesh, meshes = rule.mesh, space.component_meshes
+    sources = mesh.sources if isinstance(mesh, MergedMesh) else ()
+    ok = len(sources) == len(meshes) and all(
+        np.array_equal(s.breakpoints, m.breakpoints) for s, m in zip(sources, meshes)
     )
     if not ok:
         raise ValueError(
@@ -154,10 +156,9 @@ def _basis_rows(space: FESpace, comp: int, t: np.ndarray, src: np.ndarray):
     mesh = space.component_meshes[comp]
     lengths = mesh.lengths[src]
     local = np.clip((t - mesh.breakpoints[src]) / lengths, 0.0, 1.0)
-    derivs = None
-    if comp < space.n_y:
-        derivs = eval_basis_derivative_matrix(space.basis, local) / lengths[:, None]
-    return space.index_map[comp][src], eval_basis_matrix(space.basis, local), derivs
+    values, derivs = eval_basis(space.basis, local)
+    derivs = derivs / lengths[:, None] if comp < space.n_y else None
+    return space.index_map[comp][src], values, derivs
 
 
 def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
@@ -224,7 +225,7 @@ def build_regularizer(
     x' S x approximates the H1 norm squared of the differential components
     plus the L2 norm squared of the auxiliary ones: every row block of the
     evaluation operator (derivatives included) is weighted by alpha_j.  A solve
-    weights the rows itself; S serves ``ocfem sparsity`` and the study's x_error.
+    weights the rows itself, as does the study's x_error; S serves ``ocfem sparsity``.
     """
     B, M = space.block_width, rule.M
     if eval_op.shape != (B * M, space.N):

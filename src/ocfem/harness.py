@@ -299,12 +299,11 @@ def _x_error(benchmark: Benchmark, nlp: AssembledNlp, report: SolveReport) -> Op
             functions.append(lambda t, c=comp: float(analytic.z(t)[c]))
         else:
             functions.append(lambda t: 0.0)
-    reference = space.interpolate(functions)
-    diff = report.x_final.values - reference.values
+    diff = report.x_final.values - space.interpolate(functions).values
+    rows = (nlp.eval_op @ diff).reshape(nlp.M, space.block_width)
     if analytic.z is None:
-        for comp in range(space.n_y, space.n_x):
-            diff[np.unique(space.index_map[comp])] = 0.0
-    return float(math.sqrt(max(diff @ (nlp.regularizer @ diff), 0.0)))
+        rows = rows[:, : 2 * space.n_y]
+    return float(math.sqrt(nlp.rule.weights @ (rows**2).sum(axis=1)))
 
 
 def _fit_order(h_values: list[float], metric: list[Optional[float]]) -> tuple[Optional[float], Optional[str]]:

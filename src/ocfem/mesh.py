@@ -3,7 +3,8 @@
 A mesh is one read-only array of finite, strictly increasing breakpoints:
 interval k is [breakpoints[k], breakpoints[k + 1]].  Building meshes and
 locating points are numpy operations on those arrays; merging walks their
-sorted endpoints once.
+sorted endpoints once and records the meshes it merged on the result, so a
+consumer checks where a merged mesh came from without merging again.
 """
 
 from __future__ import annotations
@@ -92,10 +93,12 @@ class MergedMesh(Mesh):
 
     ``provenance[i, s]`` is the index of the interval of source mesh ``s``
     that contains merged interval ``i``: a read-only (n_intervals, n_sources)
-    int array.
+    int array.  ``sources`` holds the merged meshes; only ``merge_meshes``
+    sets it, so a merged mesh built by hand has none.
     """
 
     provenance: np.ndarray
+    sources: tuple[Mesh, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -160,4 +163,6 @@ def merge_meshes(meshes: Sequence[Mesh]) -> MergedMesh:
         if m.domain != domain:
             raise ValueError(f"domain mismatch: {m.domain} vs {domain}")
     points = merged_breakpoints(meshes)
-    return MergedMesh(points, source_intervals(meshes, points))
+    merged = MergedMesh(points, source_intervals(meshes, points))
+    object.__setattr__(merged, "sources", tuple(meshes))
+    return merged

@@ -166,11 +166,6 @@ class OcpProblem:
     def domain(self) -> tuple[float, float]:
         return (self.time_points[0], self.time_points[-1])
 
-    @property
-    def arg_width(self) -> int:
-        """Length of the stacked callback argument (dy, y, z)."""
-        return 2 * self.n_y + self.n_z
-
 
 def _checked(what: str, arrays, shapes: list[tuple[int, ...]], batch: bool):
     """Callback outputs as float arrays of the expected shapes, the last symmetric.
@@ -224,7 +219,7 @@ def _eval_batch(what: str, fn, problem: OcpProblem, values, t, shapes):
 
 def eval_running_cost(problem: OcpProblem, values: np.ndarray, t: np.ndarray):
     """f at M points, validated: ``values`` holds the (dy, y, z) rows, (M, B)."""
-    M, B = len(t), problem.arg_width
+    M, B = values.shape
     return _eval_batch(
         "objective", problem.f_eval, problem, values, t, [(M,), (M, B), (M, B, B)]
     )
@@ -232,7 +227,7 @@ def eval_running_cost(problem: OcpProblem, values: np.ndarray, t: np.ndarray):
 
 def eval_path_constraints(problem: OcpProblem, values: np.ndarray, t: np.ndarray):
     """c at M points, validated: ``values`` holds the (dy, y, z) rows, (M, B)."""
-    M, B, m = len(t), problem.arg_width, problem.m
+    (M, B), m = values.shape, problem.m
     return _eval_batch(
         "path-constraint", problem.c_eval, problem, values, t,
         [(M, m), (M, m, B), (M, m, B, B)],

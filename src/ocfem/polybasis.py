@@ -3,8 +3,10 @@
 The finite-element basis of degree d is the Lagrange basis on Gauss-Lobatto
 nodes: nodal values are the coefficients and the endpoints are nodes for
 d >= 1, so continuity across mesh intervals reduces to sharing endpoint
-coefficients.  The L2(0,1)-orthonormal shifted Legendre basis serves the
-minimum-norm constant check, where the L2 norm is the coefficient 2-norm.
+coefficients.  One barycentric kernel, ``eval_basis``, returns its values
+and first derivatives together.  The L2(0,1)-orthonormal shifted Legendre
+basis serves the minimum-norm constant check, where the L2 norm is the
+coefficient 2-norm.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ class Basis:
             raise ValueError(
                 f"unsupported degree {self.degree}: need 0..{MAX_DEGREE}"
             )
-
-    @property
-    def dimension(self) -> int:
-        return self.degree + 1
 
     @property
     def nodes(self) -> np.ndarray:
@@ -126,43 +124,26 @@ def _near_nodes(points: np.ndarray, nodes: np.ndarray):
     return diff, regular, at_node[~regular].argmax(axis=1)
 
 
-def _lagrange_values(points: np.ndarray, degree: int) -> np.ndarray:
-    nodes, bary, _ = _lobatto_data(degree)
-    if degree == 0:
-        return np.ones((points.size, 1))
-    out = np.empty((points.size, degree + 1))
-    diff, regular, node = _near_nodes(points, nodes)
-    if regular.any():
-        q = bary / diff[regular]
-        out[regular] = q / q.sum(axis=1, keepdims=True)
-    out[~regular] = np.eye(degree + 1)[node]
-    return out
-
-
-def _lagrange_derivatives(points: np.ndarray, degree: int) -> np.ndarray:
+def eval_basis(basis: Basis, points) -> tuple[np.ndarray, np.ndarray]:
+    """Basis values and first derivatives at many points, two (n_points, d + 1)
+    matrices from one pass of node distances and barycentric quotients."""
+    pts, degree = _check_points(points), basis.degree
     nodes, bary, at_nodes = _lobatto_data(degree)
     if degree == 0:
-        return np.zeros((points.size, 1))
-    out = np.empty((points.size, degree + 1))
-    diff, regular, node = _near_nodes(points, nodes)
+        return np.ones((pts.size, 1)), np.zeros((pts.size, 1))
+    values = np.empty((pts.size, degree + 1))
+    derivs = np.empty_like(values)
+    diff, regular, node = _near_nodes(pts, nodes)
     if regular.any():
         d = diff[regular]
         q = bary / d
-        values = q / q.sum(axis=1, keepdims=True)
-        s_all = (1.0 / d).sum(axis=1, keepdims=True)
-        out[regular] = values * (s_all - 1.0 / d)
-    out[~regular] = at_nodes[node]
-    return out
-
-
-def eval_basis_matrix(basis: Basis, points) -> np.ndarray:
-    """Basis values at many points, as an (n_points, dimension) matrix."""
-    return _lagrange_values(_check_points(points), basis.degree)
-
-
-def eval_basis_derivative_matrix(basis: Basis, points) -> np.ndarray:
-    """First derivatives of the basis functions at many points."""
-    return _lagrange_derivatives(_check_points(points), basis.degree)
+        q /= q.sum(axis=1, keepdims=True)
+        inverse = 1.0 / d
+        values[regular] = q
+        derivs[regular] = q * (inverse.sum(axis=1, keepdims=True) - inverse)
+    values[~regular] = np.eye(degree + 1)[node]
+    derivs[~regular] = at_nodes[node]
+    return values, derivs
 
 
 def _unit_value_minimizer(degree: int) -> np.ndarray:

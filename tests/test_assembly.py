@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sparse
 
 import ocfem.assembly
-import ocfem.fespace
 import ocfem.mesh
 from ocfem.assembly import AssembledNlp
 from ocfem.errors import BarrierDomainError
@@ -457,16 +456,17 @@ class TestHessianLayout:
         assert len(built) == 2
         assert fresh._shared["layout"] is built[1].hessian_layout
 
-    def test_set_up_merges_the_meshes_twice(self, monkeypatch, rng):
-        # once to compose the rule, once to check it; the band order reads eval_op
+    def test_set_up_merges_the_meshes_once(self, monkeypatch, rng):
+        # to compose the rule; its check reads the merged mesh's sources and
+        # the band order reads eval_op
         calls = []
-        merge = ocfem.mesh.merged_breakpoints
-        counting = lambda meshes: calls.append(meshes) or merge(meshes)
-        monkeypatch.setattr(ocfem.mesh, "merged_breakpoints", counting)
-        monkeypatch.setattr(ocfem.fespace, "merged_breakpoints", counting)
+        for name in ("merged_breakpoints", "source_intervals"):
+            step = getattr(ocfem.mesh, name)
+            counting = lambda *args, name=name, step=step: calls.append(name) or step(*args)
+            monkeypatch.setattr(ocfem.mesh, name, counting)
         nlp = oracle_case("lq-multimesh")
         nlp.hessian_band(random_interior_point(nlp, rng))
-        assert len(calls) == 2
+        assert calls == ["merged_breakpoints", "source_intervals"]
 
     def test_solve_builds_no_csr_hessian(self, monkeypatch):
         built = []

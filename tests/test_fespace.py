@@ -11,9 +11,9 @@ from ocfem.fespace import (
     build_space,
 )
 from ocfem.harness import build_setup, get_benchmark
-from ocfem.mesh import merge_meshes, uniform_mesh
+from ocfem.mesh import MergedMesh, Mesh, merge_meshes, uniform_mesh
 from ocfem.ocp_model import OcpProblem, batched, default_params
-from ocfem.polybasis import eval_basis_matrix
+from ocfem.polybasis import eval_basis
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
 
 
@@ -150,6 +150,26 @@ class TestEvalOperator:
         with pytest.raises(ValueError, match="merged mesh"):
             build_eval_operator(space, swapped)
 
+    def test_rule_over_equal_copies_of_the_meshes_accepted(self):
+        meshes = [uniform_mesh((0.0, 1.0), 2), Mesh([0.0, 0.3, 1.0])]
+        space, rule = space_and_rule(meshes, 2, 1, 1)
+        copies = [Mesh(m.breakpoints.copy()) for m in meshes]
+        assert all(a is not b for a, b in zip(copies, meshes))
+        again = compose_rule(merge_meshes(copies), gauss_legendre_unit(3))
+        op = build_eval_operator(space, again)
+        expected = build_eval_operator(space, rule)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(op, name), getattr(expected, name))
+
+    def test_hand_built_merged_mesh_rejected(self):
+        meshes = [uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 3)]
+        space, _ = space_and_rule(meshes, 1, 1, 1)
+        merged = merge_meshes(meshes)
+        by_hand = MergedMesh(merged.breakpoints, merged.provenance)
+        rule = compose_rule(by_hand, gauss_legendre_unit(2))
+        with pytest.raises(ValueError, match="merged mesh"):
+            build_eval_operator(space, rule)
+
     def test_row_sparsity_bound(self):
         space, rule = space_and_rule(
             [uniform_mesh((0.0, 1.0), 4), uniform_mesh((0.0, 1.0), 3)], 3, 1, 1
@@ -225,8 +245,8 @@ class TestPointOperator:
         op = build_point_eval_operator(space, [0.5]).toarray()[0]
         left = np.zeros(space.N)
         right = np.zeros(space.N)
-        left[space.index_map[0][0]] = eval_basis_matrix(space.basis, [1.0])[0]
-        right[space.index_map[0][1]] = eval_basis_matrix(space.basis, [0.0])[0]
+        left[space.index_map[0][0]] = eval_basis(space.basis, [1.0])[0][0]
+        right[space.index_map[0][1]] = eval_basis(space.basis, [0.0])[0][0]
         assert op == pytest.approx(left, abs=0)
         assert left == pytest.approx(right, abs=0)
 

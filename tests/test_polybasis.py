@@ -6,8 +6,7 @@ import pytest
 from ocfem.polybasis import (
     Basis,
     _shifted_legendre,
-    eval_basis_derivative_matrix,
-    eval_basis_matrix,
+    eval_basis,
     gauss_lobatto_nodes,
     norm_constants_csv,
     verify_norm_constants,
@@ -24,11 +23,11 @@ def legendre_derivatives(d, points):
 
 
 def lagrange_values(d, points):
-    return eval_basis_matrix(Basis(d), points)
+    return eval_basis(Basis(d), points)[0]
 
 
 def lagrange_derivatives(d, points):
-    return eval_basis_derivative_matrix(Basis(d), points)
+    return eval_basis(Basis(d), points)[1]
 
 
 #: (values, derivatives) evaluators of the Lagrange finite-element basis and
@@ -49,7 +48,7 @@ class TestEvaluation:
     def test_lagrange_unit_rows_at_own_nodes(self):
         for d in (1, 3, 7, 15, 30):
             basis = Basis(d)
-            values = eval_basis_matrix(basis, basis.nodes)
+            values = eval_basis(basis, basis.nodes)[0]
             assert values == pytest.approx(np.eye(d + 1), abs=0)
 
     def test_legendre_linear_vanishes_at_center(self):
