@@ -242,7 +242,7 @@ class AssembledNlp:
             b_jac = np.zeros((0, width))
             b_hess = np.zeros((0, width, width))
 
-        z_min = float(z.min()) if z.size else np.inf
+        z_min = float(z.min(initial=np.inf))
         data = _PointData(values, z, z_min, f, f_grad, f_hess, c, c_jac, c_hess, b, b_jac, b_hess)
         self._cache_key = key
         self._cache = data
@@ -269,11 +269,7 @@ class AssembledNlp:
         f_term = float(self._alpha @ data.f)
         quad_norm = float(self._alpha @ (data.values**2).sum(axis=1))
         penalty = self._residual(data) / (2.0 * omega)
-        if self.space.n_z > 0:
-            z = self._checked_z(data)
-            barrier = tau * float(self._alpha @ np.log(z).sum(axis=1))
-        else:
-            barrier = 0.0
+        barrier = tau * float(self._alpha @ np.log(self._checked_z(data)).sum(axis=1))
         total = f_term + 0.5 * omega * quad_norm + penalty - barrier
         return ObjectiveTerms(f_term, quad_norm, penalty, barrier, total)
 
@@ -299,15 +295,13 @@ class AssembledNlp:
         """Gradient of the total objective with respect to the coefficients."""
         data = self._point_data(x)
         omega, tau = self.params.omega, self.params.tau
-        B, n_y = self.space.block_width, self.space.n_y
+        n_y = self.space.n_y
         w = self._alpha[:, None] * (data.f_grad + omega * data.values)
         if self.problem.m > 0:
             w += (self._alpha / omega)[:, None] * np.einsum(
                 "jib,ji->jb", data.c_jac, data.c
             )
-        if self.space.n_z > 0:
-            z = self._checked_z(data)
-            w[:, 2 * n_y :] -= tau * self._alpha[:, None] / z
+        w[:, 2 * n_y :] -= tau * self._alpha[:, None] / self._checked_z(data)
         eval_t, point_t = self._on_first_use("transposes", lambda nlp: (nlp.eval_op.T, nlp.point_op.T))
         grad = eval_t @ w.ravel()
         if self.problem.p > 0:
@@ -327,7 +321,7 @@ class AssembledNlp:
         data = self._point_data(x)
         layout = self.hessian_layout
         omega, tau = self.params.omega, self.params.tau
-        B, n_y, n_z = self.space.block_width, self.space.n_y, self.space.n_z
+        B, n_y = self.space.block_width, self.space.n_y
         blocks = self._alpha[:, None, None] * data.f_hess
         if self.problem.m > 0:
             # the path penalty's Gauss-Newton and curvature terms, summed in place
@@ -338,8 +332,7 @@ class AssembledNlp:
             del path
         diagonal = np.einsum("jbb->jb", blocks)  # a writable view
         diagonal += omega * self._alpha[:, None]
-        if n_z > 0:
-            diagonal[:, 2 * n_y :] += tau * self._alpha[:, None] / self._checked_z(data) ** 2
+        diagonal[:, 2 * n_y :] += tau * self._alpha[:, None] / self._checked_z(data) ** 2
         local = layout.local_eval  # (E, points x B, L)
         E, rows, L = local.shape
         weighted = (blocks.reshape(E, -1, B, B) @ local.reshape(E, -1, B, L)).reshape(E, rows, L)

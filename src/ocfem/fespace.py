@@ -1,14 +1,15 @@
 """Global finite-element spaces and their sparse evaluation operators.
 
 A space couples one mesh per solution component with a single polynomial
-degree.  Differential components (the first ``n_y``) are kept continuous by
-sharing endpoint coefficients between neighbouring intervals; auxiliary
-components (the remaining ``n_z``) are discontinuous.  Coefficients are
-numbered component-major, then interval-major, then by local basis index.
-An evaluation operator accepts only a rule composed over a mesh that
-``merge_meshes`` made from the space's meshes, checked against the sources
-the merged mesh records, and takes each component's basis values and slopes
-from one ``eval_basis`` call.
+degree, the one record of its basis: the Gauss-Lobatto nodes and basis rows
+are looked up by ``degree``.  Differential components (the first ``n_y``)
+are kept continuous by sharing endpoint coefficients between neighbouring
+intervals; auxiliary components (the remaining ``n_z``) are discontinuous.
+Coefficients are numbered component-major, then interval-major, then by
+local basis index.  An evaluation operator accepts only a rule composed over
+a mesh that ``merge_meshes`` made from the space's meshes, checked against
+the sources the merged mesh records, and takes each component's basis
+values and slopes from one ``eval_basis(degree, points)`` call.
 The CSR arrays of the evaluation operator are the one record of which
 coefficients each quadrature point touches: every row holds the d + 1
 coefficients of its component's source interval, zero basis values
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .mesh import MergedMesh, Mesh
-from .polybasis import Basis, eval_basis
+from .polybasis import check_degree, eval_basis, gauss_lobatto_nodes
 from .quadrature import GlobalRule
 
 
@@ -43,7 +44,6 @@ class FESpace:
     n_z: int
     index_map: tuple[np.ndarray, ...]
     N: int
-    basis: Basis
 
     @property
     def n_x(self) -> int:
@@ -65,7 +65,8 @@ class FESpace:
         """Coefficient indices of component ``comp``, each once, and the times of
         their basis nodes; a shared endpoint takes the left node of the right interval."""
         mesh, index = self.component_meshes[comp], self.index_map[comp].ravel()
-        ts = (mesh.breakpoints[:-1, None] + mesh.lengths[:, None] * self.basis.nodes).ravel()
+        nodes = gauss_lobatto_nodes(self.degree)
+        ts = (mesh.breakpoints[:-1, None] + mesh.lengths[:, None] * nodes).ravel()
         last = np.append(index[1:] != index[:-1], True)
         return index[last], ts[last]
 
@@ -122,7 +123,7 @@ def build_space(meshes: Sequence[Mesh], degree: int, n_y: int, n_z: int) -> FESp
             "degree 0 cannot represent continuous differential components; "
             "need degree >= 1"
         )
-    basis = Basis(degree)
+    check_degree(degree)
 
     start, index_map = 0, []
     for comp, mesh in enumerate(meshes):
@@ -132,7 +133,7 @@ def build_space(meshes: Sequence[Mesh], degree: int, n_y: int, n_z: int) -> FESp
         index.flags.writeable = False
         index_map.append(index)
         start = int(index[-1, -1]) + 1
-    return FESpace(meshes, degree, n_y, n_z, tuple(index_map), start, basis)
+    return FESpace(meshes, degree, n_y, n_z, tuple(index_map), start)
 
 
 def _check_rule(space: FESpace, rule: GlobalRule) -> MergedMesh:
@@ -156,7 +157,7 @@ def _basis_rows(space: FESpace, comp: int, t: np.ndarray, src: np.ndarray):
     mesh = space.component_meshes[comp]
     lengths = mesh.lengths[src]
     local = np.clip((t - mesh.breakpoints[src]) / lengths, 0.0, 1.0)
-    values, derivs = eval_basis(space.basis, local)
+    values, derivs = eval_basis(space.degree, local)
     derivs = derivs / lengths[:, None] if comp < space.n_y else None
     return space.index_map[comp][src], values, derivs
 

@@ -11,19 +11,21 @@ constraints b are evaluated once per coefficient vector and are not batched.
 
 Callbacks must return analytic first and second derivatives; the assembled
 Hessians rely on them and a silent finite-difference fallback would corrupt
-convergence measurements.  ``check_derivatives`` is the supported way to
-validate user-coded derivatives against central differences.
+convergence measurements.  ``check_derivatives(problem, n_samples=, seed=)``
+is the supported way to validate user-coded derivatives: it compares them
+with central differences at ``n_samples`` random points drawn from ``seed``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .fespace import CoefficientVector, FESpace, build_eval_operator, build_point_eval_operator
+from .polybasis import MAX_DEGREE
 from .quadrature import GlobalRule
 
 #: (dy, y, z, t) -> (value, gradient over (dy, y, z), Hessian over (dy, y, z)),
@@ -100,8 +102,8 @@ class MethodParams:
         check_positive("mesh size", self.h)
         if not 0 < self.sigma <= 1:
             raise ValueError(f"invalid mesh ratio {self.sigma}: need 0 < sigma <= 1")
-        if not 0 <= self.d <= 30:
-            raise ValueError(f"invalid degree {self.d}: need 0..30")
+        if not 0 <= self.d <= MAX_DEGREE:
+            raise ValueError(f"invalid degree {self.d}: need 0..{MAX_DEGREE}")
         check_positive("penalty parameter omega", self.omega)
         check_positive("barrier parameter tau", self.tau)
 
@@ -300,9 +302,6 @@ class DerivativeReport:
                 out.append((name, value))
         return out
 
-    def max_error(self) -> float:
-        return max(err for _, err in self.entries())
-
     def __str__(self) -> str:
         lines = [f"derivative check over {self.n_samples} samples"]
         for name, err in self.entries():
@@ -315,16 +314,19 @@ def _rel_error(approx: np.ndarray, exact: np.ndarray) -> float:
     return float(np.abs(approx - exact).max(initial=0.0)) / scale
 
 
-def _fd_errors(func, v0: np.ndarray, step: float) -> tuple[float, float]:
+#: Central-difference step, scaled by the argument magnitude.
+_FD_STEP = 1e-6
+
+
+def _fd_errors(func, v0: np.ndarray) -> tuple[float, float]:
     """Relative errors of the first and second derivatives ``func`` codes at v0.
 
     ``func(v)`` returns (value, first derivative, second derivative).  Central
     differences of the values check the first derivative and central
-    differences of the first derivative check the second; steps are scaled
-    by the argument magnitude.
+    differences of the first derivative check the second.
     """
     _, first, second = func(v0)
-    steps = step * np.maximum(1.0, np.abs(v0))
+    steps = _FD_STEP * np.maximum(1.0, np.abs(v0))
     first_fd = np.empty(np.shape(first))
     second_fd = np.empty(np.shape(second))
     for i in range(v0.size):
@@ -338,41 +340,19 @@ def _fd_errors(func, v0: np.ndarray, step: float) -> tuple[float, float]:
     return _rel_error(first_fd, first), _rel_error(second_fd, second)
 
 
-def check_derivatives(
-    problem: OcpProblem,
-    samples: Optional[Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, float]]] = None,
-    b_samples: Optional[Sequence[np.ndarray]] = None,
-    *,
-    n_samples: int = 5,
-    step: float = 1e-6,
-    seed: int = 0,
-) -> DerivativeReport:
+def check_derivatives(problem: OcpProblem, *, n_samples: int = 5, seed: int = 0) -> DerivativeReport:
     """Compare coded derivatives against central finite differences.
 
-    Gradients and Jacobians are differenced from values; Hessians from the
-    coded first derivatives.  Steps are scaled by the argument magnitude.
-    The check only reports errors, it never raises on a mismatch.
+    Each callback is checked at ``n_samples`` points drawn from ``seed``:
+    (dy, y) in [-1, 1], z in [0.5, 1.5] and t in the domain for f and c,
+    stacked y in [-1, 1] for b.  Gradients and Jacobians are differenced from
+    values; Hessians from the coded first derivatives.  The check only
+    reports errors, it never raises on a mismatch.
     """
     if n_samples < 1:
         raise ValueError(f"derivative check needs n_samples >= 1, got {n_samples}")
-    for name, given in (("samples", samples), ("b_samples", b_samples)):
-        if given is not None and len(given) == 0:
-            raise ValueError(f"derivative check needs at least one sample in {name}, got an empty list")
     rng = np.random.default_rng(seed)
     t0, t_end = problem.domain
-    if samples is None:
-        samples = []
-        for _ in range(n_samples):
-            dy = rng.uniform(-1.0, 1.0, problem.n_y)
-            y = rng.uniform(-1.0, 1.0, problem.n_y)
-            z = rng.uniform(0.5, 1.5, problem.n_z)
-            t = float(rng.uniform(t0, t_end))
-            samples.append((dy, y, z, t))
-    if b_samples is None and problem.p > 0:
-        b_samples = [
-            rng.uniform(-1.0, 1.0, problem.n_y * problem.n_T) for _ in range(n_samples)
-        ]
-
     errors = {"f_gradient": 0.0, "f_hessian": 0.0}
     if problem.m > 0:
         errors |= {"c_jacobian": 0.0, "c_hessian": 0.0}
@@ -380,7 +360,7 @@ def check_derivatives(
         errors |= {"b_jacobian": 0.0, "b_hessian": 0.0}
 
     def record(first: str, second: str, func, v0: np.ndarray) -> None:
-        first_err, second_err = _fd_errors(func, v0, step)
+        first_err, second_err = _fd_errors(func, v0)
         errors[first] = max(errors[first], first_err)
         errors[second] = max(errors[second], second_err)
 
@@ -389,15 +369,14 @@ def check_derivatives(
         t = np.array([t])
         return lambda v: [out[0] for out in evaluate(problem, v[None], t)]
 
-    for dy, y, z, t in samples:
-        v0 = np.concatenate([dy, y, z]).astype(float)
+    for _ in range(n_samples):
+        dy, y = rng.uniform(-1.0, 1.0, problem.n_y), rng.uniform(-1.0, 1.0, problem.n_y)
+        v0 = np.concatenate([dy, y, rng.uniform(0.5, 1.5, problem.n_z)])
+        t = float(rng.uniform(t0, t_end))
         record("f_gradient", "f_hessian", at_point(eval_running_cost, t), v0)
         if problem.m > 0:
             record("c_jacobian", "c_hessian", at_point(eval_path_constraints, t), v0)
-    if problem.p > 0:
-        for yv in b_samples:
-            record(
-                "b_jacobian", "b_hessian",
-                lambda v: eval_point_constraints(problem, v), np.asarray(yv, dtype=float),
-            )
-    return DerivativeReport(n_samples=len(samples), **errors)
+    for _ in range(n_samples if problem.p > 0 else 0):
+        yv = rng.uniform(-1.0, 1.0, problem.n_y * problem.n_T)
+        record("b_jacobian", "b_hessian", lambda v: eval_point_constraints(problem, v), yv)
+    return DerivativeReport(n_samples=n_samples, **errors)

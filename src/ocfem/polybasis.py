@@ -3,15 +3,15 @@
 The finite-element basis of degree d is the Lagrange basis on Gauss-Lobatto
 nodes: nodal values are the coefficients and the endpoints are nodes for
 d >= 1, so continuity across mesh intervals reduces to sharing endpoint
-coefficients.  One barycentric kernel, ``eval_basis``, returns its values
-and first derivatives together.  The L2(0,1)-orthonormal shifted Legendre
-basis serves the minimum-norm constant check, where the L2 norm is the
-coefficient 2-norm.
+coefficients.  A basis is named by its degree alone: one barycentric
+kernel, ``eval_basis(degree, points)``, returns its values and first
+derivatives together.  The values of the L2(0,1)-orthonormal shifted
+Legendre basis serve the minimum-norm constant check, where the L2 norm is
+the coefficient 2-norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -30,21 +30,10 @@ _NODE_SNAP = 1e-14
 _LINF_GRID = 10001
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Degree-d Lagrange basis on the Gauss-Lobatto nodes of [0, 1]; dimension d + 1."""
-
-    degree: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.degree <= MAX_DEGREE:
-            raise ValueError(
-                f"unsupported degree {self.degree}: need 0..{MAX_DEGREE}"
-            )
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return gauss_lobatto_nodes(self.degree)
+def check_degree(degree: int) -> None:
+    """Reject a basis degree outside 0..MAX_DEGREE."""
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(f"unsupported degree {degree}: need 0..{MAX_DEGREE}")
 
 
 def gauss_lobatto_nodes(degree: int) -> np.ndarray:
@@ -61,8 +50,7 @@ def gauss_lobatto_nodes(degree: int) -> np.ndarray:
 def _lobatto_data(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes, barycentric weights and the basis derivatives at the nodes
     (row k at node k), cached per degree."""
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ValueError(f"unsupported degree {degree}: need 0..{MAX_DEGREE}")
+    check_degree(degree)
     if degree == 0:
         nodes = np.array([0.5])
     elif degree == 1:
@@ -91,28 +79,23 @@ def _check_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _shifted_legendre(points: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and derivatives of the orthonormal shifted Legendre basis.
+def _shifted_legendre(points: np.ndarray, degree: int) -> np.ndarray:
+    """Values of the orthonormal shifted Legendre basis, (n_points, degree + 1).
 
-    Returns two (n_points, degree + 1) arrays.  The recurrences run on
-    x = 2t - 1 and stay stable through degree 30 and beyond.
+    The three-term recurrence runs on x = 2t - 1 and stays stable through
+    degree 30 and beyond.
     """
     t = np.asarray(points, dtype=float)
     x = 2.0 * t - 1.0
     values = np.empty((t.size, degree + 1))
-    derivs = np.empty_like(values)
     values[:, 0] = 1.0
-    derivs[:, 0] = 0.0
     if degree >= 1:
         values[:, 1] = x
-        derivs[:, 1] = 1.0
     for k in range(1, degree):
         values[:, k + 1] = (
             (2 * k + 1) * x * values[:, k] - k * values[:, k - 1]
         ) / (k + 1)
-        derivs[:, k + 1] = derivs[:, k - 1] + (2 * k + 1) * values[:, k]
-    scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
-    return values * scale, 2.0 * derivs * scale
+    return values * np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
 
 
 def _near_nodes(points: np.ndarray, nodes: np.ndarray):
@@ -124,10 +107,10 @@ def _near_nodes(points: np.ndarray, nodes: np.ndarray):
     return diff, regular, at_node[~regular].argmax(axis=1)
 
 
-def eval_basis(basis: Basis, points) -> tuple[np.ndarray, np.ndarray]:
-    """Basis values and first derivatives at many points, two (n_points, d + 1)
+def eval_basis(degree: int, points) -> tuple[np.ndarray, np.ndarray]:
+    """Degree-d basis values and first derivatives at many points, two (n_points, d + 1)
     matrices from one pass of node distances and barycentric quotients."""
-    pts, degree = _check_points(points), basis.degree
+    pts = _check_points(points)
     nodes, bary, at_nodes = _lobatto_data(degree)
     if degree == 0:
         return np.ones((pts.size, 1)), np.zeros((pts.size, 1))
@@ -172,19 +155,18 @@ def verify_norm_constants(d_max: int) -> list[NormConstantRow]:
     values rather than read off the closed form.  Additionally certifies on a
     dense grid that the minimizer's sup norm equals its value 1 at t = 0.
     """
-    if not 0 <= d_max <= MAX_DEGREE:
-        raise ValueError(f"unsupported degree {d_max}: need 0..{MAX_DEGREE}")
+    check_degree(d_max)
     grid = np.linspace(0.0, 1.0, _LINF_GRID)
     rows = []
     for d in range(d_max + 1):
         coeffs = _unit_value_minimizer(d)
         rule = gauss_legendre_unit(d + 1)
-        vals = _shifted_legendre(rule.nodes, d)[0] @ coeffs
+        vals = _shifted_legendre(rule.nodes, d) @ coeffs
         computed = float(np.sqrt(rule.weights @ vals**2))
         expected = 1.0 / (d + 1)
         rows.append(NormConstantRow(d, computed, expected, abs(computed - expected)))
 
-        grid_vals = _shifted_legendre(grid, d)[0] @ coeffs
+        grid_vals = _shifted_legendre(grid, d) @ coeffs
         sup = float(np.abs(grid_vals).max())
         at_zero = float(grid_vals[0])
         if abs(sup - at_zero) > 1e-9 or abs(at_zero - 1.0) > 1e-9:

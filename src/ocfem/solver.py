@@ -139,10 +139,7 @@ def default_start(nlp: AssembledNlp) -> CoefficientVector:
 
 def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVector:
     """Shift auxiliary components whose quadrature values are not positive."""
-    if nlp.space.n_z == 0:
-        return x
-    z = nlp.z_values(x)
-    mins = z.min(axis=0)
+    mins = nlp.z_values(x).min(axis=0)
     if (mins > 0).all():
         return x
     values = x.values.copy()
@@ -199,8 +196,6 @@ def _newton_step(
 
 
 def _boundary_cap(nlp: AssembledNlp, x: CoefficientVector, step: np.ndarray) -> float:
-    if nlp.space.n_z == 0:
-        return 1.0
     n_y, B = nlp.space.n_y, nlp.space.block_width
     z = nlp.z_values(x)
     dz = (nlp.eval_op @ step).reshape(nlp.M, B)[:, 2 * n_y :]
@@ -298,7 +293,6 @@ def solve(
         grad_norm = math.sqrt(grad @ grad)
     except BarrierDomainError:
         terms = None
-    min_z = float(nlp.z_values(x).min()) if nlp.space.n_z > 0 else math.inf
     return SolveReport(
         x_final=x,
         status=status,
@@ -307,7 +301,7 @@ def solve(
         terms=terms,
         residual=nlp.residual_value(x),
         multipliers=nlp.penalty_multipliers(x),
-        min_z=min_z,
+        min_z=float(nlp.z_values(x).min(initial=math.inf)),
     )
 
 

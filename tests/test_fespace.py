@@ -245,8 +245,8 @@ class TestPointOperator:
         op = build_point_eval_operator(space, [0.5]).toarray()[0]
         left = np.zeros(space.N)
         right = np.zeros(space.N)
-        left[space.index_map[0][0]] = eval_basis(space.basis, [1.0])[0][0]
-        right[space.index_map[0][1]] = eval_basis(space.basis, [0.0])[0][0]
+        left[space.index_map[0][0]] = eval_basis(space.degree, [1.0])[0][0]
+        right[space.index_map[0][1]] = eval_basis(space.degree, [0.0])[0][0]
         assert op == pytest.approx(left, abs=0)
         assert left == pytest.approx(right, abs=0)
 

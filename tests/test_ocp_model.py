@@ -196,16 +196,6 @@ class TestCheckDerivatives:
         with pytest.raises(ValueError, match="n_samples"):
             check_derivatives(quadratic_problem(), n_samples=n_samples)
 
-    def test_empty_sample_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one sample"):
-            check_derivatives(quadratic_problem(), samples=[])
-
-    def test_empty_point_sample_list_rejected(self):
-        # quadratic_problem has point constraints, so b_samples=[] would check none
-        assert quadratic_problem().p > 0
-        with pytest.raises(ValueError, match="at least one sample in b_samples"):
-            check_derivatives(quadratic_problem(), b_samples=[])
-
     def test_report_lists_entries(self):
         report = check_derivatives(quadratic_problem(), n_samples=2, seed=3)
         names = [name for name, _ in report.entries()]
@@ -214,7 +204,6 @@ class TestCheckDerivatives:
             "b_jacobian", "b_hessian",
         ]
         assert "derivative check" in str(report)
-        assert report.max_error() >= 0.0
 
     def test_shape_validation(self):
         problem = OcpProblem(

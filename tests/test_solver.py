@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +15,7 @@ from ocfem.fespace import build_space
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import Mesh, uniform_mesh
 from ocfem.ocp_model import MethodParams, OcpProblem, batched, default_params, residual
+from ocfem.polybasis import gauss_lobatto_nodes
 from ocfem.solver import (
     _FLOOR_REL_CHANGE,
     _FLOOR_STEPS,
@@ -22,6 +24,7 @@ from ocfem.solver import (
     STATUS_MAX_ITERS,
     STATUS_ROUNDING_FLOOR,
     SolverOptions,
+    _boundary_cap,
     _newton_direction,
     _newton_stage,
     _newton_step,
@@ -49,7 +52,10 @@ def barrier_pull_nlp(tau, omega=1e-2, degree=2):
 
 
 class TestNewtonOnQuadratic:
-    def test_converges_in_few_iterations(self, rng):
+    @staticmethod
+    def solve_quadratic(rng):
+        """min of the integral of y^2 / 2, with no auxiliary component (n_z = 0)."""
+
         def f_eval(dy, y, z, t):
             return 0.5 * float(y[0] ** 2), np.array([0.0, y[0]]), np.diag([0.0, 1.0])
 
@@ -63,10 +69,25 @@ class TestNewtonOnQuadratic:
         opts = SolverOptions(
             grad_tol=1e-10, continuation=[(params.omega, params.tau)]
         )
-        report = solve(nlp, x0, opts)
+        return nlp, x0, solve(nlp, x0, opts)
+
+    def test_converges_in_few_iterations(self, rng):
+        _, _, report = self.solve_quadratic(rng)
         assert report.status == STATUS_CONVERGED
         assert report.total_iterations <= 3
         assert report.grad_norm <= 1e-10
+
+    def test_no_auxiliaries_take_the_common_path(self, rng):
+        # an (M, 0) z array: no barrier, no interior shift, no step cap, min z = inf
+        nlp, x0, report = self.solve_quadratic(rng)
+        assert nlp.z_values(x0).shape == (nlp.M, 0)
+        assert report.terms.barrier == 0.0
+        assert report.min_z == math.inf
+        assert ensure_interior(nlp, x0) is x0
+        assert _boundary_cap(nlp, x0, -nlp.gradient(x0)) == 1.0
+        # the final coefficients of the code that special-cased n_z = 0, byte for byte
+        digest = hashlib.sha256(report.x_final.values.tobytes()).hexdigest()
+        assert digest == "8b7e358e973959062a6a6afebe70864109336b6e67d2dec8032254cb69bc850e"
 
 
 class TestSolveLq:
@@ -408,7 +429,7 @@ class TestLiftedExport:
                 for t in problem.time_points:
                     k = mesh.interval_index(t)
                     local = (t - mesh.breakpoints[k]) / mesh.lengths[k]
-                    at_node = np.abs(local - space.basis.nodes) < 1e-14
+                    at_node = np.abs(local - gauss_lobatto_nodes(space.degree)) < 1e-14
                     block = space.index_map[comp][k]
                     point_cols |= set((block[at_node] if at_node.any() else block).tolist())
             for i in range(problem.p):
