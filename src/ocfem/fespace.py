@@ -6,10 +6,11 @@ are looked up by ``degree``.  Differential components (the first ``n_y``)
 are kept continuous by sharing endpoint coefficients between neighbouring
 intervals; auxiliary components (the remaining ``n_z``) are discontinuous.
 Coefficients are numbered component-major, then interval-major, then by
-local basis index.  An evaluation operator accepts only a rule composed over
-a mesh that ``merge_meshes`` made from the space's meshes, checked against
-the sources the merged mesh records, and takes each component's basis
-values and slopes from one ``eval_basis(degree, points)`` call.
+local basis index.  An evaluation operator accepts a rule composed over the
+merge of the space's meshes or any refinement of it, finds the component
+interval holding each rule interval with one ``mesh.source_intervals`` call,
+and takes each component's basis values and slopes from one
+``eval_basis(degree, points)`` call.
 The CSR arrays of the evaluation operator are the one record of which
 coefficients each quadrature point touches: every row holds the d + 1
 coefficients of its component's source interval, zero basis values
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .mesh import MergedMesh, Mesh
+from .mesh import ENDPOINT_COLLAPSE_RTOL, Mesh, source_intervals
 from .polybasis import check_degree, eval_basis, gauss_lobatto_nodes
 from .quadrature import GlobalRule
 
@@ -59,7 +60,7 @@ class FESpace:
         return 2 * self.n_y + self.n_z
 
     def coefficient_vector(self, values) -> "CoefficientVector":
-        return CoefficientVector(np.asarray(values, dtype=float), self)
+        return CoefficientVector(values, self)
 
     def nodes(self, comp: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient indices of component ``comp``, each once, and the times of
@@ -85,13 +86,14 @@ class FESpace:
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """Finite coefficient vector tied to its space."""
+    """Finite coefficient vector tied to its space; it owns a read-only copy of
+    the values it was given."""
 
     values: np.ndarray
     space: FESpace
 
     def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != (self.space.N,):
             raise ValueError(
                 f"coefficient vector has shape {vals.shape}, space needs ({self.space.N},)"
@@ -100,9 +102,6 @@ class CoefficientVector:
             raise ValueError("coefficient vector contains non-finite entries")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def replace_values(self, values) -> "CoefficientVector":
-        return CoefficientVector(np.asarray(values, dtype=float), self.space)
 
 
 def build_space(meshes: Sequence[Mesh], degree: int, n_y: int, n_z: int) -> FESpace:
@@ -136,19 +135,18 @@ def build_space(meshes: Sequence[Mesh], degree: int, n_y: int, n_z: int) -> FESp
     return FESpace(meshes, degree, n_y, n_z, tuple(index_map), start)
 
 
-def _check_rule(space: FESpace, rule: GlobalRule) -> MergedMesh:
-    """The rule's merged mesh, if ``merge_meshes`` made it from the space's meshes
-    (compared by breakpoints, in component order)."""
-    mesh, meshes = rule.mesh, space.component_meshes
-    sources = mesh.sources if isinstance(mesh, MergedMesh) else ()
-    ok = len(sources) == len(meshes) and all(
-        np.array_equal(s.breakpoints, m.breakpoints) for s, m in zip(sources, meshes)
-    )
-    if not ok:
-        raise ValueError(
-            "quadrature rule was not composed over the merged mesh of this space"
-        )
-    return mesh
+def _check_rule(space: FESpace, rule: GlobalRule) -> None:
+    """Reject a rule whose mesh does not refine every component mesh on the space's
+    domain: each component breakpoint must lie within the merge's collapse
+    tolerance of a breakpoint of the rule's mesh."""
+    points = rule.mesh.breakpoints
+    t0, t_end = space.domain
+    tol = ENDPOINT_COLLAPSE_RTOL * (t_end - t0)
+    ends = np.concatenate([m.breakpoints for m in space.component_meshes])
+    k = np.clip(np.searchsorted(points, ends), 1, points.size - 1)
+    gaps = np.minimum(ends - points[k - 1], points[k] - ends)
+    if rule.mesh.domain != space.domain or (gaps > tol).any():
+        raise ValueError("quadrature rule was not composed over the merged mesh of this space")
 
 
 def _basis_rows(space: FESpace, comp: int, t: np.ndarray, src: np.ndarray):
@@ -176,9 +174,10 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
     and ``data`` reshape to (M, B, d + 1), a derivative row has the columns
     of its value row, and ``indptr`` steps by d + 1.
     """
-    merged = _check_rule(space, rule)
+    _check_rule(space, rule)
     B, M, d1, n_y = space.block_width, rule.M, space.degree + 1, space.n_y
-    src_of_point = merged.provenance[rule.interval_of]
+    sources = source_intervals(space.component_meshes, rule.mesh.breakpoints)
+    src_of_point = sources[rule.interval_of]
     indices = np.empty((M, B, d1), dtype=int)
     data = np.empty((M, B, d1))
     for comp in range(space.n_x):

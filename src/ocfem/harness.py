@@ -62,6 +62,18 @@ class Benchmark:
     mesh_plan: Optional[Callable[[int], Sequence[int]]] = None
 
 
+def _initial_value(y0: float):
+    """Point-constraint callback of y(0) = y0, with y(0) first in the stacked values."""
+
+    def b_eval(stacked_y):
+        n = len(stacked_y)
+        jac = np.zeros((1, n))
+        jac[0, 0] = 1.0
+        return np.array([stacked_y[0] - y0]), jac, np.zeros((1, n, n))
+
+    return b_eval
+
+
 def _lq_benchmark() -> Benchmark:
     """Linear-quadratic tracking with the control split into two positives.
 
@@ -88,12 +100,6 @@ def _lq_benchmark() -> Benchmark:
         jac = np.broadcast_to([[1.0, 0.0, -1.0, 1.0]], (len(t), 1, 4))
         return values, jac, np.broadcast_to(0.0, (len(t), 1, 4, 4))
 
-    def b_eval(stacked_y):
-        values = np.array([stacked_y[0] - 1.0])
-        jac = np.zeros((1, len(stacked_y)))
-        jac[0, 0] = 1.0
-        return values, jac, np.zeros((1, len(stacked_y), len(stacked_y)))
-
     cosh1 = math.cosh(1.0)
 
     def y_star(t: float) -> np.ndarray:
@@ -111,7 +117,7 @@ def _lq_benchmark() -> Benchmark:
         time_points=(0.0, 1.0),
         f_eval=f_eval,
         c_eval=c_eval,
-        b_eval=b_eval,
+        b_eval=_initial_value(1.0),
         initial_guess=lambda t: np.array([1.0]),
     )
     analytic = AnalyticSolution(y=y_star, z=z_star, cost=0.5 * math.tanh(1.0))
@@ -136,15 +142,6 @@ def _trivial_benchmark() -> Benchmark:
         jac = np.broadcast_to([[1.0, 0.0, 0.0]], (len(t), 1, 3))
         return dy[:, :1].copy(), jac, np.broadcast_to(0.0, (len(t), 1, 3, 3))
 
-    def b_eval(stacked_y):
-        jac = np.zeros((1, len(stacked_y)))
-        jac[0, 0] = 1.0
-        return (
-            np.array([stacked_y[0]]),
-            jac,
-            np.zeros((1, len(stacked_y), len(stacked_y))),
-        )
-
     problem = OcpProblem(
         n_y=1,
         n_z=1,
@@ -153,7 +150,7 @@ def _trivial_benchmark() -> Benchmark:
         time_points=(0.0, 1.0),
         f_eval=f_eval,
         c_eval=c_eval,
-        b_eval=b_eval,
+        b_eval=_initial_value(0.0),
     )
     analytic = AnalyticSolution(y=lambda t: np.array([0.0]), cost=0.0)
     return Benchmark("trivial", problem, analytic)
@@ -291,14 +288,9 @@ def _x_error(benchmark: Benchmark, nlp: AssembledNlp, report: SolveReport) -> Op
     if analytic is None or analytic.y is None:
         return None
     space = nlp.space
-    functions = []
-    for comp in range(space.n_y):
-        functions.append(lambda t, c=comp: float(analytic.y(t)[c]))
-    for comp in range(space.n_z):
-        if analytic.z is not None:
-            functions.append(lambda t, c=comp: float(analytic.z(t)[c]))
-        else:
-            functions.append(lambda t: 0.0)
+    z = analytic.z or (lambda t: np.zeros(space.n_z))
+    functions = [lambda t, c=c: float(analytic.y(t)[c]) for c in range(space.n_y)]
+    functions += [lambda t, c=c: float(z(t)[c]) for c in range(space.n_z)]
     diff = report.x_final.values - space.interpolate(functions).values
     rows = (nlp.eval_op @ diff).reshape(nlp.M, space.block_width)
     if analytic.z is None:
@@ -327,21 +319,17 @@ def run_study(
     d: int,
     h_list: Sequence[float],
     solver_options: Optional[SolverOptions] = None,
-    out_dir: Optional[str] = None,
 ) -> StudyResult:
     """Solve one benchmark over a list of mesh widths and fit observed orders.
 
     Rows are produced in the given h order; a solver failure marks its row
     and the study continues.  Every row is set up before the first solve, and
-    fewer than three distinct meshes are rejected.  Results are persisted as
-    CSV and JSON when an output directory is given.
+    fewer than three distinct meshes are rejected.
     """
     benchmark = get_benchmark(problem)
     nlps = [_assemble(benchmark, h, d) for h in h_list]
     if len({nlp.N for nlp in nlps}) < 3:
         raise ValueError("insufficient points for order fit: need at least 3 distinct meshes")
-    if out_dir is not None:  # an unusable directory fails before the first solve
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
     rows: list[ConvergenceRow] = []
     reports: list[SolveReport] = []
     for h, nlp in zip(h_list, nlps):
@@ -384,16 +372,13 @@ def run_study(
         orders[name] = order
         if note:
             notes.append(f"{name}: {note}")
-    result = StudyResult(
+    return StudyResult(
         rows=rows,
         orders=orders,
         notes=notes,
         failed=any(r.status != STATUS_CONVERGED for r in rows),
         reports=reports,
     )
-    if out_dir is not None:
-        write_study_outputs(result, out_dir)
-    return result
 
 
 def _csv_cell(value) -> str:
@@ -444,16 +429,6 @@ def study_json(result: StudyResult) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_study_outputs(result: StudyResult, out_dir: str) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "study.csv"
-    json_path = out / "study.json"
-    csv_path.write_bytes(study_csv(result.rows).encode("utf-8"))
-    json_path.write_bytes(study_json(result).encode("utf-8"))
-    return csv_path, json_path
-
-
 # -- command-line interface ---------------------------------------------------
 
 
@@ -494,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, flags, _) in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=help_text)
-        for key in ("config", "out", *flags):
+        for key in ("config", *flags):
             command_parser.add_argument(_flag_name(key), dest=key, help=_FLAGS[key][2])
     return parser
 
@@ -546,7 +521,7 @@ def _options(args: argparse.Namespace) -> dict:
     _, _, flags, required = _COMMANDS[args.command]
     config = _read_config(args.config) if args.config else {}
     merged = {"breakpoints": config.get("breakpoints")}
-    for key in ("out", *flags):
+    for key in flags:
         parse, default, _ = _FLAGS[key]
         text = getattr(args, key)
         value = config.get(key) if text is None else _parse(_flag_name(key), parse, text)
@@ -557,9 +532,9 @@ def _options(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _solver_options(merged: dict) -> Optional[SolverOptions]:
+def _solver_options(merged: dict) -> SolverOptions:
     kwargs = {k: merged[k] for k in ("max_iters", "grad_tol") if merged[k] is not None}
-    return SolverOptions(**kwargs) if kwargs else None
+    return SolverOptions(**kwargs)
 
 
 def _nlp_from(merged: dict) -> tuple[Benchmark, AssembledNlp]:
@@ -568,19 +543,16 @@ def _nlp_from(merged: dict) -> tuple[Benchmark, AssembledNlp]:
     return benchmark, _assemble(benchmark, merged["h"], merged["d"], merged["breakpoints"])
 
 
-def _out_dir(merged: dict) -> Optional[Path]:
-    """The --out directory, created if missing; None when it was not given."""
-    if not merged["out"]:
-        return None
-    out = Path(merged["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(out: Path, name: str, text: str) -> Path:
+    """Write ``text`` to ``out / name`` as UTF-8 and return the path."""
+    path = out / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
 
 
 def _cmd_solve(merged: dict) -> int:
     benchmark, nlp = _nlp_from(merged)
     params = nlp.params
-    out = _out_dir(merged)  # an unusable --out fails before the solve
     report = solve(nlp, None, _solver_options(merged))
     print(f"problem: {benchmark.name}")
     print(f"h: {params.h!r}  d: {params.d}")
@@ -595,7 +567,7 @@ def _cmd_solve(merged: dict) -> int:
     print(f"residual: {report.residual!r}")
     if not math.isinf(report.min_z):
         print(f"min_z: {report.min_z!r}")
-    if out is not None:
+    if merged["out"]:
         payload = _report_summary(report) | {
             "problem": benchmark.name,
             "h": params.h,
@@ -606,9 +578,7 @@ def _cmd_solve(merged: dict) -> int:
             "M": nlp.M,
             "coefficients": report.x_final.values.tolist(),
         }
-        (out / "report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write(merged["out"], "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if report.status == STATUS_CONVERGED else 1
 
 
@@ -618,8 +588,10 @@ def _cmd_study(merged: dict) -> int:
         merged["d"],
         merged["h_list"],
         solver_options=_solver_options(merged),
-        out_dir=merged["out"],
     )
+    if merged["out"]:
+        _write(merged["out"], "study.csv", study_csv(result.rows))
+        _write(merged["out"], "study.json", study_json(result))
     print(study_csv(result.rows), end="")
     for name, order in sorted(result.orders.items()):
         if order is None:
@@ -635,19 +607,16 @@ def _cmd_norm_check(merged: dict) -> int:
     rows = verify_norm_constants(merged["d_max"])
     text = norm_constants_csv(rows)
     print(text, end="")
-    out = _out_dir(merged)
-    if out is not None:
-        (out / "norm_check.csv").write_bytes(text.encode("utf-8"))
+    if merged["out"]:
+        _write(merged["out"], "norm_check.csv", text)
     return 0
 
 
 def _cmd_export_nlp(merged: dict) -> int:
     _, nlp = _nlp_from(merged)
     text = export_lifted_nlp(nlp)
-    out = _out_dir(merged)
-    if out is not None:
-        (out / "lifted_nlp.txt").write_bytes(text.encode("utf-8"))
-        print(f"wrote {out / 'lifted_nlp.txt'}")
+    if merged["out"]:
+        print(f"wrote {_write(merged['out'], 'lifted_nlp.txt', text)}")
     else:
         print(text, end="")
     return 0
@@ -671,11 +640,10 @@ def _cmd_sparsity(merged: dict) -> int:
         "regularizer": nlp.regularizer,
         "full_hessian": nlp.full_hessian(x0),
     }
-    out = _out_dir(merged)
-    if out is not None:
+    if merged["out"]:
         for name, matrix in matrices.items():
-            (out / f"{name}.coo").write_bytes(_coo_text(name, matrix).encode("utf-8"))
-        print(f"wrote {len(matrices)} pattern files to {out}")
+            _write(merged["out"], f"{name}.coo", _coo_text(name, matrix))
+        print(f"wrote {len(matrices)} pattern files to {merged['out']}")
     else:
         for name, matrix in matrices.items():
             print(_coo_text(name, matrix), end="")
@@ -689,11 +657,12 @@ def _cmd_check_derivatives(merged: dict) -> int:
     return 0
 
 
-_SETUP = ("problem", "h", "d")
+_SETUP = ("out", "problem", "h", "d")
 _NEWTON = ("max_iters", "grad_tol")
 
-#: Every subcommand: its handler, its help, its flags after --config and
-#: --out in --help order, and the flags it cannot run without.
+#: Every subcommand: its handler, its help, its flags after --config in --help
+#: order, and the flags it cannot run without.  Only a subcommand that writes
+#: files takes --out.
 _COMMANDS = {
     "solve": (
         _cmd_solve, "solve one benchmark at fixed h and d", _SETUP + _NEWTON, ("problem", "d")
@@ -701,10 +670,10 @@ _COMMANDS = {
     "study": (
         _cmd_study,
         "mesh-refinement study with order fits",
-        _NEWTON + ("problem", "d", "h_list"),
+        ("out",) + _NEWTON + ("problem", "d", "h_list"),
         ("problem", "d", "h_list"),
     ),
-    "norm-check": (_cmd_norm_check, "minimum-norm constants per degree", ("d_max",), ()),
+    "norm-check": (_cmd_norm_check, "minimum-norm constants per degree", ("out", "d_max"), ()),
     "export-nlp": (
         _cmd_export_nlp, "write the lifted constrained program", _SETUP, ("problem", "d")
     ),
@@ -726,7 +695,11 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         code = exit_.code
         return int(code) if code is not None else 0
     try:
-        return _COMMANDS[args.command][0](_options(args))
+        merged = _options(args)
+        if merged.get("out"):  # an unusable --out fails before any set-up or solve
+            merged["out"] = Path(merged["out"])
+            merged["out"].mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command][0](merged)
     except (ValueError, OSError) as exc:  # bad input, or an unusable --config or --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,9 @@
 
 A mesh is one read-only array of finite, strictly increasing breakpoints:
 interval k is [breakpoints[k], breakpoints[k + 1]].  Building meshes and
-locating points are numpy operations on those arrays; merging walks their
-sorted endpoints once and records the meshes it merged on the result, so a
-consumer checks where a merged mesh came from without merging again.
+locating points are numpy operations on those arrays.  Merging walks their
+sorted endpoints once and returns a plain mesh; ``source_intervals`` finds
+the interval of each source mesh that holds each interval of a refinement.
 """
 
 from __future__ import annotations
@@ -87,28 +87,6 @@ class Mesh:
         return int(k) if k.ndim == 0 else k
 
 
-@dataclass(frozen=True, eq=False)
-class MergedMesh(Mesh):
-    """Common refinement of several meshes over one domain.
-
-    ``provenance[i, s]`` is the index of the interval of source mesh ``s``
-    that contains merged interval ``i``: a read-only (n_intervals, n_sources)
-    int array.  ``sources`` holds the merged meshes; only ``merge_meshes``
-    sets it, so a merged mesh built by hand has none.
-    """
-
-    provenance: np.ndarray
-    sources: tuple[Mesh, ...] = field(default=(), init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        provenance = np.array(self.provenance, dtype=int)
-        if provenance.ndim != 2 or len(provenance) != self.n_intervals:
-            raise ValueError("provenance must have one row per merged interval")
-        provenance.flags.writeable = False
-        object.__setattr__(self, "provenance", provenance)
-
-
 def uniform_mesh(domain: tuple[float, float], n_intervals: int) -> Mesh:
     """Equal-length partition of ``domain`` into ``n_intervals`` pieces."""
     t0, t_end = _finite(np.array(domain, dtype=float)).tolist()
@@ -150,7 +128,7 @@ def source_intervals(meshes: Sequence[Mesh], points: np.ndarray) -> np.ndarray:
     return np.column_stack([m.interval_index(mids) for m in meshes])
 
 
-def merge_meshes(meshes: Sequence[Mesh]) -> MergedMesh:
+def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
     """Common refinement: intervals between all neighbouring source endpoints.
 
     All meshes must share the same domain.  Endpoints closer than
@@ -162,7 +140,4 @@ def merge_meshes(meshes: Sequence[Mesh]) -> MergedMesh:
     for m in meshes[1:]:
         if m.domain != domain:
             raise ValueError(f"domain mismatch: {m.domain} vs {domain}")
-    points = merged_breakpoints(meshes)
-    merged = MergedMesh(points, source_intervals(meshes, points))
-    object.__setattr__(merged, "sources", tuple(meshes))
-    return merged
+    return Mesh(merged_breakpoints(meshes))

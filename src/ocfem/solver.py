@@ -147,7 +147,7 @@ def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVecto
         if low <= 0:
             # auxiliary blocks are disjoint: one add per coefficient
             values[nlp.space.index_map[nlp.space.n_y + comp_z].ravel()] += _INTERIOR_MARGIN - low
-    return x.replace_values(values)
+    return nlp.coefficients(values)
 
 
 def _schedule(
@@ -245,9 +245,9 @@ def _newton_stage(
             slope = float(grad @ step)
         alpha = _boundary_cap(nlp, x, step)
         for _ in range(_LS_MAX_BACKTRACKS):
-            trial_values = x.values + alpha * step
-            if np.isfinite(trial_values).all():
-                trial = x.replace_values(trial_values)
+            trial = x.values + alpha * step
+            if np.isfinite(trial).all():
+                trial = nlp.coefficients(trial)  # keeps a copy; the sum is dropped here
                 try:
                     trial_total = nlp.objective_terms(trial).total
                 except BarrierDomainError:

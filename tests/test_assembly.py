@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sparse
 
 import ocfem.assembly
+import ocfem.fespace
 import ocfem.mesh
 from ocfem.assembly import AssembledNlp
 from ocfem.errors import BarrierDomainError
@@ -457,13 +458,13 @@ class TestHessianLayout:
         assert fresh._shared["layout"] is built[1].hessian_layout
 
     def test_set_up_merges_the_meshes_once(self, monkeypatch, rng):
-        # to compose the rule; its check reads the merged mesh's sources and
-        # the band order reads eval_op
+        # to compose the rule; the evaluation operator looks up the component
+        # intervals once, and the band order reads eval_op
         calls = []
-        for name in ("merged_breakpoints", "source_intervals"):
-            step = getattr(ocfem.mesh, name)
+        for module, name in ((ocfem.mesh, "merged_breakpoints"), (ocfem.fespace, "source_intervals")):
+            step = getattr(module, name)
             counting = lambda *args, name=name, step=step: calls.append(name) or step(*args)
-            monkeypatch.setattr(ocfem.mesh, name, counting)
+            monkeypatch.setattr(module, name, counting)
         nlp = oracle_case("lq-multimesh")
         nlp.hessian_band(random_interior_point(nlp, rng))
         assert calls == ["merged_breakpoints", "source_intervals"]

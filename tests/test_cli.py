@@ -138,6 +138,12 @@ class TestUsage:
         assert code == 2
         assert "--sigma" in capsys.readouterr().err
 
+    def test_out_rejected_where_nothing_is_written(self, capsys, tmp_path):
+        out = tmp_path / "cd"
+        assert cli_main(["check-derivatives", "--problem", "lq", "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_problem(self, capsys):
         code = cli_main(["check-derivatives", "--problem", "nope"])
         assert code == 2

@@ -11,10 +11,15 @@ from ocfem.fespace import (
     build_space,
 )
 from ocfem.harness import build_setup, get_benchmark
-from ocfem.mesh import MergedMesh, Mesh, merge_meshes, uniform_mesh
+from ocfem.mesh import Mesh, merge_meshes, uniform_mesh
 from ocfem.ocp_model import OcpProblem, batched, default_params
 from ocfem.polybasis import eval_basis
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
+
+
+def assert_same_csr(op, expected):
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(op, name), getattr(expected, name))
 
 
 def space_and_rule(meshes, degree, n_y, n_z, n_nodes=None):
@@ -87,6 +92,21 @@ class TestCoefficientVector:
         with pytest.raises(ValueError, match="non-finite"):
             CoefficientVector(np.array([0.0, np.nan, 0.0]), space)
 
+    def test_values_are_its_own_copy(self):
+        # the caller's array stays writeable, and a later write through it or
+        # through the array a view was taken of cannot reach a validated vector
+        space = build_space([uniform_mesh((0.0, 1.0), 2)], 1, 1, 0)
+        a = np.array([0.0, 1.0, 2.0])
+        x = space.coefficient_vector(a)
+        assert a.flags.writeable
+        a[0] = 7.0
+        b = np.array([3.0, 4.0, 5.0])
+        y = space.coefficient_vector(b[:])
+        b[0] = np.nan
+        assert x.values.tolist() == [0.0, 1.0, 2.0]
+        assert y.values.tolist() == [3.0, 4.0, 5.0]
+        assert not x.values.flags.writeable and not y.values.flags.writeable
+
 
 class TestEvalOperator:
     def test_constant_reproduction(self):
@@ -142,13 +162,19 @@ class TestEvalOperator:
         with pytest.raises(ValueError, match="merged mesh"):
             build_eval_operator(space, other)
 
-    def test_rule_over_reordered_meshes_rejected(self):
-        # same merged breakpoints, provenance columns swapped
-        coarse, fine = uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 4)
-        space, _ = space_and_rule([coarse, fine], 1, 1, 1)
-        swapped = compose_rule(merge_meshes([fine, coarse]), gauss_legendre_unit(2))
+    def test_rule_over_a_wider_domain_rejected(self):
+        space, _ = space_and_rule([uniform_mesh((0.0, 1.0), 2)], 1, 1, 0)
+        wider = compose_rule(uniform_mesh((0.0, 2.0), 4), gauss_legendre_unit(2))
         with pytest.raises(ValueError, match="merged mesh"):
-            build_eval_operator(space, swapped)
+            build_eval_operator(space, wider)
+
+    def test_rule_over_reordered_meshes_accepted(self):
+        # the merge does not depend on the order of the meshes, and the
+        # operator looks up each component's intervals itself
+        coarse, fine = uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 4)
+        space, rule = space_and_rule([coarse, fine], 1, 1, 1)
+        swapped = compose_rule(merge_meshes([fine, coarse]), gauss_legendre_unit(2))
+        assert_same_csr(build_eval_operator(space, swapped), build_eval_operator(space, rule))
 
     def test_rule_over_equal_copies_of_the_meshes_accepted(self):
         meshes = [uniform_mesh((0.0, 1.0), 2), Mesh([0.0, 0.3, 1.0])]
@@ -156,19 +182,25 @@ class TestEvalOperator:
         copies = [Mesh(m.breakpoints.copy()) for m in meshes]
         assert all(a is not b for a, b in zip(copies, meshes))
         again = compose_rule(merge_meshes(copies), gauss_legendre_unit(3))
-        op = build_eval_operator(space, again)
-        expected = build_eval_operator(space, rule)
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(op, name), getattr(expected, name))
+        assert_same_csr(build_eval_operator(space, again), build_eval_operator(space, rule))
 
-    def test_hand_built_merged_mesh_rejected(self):
+    def test_hand_built_merged_mesh_accepted(self):
         meshes = [uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 3)]
-        space, _ = space_and_rule(meshes, 1, 1, 1)
-        merged = merge_meshes(meshes)
-        by_hand = MergedMesh(merged.breakpoints, merged.provenance)
-        rule = compose_rule(by_hand, gauss_legendre_unit(2))
-        with pytest.raises(ValueError, match="merged mesh"):
-            build_eval_operator(space, rule)
+        space, rule = space_and_rule(meshes, 1, 1, 1)
+        by_hand = compose_rule(Mesh(rule.mesh.breakpoints.copy()), gauss_legendre_unit(2))
+        assert_same_csr(build_eval_operator(space, by_hand), build_eval_operator(space, rule))
+
+    def test_refinement_of_the_merge_accepted(self):
+        # every rule interval lies in one interval of each component, so a
+        # degree-2 interpolant of quadratics is evaluated exactly
+        meshes = [uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 3)]
+        space = build_space(meshes, 2, 1, 1)
+        rule = compose_rule(uniform_mesh((0.0, 1.0), 12), gauss_legendre_unit(3))
+        op = build_eval_operator(space, rule)
+        x = space.interpolate([lambda t: t * t, lambda t: 1.0 - t * t])
+        values = (op @ x.values).reshape(rule.M, 3)
+        t = rule.points
+        assert np.allclose(values, np.column_stack([2 * t, t * t, 1.0 - t * t]), rtol=0, atol=1e-13)
 
     def test_row_sparsity_bound(self):
         space, rule = space_and_rule(

@@ -187,11 +187,13 @@ class TestRunStudy:
         result = run_study("trivial", 3, hs)
         assert [r.h for r in result.rows] == hs
 
-    def test_outputs_written(self, tmp_path):
+    def test_outputs_written(self, tmp_path, capsys):
         out = tmp_path / "study"
-        result = run_study("trivial", 3, [0.5, 0.25, 0.125], out_dir=str(out))
+        args = ["study", "--problem", "trivial", "--d", "3", "--h-list", "0.5,0.25,0.125"]
+        assert harness.cli_main([*args, "--out", str(out)]) == 0
         csv_text = (out / "study.csv").read_text(encoding="utf-8")
-        assert csv_text == study_csv(result.rows)
+        assert capsys.readouterr().out.startswith(csv_text)
+        assert csv_text == study_csv(run_study("trivial", 3, [0.5, 0.25, 0.125]).rows)
         payload = json.loads((out / "study.json").read_text(encoding="utf-8"))
         assert len(payload["rows"]) == 3
         assert payload["rows"][0]["wall_time"] > 0

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from ocfem.mesh import (
     Mesh,
-    MergedMesh,
     merge_meshes,
+    source_intervals,
     uniform_mesh,
 )
 
@@ -81,7 +81,7 @@ class TestMerge:
         mesh = uniform_mesh((0.0, 1.0), 2)
         merged = merge_meshes([mesh])
         assert merged.breakpoints == pytest.approx(mesh.breakpoints, abs=0)
-        assert np.array_equal(merged.provenance, [[0], [1]])
+        assert np.array_equal(source_intervals([mesh], merged.breakpoints), [[0], [1]])
 
     def test_two_and_three(self):
         merged = merge_meshes([uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 3)])
@@ -105,10 +105,12 @@ class TestMerge:
     def test_provenance_points_to_containing_interval(self):
         meshes = [uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 3)]
         merged = merge_meshes(meshes)
+        sources = source_intervals(meshes, merged.breakpoints)
+        assert sources.shape == (merged.n_intervals, len(meshes))
         mids = 0.5 * (merged.breakpoints[:-1] + merged.breakpoints[1:])
         for i, mid in enumerate(mids):
             for s, mesh in enumerate(meshes):
-                k = merged.provenance[i, s]
+                k = sources[i, s]
                 assert mesh.breakpoints[k] <= mid <= mesh.breakpoints[k + 1]
 
     def test_near_duplicate_endpoints_collapse(self):
@@ -147,7 +149,7 @@ class TestMergeProperties:
             return
         assert len(hits) == 1
         idx = merged.interval_index(t)
-        k = merged.provenance[idx, 0]
+        k = source_intervals([mesh], merged.breakpoints)[idx, 0]
         assert mesh.breakpoints[k] <= t <= mesh.breakpoints[k + 1]
 
     @given(breakpoint_lists)
@@ -186,7 +188,3 @@ class TestMeshValidation:
         # NaN fails every comparison, so it must not pass as "not outside"
         with pytest.raises(ValueError, match="outside domain"):
             uniform_mesh((0.0, 1.0), 4).interval_index(t)
-
-    def test_merged_mesh_provenance_shape_checked(self):
-        with pytest.raises(ValueError, match="provenance"):
-            MergedMesh(np.array([0.0, 1.0]), np.zeros((2, 1), dtype=int))
