@@ -167,18 +167,17 @@ class AssembledNlp:
             )
         if params.d != space.degree:
             raise ValueError(f"params.d = {params.d} differs from space degree {space.degree}")
-        for comp, mesh in enumerate(space.component_meshes):
+        for mesh, comps in space.mesh_groups:
             if mesh.width_ratio < params.sigma * (1 - _MESH_RATIO_RTOL):
                 raise ValueError(
-                    f"component {comp} mesh has width ratio {mesh.width_ratio:.6g}, "
+                    f"component {comps[0]} mesh has width ratio {mesh.width_ratio:.6g}, "
                     f"below sigma = {params.sigma}"
                 )
         self.problem = problem
         self.space = space
         self.params = params
-        rule = compose_rule(
-            merge_meshes(space.component_meshes), gauss_legendre_unit(space.degree + 1)
-        )
+        meshes = [mesh for mesh, _ in space.mesh_groups]
+        rule = compose_rule(merge_meshes(meshes), gauss_legendre_unit(space.degree + 1))
         self.rule = rule
         self.eval_op = build_eval_operator(space, rule)
         self.point_op = build_point_eval_operator(space, problem.time_points)

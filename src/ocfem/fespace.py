@@ -6,11 +6,14 @@ are looked up by ``degree``.  Differential components (the first ``n_y``)
 are kept continuous by sharing endpoint coefficients between neighbouring
 intervals; auxiliary components (the remaining ``n_z``) are discontinuous.
 Coefficients are numbered component-major, then interval-major, then by
-local basis index.  An evaluation operator accepts a rule composed over the
-merge of the space's meshes or any refinement of it, finds the component
-interval holding each rule interval with one ``mesh.source_intervals`` call,
-and takes each component's basis values and slopes from one
-``eval_basis(degree, points)`` call.
+local basis index.  Components whose meshes have equal breakpoints form one
+of the space's ``mesh_groups``, and set-up works once per group, not once
+per component.  An evaluation operator accepts a rule composed over the
+merge of the space's meshes or any refinement of it, finds the interval of
+each distinct mesh holding each rule interval with one
+``mesh.source_intervals`` call, and takes each group's basis values and
+slopes from one ``eval_basis(degree, points)`` call; only the columns come
+from each component's own ``index_map``.
 The CSR arrays of the evaluation operator are the one record of which
 coefficients each quadrature point touches: every row holds the d + 1
 coefficients of its component's source interval, zero basis values
@@ -21,6 +24,7 @@ read off them (``assembly.HessianLayout``, ``solver.lifted_patterns``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +62,15 @@ class FESpace:
     def block_width(self) -> int:
         """Rows per quadrature point in the evaluation operator: 2 n_y + n_z."""
         return 2 * self.n_y + self.n_z
+
+    @cached_property
+    def mesh_groups(self) -> tuple[tuple[Mesh, tuple[int, ...]], ...]:
+        """Each distinct component mesh with the components on it, in order of
+        first use; meshes with bitwise equal breakpoints are one."""
+        groups: dict[bytes, tuple[Mesh, list[int]]] = {}
+        for comp, mesh in enumerate(self.component_meshes):
+            groups.setdefault(mesh.breakpoints.tobytes(), (mesh, []))[1].append(comp)
+        return tuple((mesh, tuple(comps)) for mesh, comps in groups.values())
 
     def coefficient_vector(self, values) -> "CoefficientVector":
         return CoefficientVector(values, self)
@@ -142,22 +155,20 @@ def _check_rule(space: FESpace, rule: GlobalRule) -> None:
     points = rule.mesh.breakpoints
     t0, t_end = space.domain
     tol = ENDPOINT_COLLAPSE_RTOL * (t_end - t0)
-    ends = np.concatenate([m.breakpoints for m in space.component_meshes])
+    ends = np.concatenate([mesh.breakpoints for mesh, _ in space.mesh_groups])
     k = np.clip(np.searchsorted(points, ends), 1, points.size - 1)
     gaps = np.minimum(ends - points[k - 1], points[k] - ends)
     if rule.mesh.domain != space.domain or (gaps > tol).any():
         raise ValueError("quadrature rule was not composed over the merged mesh of this space")
 
 
-def _basis_rows(space: FESpace, comp: int, t: np.ndarray, src: np.ndarray):
-    """Columns, basis values and, for a differential component, 1 / |T|-scaled
-    derivatives (else None) of component ``comp`` at times ``t`` in intervals ``src``."""
-    mesh = space.component_meshes[comp]
+def _basis_table(degree: int, mesh: Mesh, t: np.ndarray, src: np.ndarray):
+    """Basis values and 1 / |T|-scaled derivatives on ``mesh`` at times ``t`` in
+    its intervals ``src``."""
     lengths = mesh.lengths[src]
     local = np.clip((t - mesh.breakpoints[src]) / lengths, 0.0, 1.0)
-    values, derivs = eval_basis(space.degree, local)
-    derivs = derivs / lengths[:, None] if comp < space.n_y else None
-    return space.index_map[comp][src], values, derivs
+    values, derivs = eval_basis(degree, local)
+    return values, derivs / lengths[:, None]
 
 
 def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
@@ -172,19 +183,23 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
     The CSR arrays are written directly: every row holds the d + 1
     coefficients of its source interval in local basis order, so ``indices``
     and ``data`` reshape to (M, B, d + 1), a derivative row has the columns
-    of its value row, and ``indptr`` steps by d + 1.
+    of its value row, and ``indptr`` steps by d + 1.  Values and slopes are
+    computed once per mesh group and copied into the rows of its components.
     """
     _check_rule(space, rule)
     B, M, d1, n_y = space.block_width, rule.M, space.degree + 1, space.n_y
-    sources = source_intervals(space.component_meshes, rule.mesh.breakpoints)
+    groups = space.mesh_groups
+    sources = source_intervals([mesh for mesh, _ in groups], rule.mesh.breakpoints)
     src_of_point = sources[rule.interval_of]
     indices = np.empty((M, B, d1), dtype=int)
     data = np.empty((M, B, d1))
-    for comp in range(space.n_x):
-        cols, values, derivs = _basis_rows(space, comp, rule.points, src_of_point[:, comp])
-        indices[:, n_y + comp], data[:, n_y + comp] = cols, values
-        if derivs is not None:
-            indices[:, comp], data[:, comp] = cols, derivs
+    for (mesh, comps), src in zip(groups, src_of_point.T):
+        values, slopes = _basis_table(space.degree, mesh, rule.points, src)
+        for comp in comps:
+            cols = space.index_map[comp][src]
+            indices[:, n_y + comp], data[:, n_y + comp] = cols, values
+            if comp < n_y:
+                indices[:, comp], data[:, comp] = cols, slopes
     indptr = np.arange(0, data.size + 1, d1)
     return sparse.csr_matrix(
         (data.ravel(), indices.ravel(), indptr), shape=(B * M, space.N)
@@ -203,12 +218,15 @@ def build_point_eval_operator(space: FESpace, time_points: Sequence[float]) -> s
     """
     ts = np.asarray(time_points, dtype=float)
     n_y, d1 = space.n_y, space.degree + 1
-    space.component_meshes[0].interval_index(ts)  # rejects outside times also when n_y = 0
     indices = np.empty((ts.size, n_y, d1), dtype=int)
     data = np.empty((ts.size, n_y, d1))
-    for comp in range(n_y):
-        src = space.component_meshes[comp].interval_index(ts)
-        indices[:, comp], data[:, comp], _ = _basis_rows(space, comp, ts, src)
+    for mesh, comps in space.mesh_groups:
+        src = mesh.interval_index(ts)  # rejects outside times also when n_y = 0
+        differential = [comp for comp in comps if comp < n_y]
+        if differential:
+            values, _ = _basis_table(space.degree, mesh, ts, src)
+            for comp in differential:
+                indices[:, comp], data[:, comp] = space.index_map[comp][src], values
     indptr = np.arange(0, data.size + 1, d1)
     op = sparse.csr_matrix(
         (data.ravel(), indices.ravel(), indptr), shape=(n_y * ts.size, space.N)

@@ -8,6 +8,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -62,6 +63,14 @@ class Benchmark:
     mesh_plan: Optional[Callable[[int], Sequence[int]]] = None
 
 
+def _constant_stack(base, shape: tuple[int, ...]) -> Callable[[int], np.ndarray]:
+    """Read-only stacks of M copies of ``base`` in ``shape``; ``base`` is converted
+    once and one ``np.broadcast_to`` view is kept per point count M."""
+    base = np.array(base, dtype=float)
+    base.flags.writeable = False
+    return lru_cache(maxsize=None)(lambda M: np.broadcast_to(base, (M, *shape)))
+
+
 def _initial_value(y0: float):
     """Point-constraint callback of y(0) = y0, with y(0) first in the stacked values."""
 
@@ -83,22 +92,24 @@ def _lq_benchmark() -> Benchmark:
     u*(t) = -sinh(1 - t) / cosh(1) and the optimal cost tanh(1) / 2.
     """
 
-    f_hess = np.zeros((4, 4))
-    f_hess[1, 1] = f_hess[2, 2] = f_hess[3, 3] = 1.0
-    f_hess[2, 3] = f_hess[3, 2] = -1.0
+    hess = np.zeros((4, 4))
+    hess[1, 1] = hess[2, 2] = hess[3, 3] = 1.0
+    hess[2, 3] = hess[3, 2] = -1.0
+    f_hess = _constant_stack(hess, (4, 4))
+    c_jac = _constant_stack([[1.0, 0.0, -1.0, 1.0]], (1, 4))
+    c_hess = _constant_stack(0.0, (1, 4, 4))
 
     @batched
     def f_eval(dy, y, z, t):
         u = z[:, 0] - z[:, 1]
         value = 0.5 * (y[:, 0] ** 2 + u**2)
         grad = np.stack([np.zeros_like(u), y[:, 0], u, -u], axis=1)
-        return value, grad, np.broadcast_to(f_hess, (len(t), 4, 4))
+        return value, grad, f_hess(len(t))
 
     @batched
     def c_eval(dy, y, z, t):
         values = (dy[:, 0] - z[:, 0] + z[:, 1])[:, None]
-        jac = np.broadcast_to([[1.0, 0.0, -1.0, 1.0]], (len(t), 1, 4))
-        return values, jac, np.broadcast_to(0.0, (len(t), 1, 4, 4))
+        return values, c_jac(len(t)), c_hess(len(t))
 
     cosh1 = math.cosh(1.0)
 
@@ -131,16 +142,18 @@ def _trivial_benchmark() -> Benchmark:
     any strictly interior constant is optimal in the limit; the converged
     value depends on (omega, tau) and no z reference is recorded.
     """
+    f_grad, f_hess = _constant_stack(0.0, (3,)), _constant_stack(0.0, (3, 3))
+    c_jac = _constant_stack([[1.0, 0.0, 0.0]], (1, 3))
+    c_hess = _constant_stack(0.0, (1, 3, 3))
 
     @batched
     def f_eval(dy, y, z, t):
         M = len(t)
-        return np.zeros(M), np.broadcast_to(0.0, (M, 3)), np.broadcast_to(0.0, (M, 3, 3))
+        return np.zeros(M), f_grad(M), f_hess(M)
 
     @batched
     def c_eval(dy, y, z, t):
-        jac = np.broadcast_to([[1.0, 0.0, 0.0]], (len(t), 1, 3))
-        return dy[:, :1].copy(), jac, np.broadcast_to(0.0, (len(t), 1, 3, 3))
+        return dy[:, :1].copy(), c_jac(len(t)), c_hess(len(t))
 
     problem = OcpProblem(
         n_y=1,
@@ -163,11 +176,12 @@ def _barrier_pull_benchmark() -> Benchmark:
     1 + omega z - tau / z = 0 puts the minimizer at roughly tau, which makes
     this the quantitative test of the barrier's strict-positivity floor.
     """
+    f_grad, f_hess = _constant_stack(1.0, (1,)), _constant_stack(0.0, (1, 1))
 
     @batched
     def f_eval(dy, y, z, t):
         M = len(t)
-        return z[:, 0].copy(), np.broadcast_to(1.0, (M, 1)), np.broadcast_to(0.0, (M, 1, 1))
+        return z[:, 0].copy(), f_grad(M), f_hess(M)
 
     problem = OcpProblem(
         n_y=0,
@@ -220,11 +234,12 @@ def build_setup(
 ) -> tuple[FESpace, MethodParams]:
     """Meshes, space and method parameters for one benchmark run.
 
-    Uniform meshes with width h are the default; explicit per-component
-    breakpoint lists (from the config file) take precedence.  The method
-    parameters use the requested h, so a mixed-mesh plan coarsens the
-    approximation space without touching the penalty strength.  sigma is
-    the least ``Mesh.width_ratio`` of the meshes.
+    Uniform meshes with width h are the default, one ``Mesh`` per distinct
+    interval count, shared by the components that have it; explicit
+    per-component breakpoint lists (from the config file) take precedence.
+    The method parameters use the requested h, so a mixed-mesh plan coarsens
+    the approximation space without touching the penalty strength.  sigma is
+    the least ``Mesh.width_ratio`` of the space's distinct meshes.
     """
     problem = benchmark.problem
     t0, t_end = problem.domain
@@ -241,10 +256,11 @@ def build_setup(
         check_positive("mesh size", h)
         n = max(1, round((t_end - t0) / h))
         counts = list(benchmark.mesh_plan(n)) if benchmark.mesh_plan else [n] * problem.n_x
-        meshes = [uniform_mesh((t0, t_end), c) for c in counts]
+        by_count = {c: uniform_mesh((t0, t_end), c) for c in dict.fromkeys(counts)}
+        meshes = [by_count[c] for c in counts]
         params_h = h
     space = build_space(meshes, d, problem.n_y, problem.n_z)
-    sigma = min(m.width_ratio for m in meshes)
+    sigma = min(mesh.width_ratio for mesh, _ in space.mesh_groups)
     return space, default_params(params_h, sigma, d)
 
 
@@ -436,12 +452,18 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+def _directory(text: str) -> Path:
+    if not text:
+        raise ValueError("empty path")
+    return Path(text)
+
+
 #: Every flag by destination: the parser of its text, whether that comes
 #: from the command line or a config file; its default when neither sets it;
 #: and its help.
 _FLAGS: dict[str, tuple[Callable[[str], object], object, Optional[str]]] = {
     "config": (str, None, "JSON config file supplying defaults for flags"),
-    "out": (str, None, "output directory"),
+    "out": (_directory, None, "output directory"),
     "problem": (str, None, None),
     "h": (float, None, None),
     "d": (int, None, None),
@@ -696,8 +718,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         return int(code) if code is not None else 0
     try:
         merged = _options(args)
-        if merged.get("out"):  # an unusable --out fails before any set-up or solve
-            merged["out"] = Path(merged["out"])
+        if merged.get("out") is not None:  # an unusable --out fails before any set-up or solve
             merged["out"].mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command][0](merged)
     except (ValueError, OSError) as exc:  # bad input, or an unusable --config or --out path

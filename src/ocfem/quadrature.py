@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -48,13 +49,15 @@ class GlobalRule:
         return len(self.points)
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre_unit(n_nodes: int) -> UnitRule:
-    """Gauss-Legendre rule with ``n_nodes`` nodes on (0, 1).
+    """Gauss-Legendre rule with ``n_nodes`` nodes on (0, 1), cached per node count.
 
     Nodes and weights come from the eigen-decomposition of the symmetric
     tridiagonal matrix of the Legendre three-term recurrence, which is
     numerically stable for every supported order, then get mapped affinely
-    from (-1, 1) to (0, 1).
+    from (-1, 1) to (0, 1).  Both arrays are read-only, so every caller
+    shares one rule.
     """
     if not 1 <= n_nodes <= MAX_NODES:
         raise ValueError(f"unsupported rule order {n_nodes}: need 1..{MAX_NODES}")

@@ -185,6 +185,22 @@ class TestPathErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_empty_out_flag_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["norm-check", "--d-max", "2", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --out: invalid value ''\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_out_in_config_rejected(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"out": ""}), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["norm-check", "--d-max", "2", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: config key out: invalid value ''\n")
+        assert list(tmp_path.iterdir()) == [config]
+
 
 class TestJsonKeys:
     """The key sets of report.json and study.json, which are derived from the

@@ -37,6 +37,23 @@ class TestRegistry:
             get_benchmark("nope")
 
 
+@pytest.mark.parametrize("name", ["barrier-pull", "lq", "trivial"])
+def test_constant_stacks_kept_per_point_count(name):
+    """Constant Hessians and Jacobians are one read-only view per point count."""
+    problem = get_benchmark(name).problem
+    n_y, n_z = problem.n_y, problem.n_z
+    callbacks = [problem.f_eval] + ([problem.c_eval] if problem.m else [])
+    for M in (3, 7):
+        args = (np.ones((M, n_y)), np.ones((M, n_y)), np.ones((M, n_z)), np.linspace(0, 1, M))
+        for fn in callbacks:
+            first, again = fn(*args), fn(*args)
+            assert first[2].shape[0] == M and not first[2].flags.writeable
+            assert again[2] is first[2]
+    if problem.m:
+        jac = problem.c_eval(*args)[1]
+        assert jac is problem.c_eval(*args)[1] and not jac.flags.writeable
+
+
 class TestLqReferences:
     def test_reference_solves_two_point_problem(self):
         # y'' = y with y(0) = 1 and dy(1) = 0, checked by finite differences

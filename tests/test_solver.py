@@ -340,6 +340,18 @@ class TestBarrierPull:
         z = nlp.z_values(report.x_final)
         assert np.abs(z / tau - 1.0).max() <= 0.1
 
+    @pytest.mark.parametrize("tau", [1e-1, 1e-2])
+    def test_floor_at_closed_form_minimizer(self, tau):
+        # d = 2, two intervals, omega = 1e-2: z* is the positive root of
+        # 1 + omega z - tau / z = 0, in the form that does not cancel
+        omega = 1e-2
+        nlp = barrier_pull_nlp(tau, omega)
+        report = solve(nlp)
+        assert report.status == STATUS_CONVERGED
+        z_star = 2.0 * tau / (1.0 + math.sqrt(1.0 + 4.0 * omega * tau))
+        assert np.abs(nlp.z_values(report.x_final) / z_star - 1.0).max() <= 1e-6
+        assert abs(report.min_z / z_star - 1.0) <= 1e-6
+
     def test_halving_tau_halves_floor(self):
         first = solve(barrier_pull_nlp(1e-2))
         second = solve(barrier_pull_nlp(5e-3))
