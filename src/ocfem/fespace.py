@@ -11,9 +11,10 @@ of the space's ``mesh_groups``, and set-up works once per group, not once
 per component.  An evaluation operator accepts a rule composed over the
 merge of the space's meshes or any refinement of it, finds the interval of
 each distinct mesh holding each rule interval with one
-``mesh.source_intervals`` call, and takes each group's basis values and
-slopes from one ``eval_basis(degree, points)`` call; only the columns come
-from each component's own ``index_map``.
+``mesh.source_intervals`` call, and takes each group's basis values from one
+``eval_basis`` call, which computes slopes only for a group holding a
+differential component: auxiliary components and point rows use values
+alone.  Only the columns come from each component's own ``index_map``.
 The CSR arrays of the evaluation operator are the one record of which
 coefficients each quadrature point touches: every row holds the d + 1
 coefficients of its component's source interval, zero basis values
@@ -162,13 +163,13 @@ def _check_rule(space: FESpace, rule: GlobalRule) -> None:
         raise ValueError("quadrature rule was not composed over the merged mesh of this space")
 
 
-def _basis_table(degree: int, mesh: Mesh, t: np.ndarray, src: np.ndarray):
-    """Basis values and 1 / |T|-scaled derivatives on ``mesh`` at times ``t`` in
-    its intervals ``src``."""
+def _basis_table(degree: int, mesh: Mesh, t: np.ndarray, src: np.ndarray, slopes: bool):
+    """Basis values on ``mesh`` at times ``t`` in its intervals ``src`` and, with
+    ``slopes``, their 1 / |T|-scaled derivatives, else None."""
     lengths = mesh.lengths[src]
     local = np.clip((t - mesh.breakpoints[src]) / lengths, 0.0, 1.0)
-    values, derivs = eval_basis(degree, local)
-    return values, derivs / lengths[:, None]
+    values, derivs = eval_basis(degree, local, slopes=slopes)
+    return values, None if derivs is None else derivs / lengths[:, None]
 
 
 def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
@@ -183,8 +184,9 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
     The CSR arrays are written directly: every row holds the d + 1
     coefficients of its source interval in local basis order, so ``indices``
     and ``data`` reshape to (M, B, d + 1), a derivative row has the columns
-    of its value row, and ``indptr`` steps by d + 1.  Values and slopes are
-    computed once per mesh group and copied into the rows of its components.
+    of its value row, and ``indptr`` steps by d + 1.  Values are computed
+    once per mesh group, slopes only for a group holding a differential
+    component, and both are copied into the rows of its components.
     """
     _check_rule(space, rule)
     B, M, d1, n_y = space.block_width, rule.M, space.degree + 1, space.n_y
@@ -194,7 +196,8 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
     indices = np.empty((M, B, d1), dtype=int)
     data = np.empty((M, B, d1))
     for (mesh, comps), src in zip(groups, src_of_point.T):
-        values, slopes = _basis_table(space.degree, mesh, rule.points, src)
+        differential = comps[0] < n_y  # components are numbered y first
+        values, slopes = _basis_table(space.degree, mesh, rule.points, src, slopes=differential)
         for comp in comps:
             cols = space.index_map[comp][src]
             indices[:, n_y + comp], data[:, n_y + comp] = cols, values
@@ -224,7 +227,7 @@ def build_point_eval_operator(space: FESpace, time_points: Sequence[float]) -> s
         src = mesh.interval_index(ts)  # rejects outside times also when n_y = 0
         differential = [comp for comp in comps if comp < n_y]
         if differential:
-            values, _ = _basis_table(space.degree, mesh, ts, src)
+            values, _ = _basis_table(space.degree, mesh, ts, src, slopes=False)
             for comp in differential:
                 indices[:, comp], data[:, comp] = space.index_map[comp][src], values
     indptr = np.arange(0, data.size + 1, d1)

@@ -4,8 +4,9 @@ The finite-element basis of degree d is the Lagrange basis on Gauss-Lobatto
 nodes: nodal values are the coefficients and the endpoints are nodes for
 d >= 1, so continuity across mesh intervals reduces to sharing endpoint
 coefficients.  A basis is named by its degree alone: one barycentric
-kernel, ``eval_basis(degree, points)``, returns its values and first
-derivatives together.  The values of the L2(0,1)-orthonormal shifted
+kernel, ``eval_basis(degree, points, slopes=...)``, returns its values and,
+only when asked, its first derivatives, so a caller that writes values alone
+skips the slope pass.  The values of the L2(0,1)-orthonormal shifted
 Legendre basis serve the minimum-norm constant check, where the L2 norm is
 the coefficient 2-norm.
 """
@@ -73,9 +74,9 @@ def _lobatto_data(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _check_points(points: np.ndarray) -> np.ndarray:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if pts.min(initial=0.0) < 0.0 or pts.max(initial=0.0) > 1.0:
-        bad = pts[(pts < 0.0) | (pts > 1.0)][0]
-        raise ValueError(f"point {bad} outside [0, 1]")
+    outside = ~((pts >= 0.0) & (pts <= 1.0))  # NaN is outside too
+    if outside.any():
+        raise ValueError(f"point {pts[outside][0]} outside [0, 1]")
     return pts
 
 
@@ -98,34 +99,31 @@ def _shifted_legendre(points: np.ndarray, degree: int) -> np.ndarray:
     return values * np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
 
 
-def _near_nodes(points: np.ndarray, nodes: np.ndarray):
-    """Differences to the nodes, the rows farther than ``_NODE_SNAP`` from
-    every node, and for the other rows the index of the first node in reach."""
-    diff = points[:, None] - nodes[None, :]
-    at_node = np.abs(diff) < _NODE_SNAP
-    regular = ~at_node.any(axis=1)
-    return diff, regular, at_node[~regular].argmax(axis=1)
+def eval_basis(degree: int, points, *, slopes: bool = True):
+    """Degree-d basis values at many points, an (n_points, d + 1) matrix, and
+    with ``slopes`` their first derivatives, else None in their place.
 
-
-def eval_basis(degree: int, points) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-d basis values and first derivatives at many points, two (n_points, d + 1)
-    matrices from one pass of node distances and barycentric quotients."""
+    Every row takes the barycentric quotients; a row within ``_NODE_SNAP`` of
+    a node is then overwritten with that node's exact values and slopes.
+    """
     pts = _check_points(points)
     nodes, bary, at_nodes = _lobatto_data(degree)
     if degree == 0:
-        return np.ones((pts.size, 1)), np.zeros((pts.size, 1))
-    values = np.empty((pts.size, degree + 1))
-    derivs = np.empty_like(values)
-    diff, regular, node = _near_nodes(pts, nodes)
-    if regular.any():
-        d = diff[regular]
-        q = bary / d
-        q /= q.sum(axis=1, keepdims=True)
-        inverse = 1.0 / d
-        values[regular] = q
-        derivs[regular] = q * (inverse.sum(axis=1, keepdims=True) - inverse)
-    values[~regular] = np.eye(degree + 1)[node]
-    derivs[~regular] = at_nodes[node]
+        return np.ones((pts.size, 1)), (np.zeros((pts.size, 1)) if slopes else None)
+    diff = pts[:, None] - nodes
+    # at a node the quotients divide by zero; those rows are overwritten below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = bary / diff
+        values /= values.sum(axis=1, keepdims=True)
+        if slopes:
+            inverse = 1.0 / diff
+            derivs = values * (inverse.sum(axis=1, keepdims=True) - inverse)
+    # nodes lie far apart, so a row is near one node at most
+    row, node = np.divmod(np.flatnonzero(np.abs(diff) < _NODE_SNAP), degree + 1)
+    values[row] = np.eye(degree + 1)[node]
+    if not slopes:
+        return values, None
+    derivs[row] = at_nodes[node]
     return values, derivs
 
 

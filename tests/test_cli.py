@@ -378,14 +378,23 @@ class TestExportAndSparsity:
         _, name, n_rows, n_cols, nnz = header.split()
         assert name == "regularizer" and n_rows == n_cols
 
-    @pytest.mark.parametrize("name", ["eval_operator", "point_operator"])
-    def test_sparsity_matches_golden(self, name, capsys, tmp_path):
-        # recorded from ``ocfem sparsity --problem lq-multimesh --h 0.5 --d 2
-        # --out D``; the set-up's operators must stay byte-identical (the
-        # Hessian's values go through a BLAS product, so it has no golden)
-        golden = Path(__file__).parent / "data" / f"sparsity_lq-multimesh_h0.5_d2_{name}.coo"
+    @pytest.mark.parametrize(
+        "problem, h, d, name",
+        [
+            ("lq-multimesh", "0.5", "2", "eval_operator"),
+            ("lq-multimesh", "0.5", "2", "point_operator"),
+            ("barrier-pull", "0.5", "3", "eval_operator"),
+        ],
+        ids=["eval_operator", "point_operator", "barrier-pull-eval_operator"],
+    )
+    def test_sparsity_matches_golden(self, problem, h, d, name, capsys, tmp_path):
+        # recorded from ``ocfem sparsity --problem P --h H --d D --out DIR``; the
+        # set-up's operators must stay byte-identical (the Hessian's values go
+        # through a BLAS product, so it has no golden); barrier-pull's one
+        # component is auxiliary, so its rows take basis values only
+        golden = Path(__file__).parent / "data" / f"sparsity_{problem}_h{h}_d{d}_{name}.coo"
         out = tmp_path / "spy"
-        args = ["sparsity", "--problem", "lq-multimesh", "--h", "0.5", "--d", "2"]
+        args = ["sparsity", "--problem", problem, "--h", h, "--d", d]
         assert cli_main([*args, "--out", str(out)]) == 0
         assert (out / f"{name}.coo").read_bytes() == golden.read_bytes()
 

@@ -1,5 +1,6 @@
 """Set-up once per distinct mesh: grouping, operators against the per-component
-loop, basis and mesh call counts, the cached unit rule and the sigma checks."""
+loop, basis calls and slope passes, mesh call counts, the cached unit rule and
+the sigma checks."""
 
 from dataclasses import replace
 
@@ -134,22 +135,35 @@ class TestMeshGroups:
 
 class TestCallCounts:
     @pytest.fixture
-    def basis_sizes(self, monkeypatch):
-        sizes = []
+    def basis_calls(self, monkeypatch):
+        calls = []
 
-        def counting(degree, points):
-            sizes.append(np.size(points))
-            return eval_basis(degree, points)
+        def counting(degree, points, *, slopes=True):
+            calls.append((np.size(points), slopes))
+            return eval_basis(degree, points, slopes=slopes)
 
         monkeypatch.setattr(ocfem.fespace, "eval_basis", counting)
-        return sizes
+        return calls
 
     @pytest.mark.parametrize("name,calls_at_rule", [("lq", 1), ("lq-multimesh", 2)])
-    def test_basis_once_per_group(self, basis_sizes, name, calls_at_rule):
+    def test_basis_once_per_group(self, basis_calls, name, calls_at_rule):
         bench = get_benchmark(name)
         nlp = AssembledNlp(bench.problem, *build_setup(bench, 0.125, 4))
         # the point rows only evaluate the group holding the differential component
-        assert basis_sizes == [nlp.M] * calls_at_rule + [len(bench.problem.time_points)]
+        sizes = [size for size, _ in basis_calls]
+        assert sizes == [nlp.M] * calls_at_rule + [len(bench.problem.time_points)]
+
+    @pytest.mark.parametrize(
+        "name,slopes_at_rule",
+        [("lq", [True]), ("lq-multimesh", [True, False]), ("barrier-pull", [False])],
+        ids=["lq", "lq-multimesh", "barrier-pull"],
+    )
+    def test_slopes_only_for_differential_groups(self, basis_calls, name, slopes_at_rule):
+        bench = get_benchmark(name)
+        nlp = AssembledNlp(bench.problem, *build_setup(bench, 0.125, 4))
+        # barrier-pull has no differential component, hence no point rows
+        points = [False] if nlp.space.n_y else []
+        assert [slopes for _, slopes in basis_calls] == slopes_at_rule + points
 
     @pytest.mark.parametrize("name,meshes", [("lq", 1), ("lq-multimesh", 2), ("barrier-pull", 1)])
     def test_uniform_mesh_once_per_interval_count(self, monkeypatch, name, meshes):

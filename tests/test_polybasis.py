@@ -4,6 +4,8 @@ import pytest
 from ocfem.fespace import build_space
 from ocfem.mesh import uniform_mesh
 from ocfem.polybasis import (
+    _NODE_SNAP,
+    _lobatto_data,
     _shifted_legendre,
     eval_basis,
     gauss_lobatto_nodes,
@@ -51,6 +53,12 @@ class TestEvaluation:
     def test_point_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             lagrange_values(2, [1.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.1])
+    def test_non_finite_or_outside_point_rejected(self, bad):
+        # NaN fails both bounds comparisons, so it is rejected like the rest
+        with pytest.raises(ValueError, match=rf"point {bad} outside \[0, 1\]"):
+            lagrange_values(3, [0.5, bad, 0.25])
 
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError, match="unsupported degree 31: need 0..30"):
@@ -145,3 +153,76 @@ class TestNormEquivalence:
             l2 = np.linalg.norm(coeffs, axis=1)
             sup = np.abs(values_matrix @ coeffs.T).max(axis=0)
             assert (l2 >= sup / (d + 1) - 1e-12).all()
+
+
+def masked_reference_basis(degree, points):
+    """The masked kernel the split replaced: quotients on the rows away from
+    every node only, gathered and scattered through boolean masks."""
+    pts = np.asarray(points, dtype=float)
+    nodes, bary, at_nodes = _lobatto_data(degree)
+    if degree == 0:
+        return np.ones((pts.size, 1)), np.zeros((pts.size, 1))
+    values = np.empty((pts.size, degree + 1))
+    derivs = np.empty_like(values)
+    diff = pts[:, None] - nodes[None, :]
+    at_node = np.abs(diff) < _NODE_SNAP
+    regular = ~at_node.any(axis=1)
+    node = at_node[~regular].argmax(axis=1)
+    if regular.any():
+        d = diff[regular]
+        q = bary / d
+        q /= q.sum(axis=1, keepdims=True)
+        inverse = 1.0 / d
+        values[regular] = q
+        derivs[regular] = q * (inverse.sum(axis=1, keepdims=True) - inverse)
+    values[~regular] = np.eye(degree + 1)[node]
+    derivs[~regular] = at_nodes[node]
+    return values, derivs
+
+
+def kernel_points(d):
+    """Gauss points, every Lobatto node, points just inside and outside the
+    snap distance of each node, the endpoints and a 97-point grid."""
+    nodes = gauss_lobatto_nodes(d)
+    return np.concatenate([
+        gauss_legendre_unit(d + 1).nodes,
+        nodes,
+        np.clip(nodes + 0.5 * _NODE_SNAP, 0.0, 1.0),
+        np.clip(nodes - 0.5 * _NODE_SNAP, 0.0, 1.0),
+        np.clip(nodes + 3 * _NODE_SNAP, 0.0, 1.0),
+        [0.0, 1.0],
+        np.linspace(0.0, 1.0, 97),
+    ])
+
+
+class TestSplitKernel:
+    """The kernel against the masked form it replaced, bitwise, with and
+    without the slope pass."""
+
+    @pytest.mark.parametrize("d", range(31))
+    def test_matches_masked_kernel(self, d):
+        points = kernel_points(d)
+        values, derivs = eval_basis(d, points)
+        expected_values, expected_derivs = masked_reference_basis(d, points)
+        assert values.tobytes() == expected_values.tobytes()
+        assert derivs.tobytes() == expected_derivs.tobytes()
+
+    @pytest.mark.parametrize("d", range(31))
+    def test_one_point_at_a_time(self, d):
+        for point in kernel_points(d)[:: max(1, d // 4)]:
+            values, derivs = eval_basis(d, [point])
+            expected_values, expected_derivs = masked_reference_basis(d, [point])
+            assert values.tobytes() == expected_values.tobytes()
+            assert derivs.tobytes() == expected_derivs.tobytes()
+
+    @pytest.mark.parametrize("d", range(31))
+    def test_values_only_call_returns_the_full_values(self, d):
+        points = kernel_points(d)
+        values, derivs = eval_basis(d, points, slopes=False)
+        assert derivs is None
+        assert values.tobytes() == eval_basis(d, points)[0].tobytes()
+
+    def test_empty_points(self):
+        values, derivs = eval_basis(3, np.empty(0))
+        assert values.shape == derivs.shape == (0, 4)
+        assert eval_basis(3, np.empty(0), slopes=False)[1] is None
