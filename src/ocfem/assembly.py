@@ -81,8 +81,8 @@ class _PointData:
     c_jac: Optional[np.ndarray]
     c_hess: Optional[np.ndarray]
     b: np.ndarray
-    b_jac: np.ndarray
-    b_hess: np.ndarray
+    b_jac: Optional[np.ndarray]
+    b_hess: Optional[np.ndarray]
 
 
 class HessianLayout:
@@ -236,10 +236,7 @@ class AssembledNlp:
         if problem.p > 0:
             b, b_jac, b_hess = eval_point_constraints(problem, self.point_op @ x.values)
         else:
-            width = problem.n_y * problem.n_T
-            b = np.zeros(0)
-            b_jac = np.zeros((0, width))
-            b_hess = np.zeros((0, width, width))
+            b, b_jac, b_hess = np.zeros(0), None, None
 
         z_min = float(z.min(initial=np.inf))
         data = _PointData(values, z, z_min, f, f_grad, f_hess, c, c_jac, c_hess, b, b_jac, b_hess)

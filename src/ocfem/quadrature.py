@@ -61,8 +61,6 @@ def gauss_legendre_unit(n_nodes: int) -> UnitRule:
     """
     if not 1 <= n_nodes <= MAX_NODES:
         raise ValueError(f"unsupported rule order {n_nodes}: need 1..{MAX_NODES}")
-    if n_nodes == 1:
-        return UnitRule(_readonly(np.array([0.5])), _readonly(np.array([1.0])))
     k = np.arange(1, n_nodes, dtype=float)
     off_diag = k / np.sqrt(4.0 * k * k - 1.0)
     x, vectors = eigh_tridiagonal(np.zeros(n_nodes), off_diag)

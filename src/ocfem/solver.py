@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -71,11 +71,10 @@ _INTERIOR_MARGIN = 1e-2
 
 @dataclass
 class SolverOptions:
-    """Tolerances and schedule of the damped-Newton solve."""
+    """Tolerances of the damped-Newton solve; the stages are always ``_schedule``'s."""
 
     grad_tol: Optional[float] = None  # default 1e-8 * max(1, sqrt(N))
     max_iters: int = 200
-    continuation: Optional[Sequence[tuple[float, float]]] = None
 
     def __post_init__(self) -> None:
         if self.grad_tol is not None:
@@ -150,24 +149,17 @@ def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVecto
     return nlp.coefficients(values)
 
 
-def _schedule(
-    omega: float, tau: float, continuation: Optional[Sequence[tuple[float, float]]]
-) -> list[tuple[float, float]]:
-    """The (omega, tau) stages: by default geometric from max(omega, 0.1), max(tau, 0.1),
-    then the target; a repeat of the stage before would take no step and is dropped."""
-    if continuation is None:
-        start_omega, start_tau = max(omega, 1e-1), max(tau, 1e-1)
-        fracs = [i / (_CONTINUATION_STAGES - 1) for i in range(_CONTINUATION_STAGES)]
-        pairs = [(start_omega ** (1 - f) * omega**f, start_tau ** (1 - f) * tau**f) for f in fracs]
-    else:
-        pairs = [(float(w), float(t)) for w, t in continuation]
-    pairs.append((omega, tau))
+def _schedule(omega: float, tau: float) -> list[tuple[float, float]]:
+    """The (omega, tau) stages, geometric from max(omega, 0.1), max(tau, 0.1) to the
+    target, which the last stage is exactly (x**0 == 1, x**1 == x); a repeat of the
+    stage before would take no step and is dropped."""
+    start_omega, start_tau = max(omega, 1e-1), max(tau, 1e-1)
+    fracs = [i / (_CONTINUATION_STAGES - 1) for i in range(_CONTINUATION_STAGES)]
+    pairs = [(start_omega ** (1 - f) * omega**f, start_tau ** (1 - f) * tau**f) for f in fracs]
     return [pair for i, pair in enumerate(pairs) if i == 0 or pair != pairs[i - 1]]
 
 
-def _newton_direction(
-    band: np.ndarray, grad: np.ndarray, floor: float
-) -> Optional[np.ndarray]:
+def _newton_direction(band: np.ndarray, grad: np.ndarray) -> Optional[np.ndarray]:
     """Solve (H + delta I) p = -g for H in lower band form, doubling delta until PD;
     the band is left unchanged, as a shifted retry factors a copy of it."""
     if not np.isfinite(band).all():
@@ -177,8 +169,8 @@ def _newton_direction(
     while info != 0:
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of internal pbtrf")
-        delta = floor if delta == 0.0 else 2.0 * delta
-        if delta > _MAX_SHIFT_FACTOR * floor:
+        delta = _REGULARIZATION_FLOOR if delta == 0.0 else 2.0 * delta
+        if delta > _MAX_SHIFT_FACTOR * _REGULARIZATION_FLOOR:
             return None
         shifted = band.copy(order="F")
         shifted[0] += delta
@@ -191,7 +183,7 @@ def _newton_step(
 ) -> Optional[np.ndarray]:
     """Inertia-corrected Newton step at x, solved in the layout's ``band_order``."""
     band, layout = nlp.hessian_band(x), nlp.hessian_layout
-    step = _newton_direction(band, grad[layout.band_order], _REGULARIZATION_FLOOR)
+    step = _newton_direction(band, grad[layout.band_order])
     return None if step is None else step[layout.band_position]
 
 
@@ -200,10 +192,8 @@ def _boundary_cap(nlp: AssembledNlp, x: CoefficientVector, step: np.ndarray) -> 
     z = nlp.z_values(x)
     dz = (nlp.eval_op @ step).reshape(nlp.M, B)[:, 2 * n_y :]
     shrinking = dz < 0
-    if not shrinking.any():
-        return 1.0
     caps = _BOUNDARY_FRACTION * z[shrinking] / -dz[shrinking]
-    return min(1.0, float(caps.min()))
+    return float(caps.min(initial=1.0))
 
 
 def _stage_status(
@@ -275,9 +265,11 @@ def solve(
     opts = opts or SolverOptions()
     tol = opts.resolved_grad_tol(nlp.N)
     params = nlp.params
+    if x0 is not None and x0.space is not nlp.space:
+        raise ValueError("start vector belongs to another space than the program's")
     x = default_start(nlp) if x0 is None else ensure_interior(nlp, x0)
     stages: list[StageResult] = []
-    for omega, tau in _schedule(params.omega, params.tau, opts.continuation):
+    for omega, tau in _schedule(params.omega, params.tau):
         nlp = nlp.with_params(omega, tau)  # a clone keeps the last point data
         x, stage = _newton_stage(nlp, x, opts, tol)
         stages.append(stage)

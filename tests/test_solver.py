@@ -14,7 +14,14 @@ from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_space
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import Mesh, uniform_mesh
-from ocfem.ocp_model import MethodParams, OcpProblem, batched, default_params, residual
+from ocfem.ocp_model import (
+    MethodParams,
+    OcpProblem,
+    batched,
+    check_derivatives,
+    default_params,
+    residual,
+)
 from ocfem.polybasis import gauss_lobatto_nodes
 from ocfem.solver import (
     _FLOOR_REL_CHANGE,
@@ -66,10 +73,7 @@ class TestNewtonOnQuadratic:
         params = default_params(0.25, 1.0, 3)
         nlp = AssembledNlp(problem, space, params)
         x0 = space.coefficient_vector(rng.uniform(-1.0, 1.0, space.N))
-        opts = SolverOptions(
-            grad_tol=1e-10, continuation=[(params.omega, params.tau)]
-        )
-        return nlp, x0, solve(nlp, x0, opts)
+        return nlp, x0, solve(nlp, x0, SolverOptions(grad_tol=1e-10))
 
     def test_converges_in_few_iterations(self, rng):
         _, _, report = self.solve_quadratic(rng)
@@ -130,24 +134,74 @@ class TestSolveLq:
         assert report.status == STATUS_MAX_ITERS
 
 
+def curved_lq():
+    """lq with c = s (1 + s^2), s = y' - z1 + z2, and b = y(0)^3 - 1.
+
+    The same solution as lq, but the penalty has curvature: c_hess and b_hess
+    are nonzero.
+    """
+    v = np.array([1.0, 0.0, -1.0, 1.0])
+
+    @batched
+    def c_eval(dy, y, z, t):
+        s = dy[:, 0] - z[:, 0] + z[:, 1]
+        jac = (1.0 + 3.0 * s**2)[:, None, None] * v
+        return (s * (1.0 + s**2))[:, None], jac, (6.0 * s)[:, None, None, None] * np.outer(v, v)
+
+    def b_eval(stacked_y):
+        n = len(stacked_y)
+        jac, hess = np.zeros((1, n)), np.zeros((1, n, n))
+        jac[0, 0], hess[0, 0, 0] = 3.0 * stacked_y[0] ** 2, 6.0 * stacked_y[0]
+        return np.array([stacked_y[0] ** 3 - 1.0]), jac, hess
+
+    bench = get_benchmark("lq")
+    return bench, replace(bench.problem, c_eval=c_eval, b_eval=b_eval)
+
+
+class TestCurvedPenalty:
+    def test_derivatives_match_finite_differences(self):
+        _, problem = curved_lq()
+        entries = dict(check_derivatives(problem).entries())
+        assert len(entries) == 6 and max(entries.values()) <= 1e-8
+
+    def test_converges_at_lq_orders(self):
+        # every built-in has c_hess = b_hess = 0; here the solve's Hessian uses both
+        bench, problem = curved_lq()
+        d, widths, gaps, residuals = 4, [1 / 8, 1 / 16, 1 / 32], [], []
+        for h in widths:
+            nlp = AssembledNlp(problem, *build_setup(bench, h, d))
+            report = solve(nlp)
+            assert report.status == STATUS_CONVERGED
+            gaps.append(report.terms.f - bench.analytic.cost)
+            residuals.append(report.residual)
+            if h == widths[0]:
+                data = nlp._point_data(report.x_final)
+                assert abs(data.b @ data.b_hess[:, 0, 0]) > 1e-2
+                assert np.abs(data.c[:, 0] * data.c_hess[:, 0, 0, 0]).max() > 1e-4
+        log_h = np.log(widths)
+        assert abs(np.polyfit(log_h, np.log(np.abs(gaps)), 1)[0] - d / 2) <= 0.3
+        assert abs(np.polyfit(log_h, np.log(residuals), 1)[0] - d) <= 0.3
+
+
 class TestStageExits:
     def test_zero_iterations_from_stationary_start(self):
         nlp = lq_nlp(h=0.25)
         done = solve(nlp)
-        opts = SolverOptions(max_iters=0, continuation=[(nlp.params.omega, nlp.params.tau)])
-        again = solve(nlp, done.x_final, opts)
-        assert again.status == STATUS_CONVERGED and again.iterations == [0]
-        assert again.x_final.values.tobytes() == done.x_final.values.tobytes()
+        opts = SolverOptions(max_iters=0)
+        x, stage = _newton_stage(nlp, done.x_final, opts, opts.resolved_grad_tol(nlp.N))
+        assert stage.status == STATUS_CONVERGED and stage.iterations == 0
+        assert x.values.tobytes() == done.x_final.values.tobytes()
 
     def test_zero_iterations_from_non_stationary_start(self):
         nlp = lq_nlp(h=0.25)
-        opts = SolverOptions(max_iters=0, continuation=[(nlp.params.omega, nlp.params.tau)])
-        report = solve(nlp, None, opts)
-        assert report.status == STATUS_MAX_ITERS and report.iterations == [0]
+        opts = SolverOptions(max_iters=0)
+        tol = opts.resolved_grad_tol(nlp.N)
+        _, stage = _newton_stage(nlp, default_start(nlp), opts, tol)
+        assert stage.status == STATUS_MAX_ITERS and stage.iterations == 0
         grad = nlp.gradient(default_start(nlp))
-        assert report.stages[0].grad_norm == math.sqrt(grad @ grad)
-        assert math.isfinite(report.stages[0].grad_norm)
-        assert report.stages[0].grad_norm > opts.resolved_grad_tol(nlp.N)
+        assert stage.grad_norm == math.sqrt(grad @ grad)
+        assert math.isfinite(stage.grad_norm)
+        assert stage.grad_norm > tol
 
     def test_line_search_failure_reports_failing_iterate(self, monkeypatch):
         # every trial after the second gradient leaves the barrier domain
@@ -322,6 +376,18 @@ class TestStartingPoint:
         # hinted differential component starts at 1
         assert nlp.point_op @ x0.values == pytest.approx([1.0, 1.0])
 
+    def test_start_from_another_space_rejected(self):
+        # same N, other breakpoints: the coefficients would be read on the wrong mesh
+        bench = get_benchmark("lq")
+        nlps = [
+            AssembledNlp(bench.problem, *build_setup(bench, None, 2, [inner] * 3))
+            for inner in ([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.1, 0.5, 0.75, 1.0])
+        ]
+        x0 = solve(nlps[0]).x_final
+        assert nlps[1].N == x0.space.N
+        with pytest.raises(ValueError, match="another space"):
+            solve(nlps[1], x0)
+
     def test_negative_start_shifted_then_solves(self):
         nlp = barrier_pull_nlp(tau=1e-2)
         bad = nlp.space.interpolate([lambda t: -1.0])
@@ -469,24 +535,24 @@ class TestLiftedExport:
 class TestInertiaCorrection:
     # matrices in lower band form: row 0 is the diagonal
     def test_identity_needs_no_shift(self):
-        step = _newton_direction(np.ones((1, 3)), np.ones(3), 1e-12)
+        step = _newton_direction(np.ones((1, 3)), np.ones(3))
         assert step == pytest.approx(-np.ones(3))
 
     def test_singular_matrix_shifted(self):
-        step = _newton_direction(np.zeros((1, 2)), np.array([1.0, 0.0]), 1e-12)
+        step = _newton_direction(np.zeros((1, 2)), np.array([1.0, 0.0]))
         assert step is not None and np.isfinite(step).all()
 
     def test_shift_lands_on_diagonal(self):
         # [[1, 1], [1, 1]] is singular; only a diagonal shift makes it PD
         band = np.array([[1.0, 1.0], [1.0, 0.0]])
-        step = _newton_direction(band, np.ones(2), 1e-12)
+        step = _newton_direction(band, np.ones(2))
         assert step == pytest.approx(-0.5 * np.ones(2))
 
     def test_shifted_retry_leaves_band_unchanged(self):
         # both need a shift; a one-row band is also Fortran-contiguous
         for band in (np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([[4.0, 0.0]])):
             kept = band.copy()
-            step = _newton_direction(band, np.ones(2), 1e-12)
+            step = _newton_direction(band, np.ones(2))
             assert step is not None and np.isfinite(step).all()
             assert np.array_equal(band, kept)
 
@@ -494,11 +560,11 @@ class TestInertiaCorrection:
         for bad in (np.nan, np.inf, -np.inf):
             band = np.array([[1.0, 1.0], [bad, 0.0]])
             with pytest.raises(ValueError, match="infs or NaNs"):
-                _newton_direction(band, np.ones(2), 1e-12)
+                _newton_direction(band, np.ones(2))
 
     def test_strongly_indefinite_gives_up(self):
         # a negative eigenvalue far beyond the shift cap -> gradient fallback
-        assert _newton_direction(np.array([[1.0, -1.0]]), np.ones(2), 1e-12) is None
+        assert _newton_direction(np.array([[1.0, -1.0]]), np.ones(2)) is None
 
     def test_concave_problem_fails_gracefully(self, rng):
         def f_eval(dy, y, z, t):
@@ -513,9 +579,7 @@ class TestInertiaCorrection:
         params = MethodParams(h=0.5, sigma=1.0, d=2, omega=1e-6, tau=1e-6)
         nlp = AssembledNlp(problem, space, params)
         x0 = space.coefficient_vector(rng.uniform(-0.1, 0.1, space.N))
-        report = solve(
-            nlp, x0, SolverOptions(max_iters=20, continuation=[(1e-6, 1e-6)])
-        )
+        report = solve(nlp, x0, SolverOptions(max_iters=20))
         assert report.status in (STATUS_MAX_ITERS, STATUS_LINE_SEARCH)
 
 
@@ -630,39 +694,21 @@ def _hex(schedule):
 class TestSchedules:
     def test_default_matches_loop_oracle(self):
         grid = [10.0**e for e in range(-16, 3)] + [0.1, 0.3, 1.0 / 3.0, 1.0, 2.5]
-        widths = [2.0**-k for k in range(11)]
-        coupled = [(h ** (d / 2), h**d) for h in widths for d in range(11)]
+        # the oracle appends the target when its last stage differs: it never does
+        widths = [2.0**-k for k in range(13)]
+        coupled = [(h ** (d / 2), h**d) for h in widths for d in range(31)]
         for omega, tau in [(w, t) for w in grid for t in grid] + coupled:
-            assert _hex(_schedule(omega, tau, None)) == _hex(loop_default_schedule(omega, tau))
-
-    def test_explicit_schedule_collapses_repeats(self):
-        assert _schedule(0.01, 0.001, []) == [(0.01, 0.001)]
-        stages = [(0.5, 0.5), (0.5, 0.5), (0.1, 0.2), (0.01, 0.001)]
-        assert _schedule(0.01, 0.001, stages) == [(0.5, 0.5), (0.1, 0.2), (0.01, 0.001)]
-        # only neighbours collapse
-        assert _schedule(0.01, 0.001, [(0.5, 0.5), (0.1, 0.1), (0.5, 0.5)]) == [
-            (0.5, 0.5), (0.1, 0.1), (0.5, 0.5), (0.01, 0.001)
-        ]
+            assert _hex(_schedule(omega, tau)) == _hex(loop_default_schedule(omega, tau))
 
     def test_repeated_stage_changes_only_stage_count(self):
-        nlp = lq_nlp(h=0.25)
-        once = solve(nlp, opts=SolverOptions(continuation=[(0.5, 0.5), (0.1, 0.1)]))
-        twice = solve(nlp, opts=SolverOptions(continuation=[(0.5, 0.5), (0.5, 0.5), (0.1, 0.1)]))
-        assert twice.iterations == once.iterations and len(once.stages) == 3
-        assert twice.x_final.values.tobytes() == once.x_final.values.tobytes()
-        # the dropped stage would have started at a converged point and taken no step
+        # omega, tau >= 0.1 collapse the schedule to one stage; the dropped
+        # repeats would have started at a converged point and taken no step
+        nlp = lq_nlp(h=0.25).with_params(0.5, 0.5)
         tol = SolverOptions().resolved_grad_tol(nlp.N)
-        nlp = nlp.with_params(0.5, 0.5)
-        first = solve(nlp, opts=SolverOptions(continuation=[]))
+        first = solve(nlp)
         _, again = _newton_stage(nlp, first.x_final, SolverOptions(), tol)
         assert first.status == again.status == STATUS_CONVERGED and len(first.stages) == 1
         assert again.iterations == 0
-
-    def test_explicit_schedule_gets_target_appended(self):
-        nlp = lq_nlp(h=0.25)
-        report = solve(nlp, opts=SolverOptions(continuation=[(0.5, 0.5)]))
-        assert report.stages[-1].omega == nlp.params.omega
-        assert report.stages[-1].tau == nlp.params.tau
 
     def test_default_schedule_ends_at_params(self):
         nlp = lq_nlp(h=0.25)
@@ -674,11 +720,6 @@ class TestSchedules:
         for grad_tol in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="grad_tol"):
                 SolverOptions(grad_tol=grad_tol)
-
-    def test_non_finite_continuation_rejected(self):
-        nlp = lq_nlp(h=0.25)
-        with pytest.raises(ValueError, match="omega"):
-            solve(nlp, None, SolverOptions(continuation=[(float("nan"), 0.1)]))
 
     def test_stages_and_report_reuse_point_data(self, monkeypatch):
         calls, first, ends = [], [], []
