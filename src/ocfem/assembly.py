@@ -183,7 +183,7 @@ class AssembledNlp:
         self.point_op = build_point_eval_operator(space, problem.time_points)
         self._alpha = rule.weights
         self._sqrt_alpha = np.sqrt(rule.weights)
-        self._cache_key: Optional[bytes] = None
+        self._cache_values: Optional[np.ndarray] = None
         self._cache: Optional[_PointData] = None
         self._shared: dict = {}  # built on first use, shared by clones
 
@@ -222,8 +222,8 @@ class AssembledNlp:
     # -- evaluation at the quadrature points ----------------------------------
 
     def _point_data(self, x: CoefficientVector) -> _PointData:
-        key = x.values.tobytes()
-        if key == self._cache_key and self._cache is not None:
+        # values are read-only: the same array needs no comparison, an equal one no copy
+        if x.values is self._cache_values or np.array_equal(x.values, self._cache_values):
             return self._cache
         problem = self.problem
         values = (self.eval_op @ x.values).reshape(self.M, self.space.block_width)
@@ -240,8 +240,7 @@ class AssembledNlp:
 
         z_min = float(z.min(initial=np.inf))
         data = _PointData(values, z, z_min, f, f_grad, f_hess, c, c_jac, c_hess, b, b_jac, b_hess)
-        self._cache_key = key
-        self._cache = data
+        self._cache_values, self._cache = x.values, data
         return data
 
     def z_values(self, x: CoefficientVector) -> np.ndarray:

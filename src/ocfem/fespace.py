@@ -8,13 +8,12 @@ intervals; auxiliary components (the remaining ``n_z``) are discontinuous.
 Coefficients are numbered component-major, then interval-major, then by
 local basis index.  Components whose meshes have equal breakpoints form one
 of the space's ``mesh_groups``, and set-up works once per group, not once
-per component.  An evaluation operator accepts a rule composed over the
-merge of the space's meshes or any refinement of it, finds the interval of
-each distinct mesh holding each rule interval with one
-``mesh.source_intervals`` call, and takes each group's basis values from one
-``eval_basis`` call, which computes slopes only for a group holding a
-differential component: auxiliary components and point rows use values
-alone.  Only the columns come from each component's own ``index_map``.
+per component.  An evaluation operator makes one ``Mesh.interval_index``
+call per group at the rule's interval midpoints, which finds the interval
+holding each rule interval and checks that the rule refines the merge of the
+meshes, and one ``eval_basis`` call, with slopes only for a group holding a
+differential component.  Only the columns come from each component's own
+``index_map``.
 The CSR arrays of the evaluation operator are the one record of which
 coefficients each quadrature point touches: every row holds the d + 1
 coefficients of its component's source interval, zero basis values
@@ -31,9 +30,11 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .mesh import ENDPOINT_COLLAPSE_RTOL, Mesh, source_intervals
+from .mesh import ENDPOINT_COLLAPSE_RTOL, Mesh
 from .polybasis import check_degree, eval_basis, gauss_lobatto_nodes
 from .quadrature import GlobalRule
+
+_FOREIGN_RULE = "quadrature rule was not composed over the merged mesh of this space"
 
 
 @dataclass(frozen=True)
@@ -149,20 +150,6 @@ def build_space(meshes: Sequence[Mesh], degree: int, n_y: int, n_z: int) -> FESp
     return FESpace(meshes, degree, n_y, n_z, tuple(index_map), start)
 
 
-def _check_rule(space: FESpace, rule: GlobalRule) -> None:
-    """Reject a rule whose mesh does not refine every component mesh on the space's
-    domain: each component breakpoint must lie within the merge's collapse
-    tolerance of a breakpoint of the rule's mesh."""
-    points = rule.mesh.breakpoints
-    t0, t_end = space.domain
-    tol = ENDPOINT_COLLAPSE_RTOL * (t_end - t0)
-    ends = np.concatenate([mesh.breakpoints for mesh, _ in space.mesh_groups])
-    k = np.clip(np.searchsorted(points, ends), 1, points.size - 1)
-    gaps = np.minimum(ends - points[k - 1], points[k] - ends)
-    if rule.mesh.domain != space.domain or (gaps > tol).any():
-        raise ValueError("quadrature rule was not composed over the merged mesh of this space")
-
-
 def _basis_table(degree: int, mesh: Mesh, t: np.ndarray, src: np.ndarray, slopes: bool):
     """Basis values on ``mesh`` at times ``t`` in its intervals ``src`` and, with
     ``slopes``, their 1 / |T|-scaled derivatives, else None."""
@@ -186,16 +173,25 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
     and ``data`` reshape to (M, B, d + 1), a derivative row has the columns
     of its value row, and ``indptr`` steps by d + 1.  Values are computed
     once per mesh group, slopes only for a group holding a differential
-    component, and both are copied into the rows of its components.
+    component, and both are copied into the rows of its components.  A rule
+    over another domain, or with an interval reaching more than the merge's
+    collapse tolerance outside the interval of a group's mesh that holds its
+    midpoint, is not composed over the merged mesh and is rejected.
     """
-    _check_rule(space, rule)
+    if rule.mesh.domain != space.domain:
+        raise ValueError(_FOREIGN_RULE)
+    tol = ENDPOINT_COLLAPSE_RTOL * (space.domain[1] - space.domain[0])
+    lefts, rights = rule.mesh.breakpoints[:-1], rule.mesh.breakpoints[1:]
+    mids = 0.5 * (lefts + rights)
     B, M, d1, n_y = space.block_width, rule.M, space.degree + 1, space.n_y
-    groups = space.mesh_groups
-    sources = source_intervals([mesh for mesh, _ in groups], rule.mesh.breakpoints)
-    src_of_point = sources[rule.interval_of]
     indices = np.empty((M, B, d1), dtype=int)
     data = np.empty((M, B, d1))
-    for (mesh, comps), src in zip(groups, src_of_point.T):
+    for mesh, comps in space.mesh_groups:
+        src = mesh.interval_index(mids)
+        lo, hi = mesh.breakpoints[src], mesh.breakpoints[src + 1]
+        if (lo - lefts > tol).any() or (rights - hi > tol).any():
+            raise ValueError(_FOREIGN_RULE)
+        src = src[rule.interval_of]
         differential = comps[0] < n_y  # components are numbered y first
         values, slopes = _basis_table(space.degree, mesh, rule.points, src, slopes=differential)
         for comp in comps:
@@ -204,9 +200,7 @@ def build_eval_operator(space: FESpace, rule: GlobalRule) -> sparse.csr_matrix:
             if comp < n_y:
                 indices[:, comp], data[:, comp] = cols, slopes
     indptr = np.arange(0, data.size + 1, d1)
-    return sparse.csr_matrix(
-        (data.ravel(), indices.ravel(), indptr), shape=(B * M, space.N)
-    )
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(B * M, space.N))
 
 
 def build_point_eval_operator(space: FESpace, time_points: Sequence[float]) -> sparse.csr_matrix:

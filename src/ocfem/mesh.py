@@ -2,9 +2,9 @@
 
 A mesh is one read-only array of finite, strictly increasing breakpoints:
 interval k is [breakpoints[k], breakpoints[k + 1]].  Building meshes and
-locating points are numpy operations on those arrays.  Merging walks their
-sorted endpoints once and returns a plain mesh; ``source_intervals`` finds
-the interval of each source mesh that holds each interval of a refinement.
+locating points are numpy operations on those arrays; ``Mesh.interval_index``
+is the one lookup of the interval holding a time.  Merging walks the sorted
+endpoints of all meshes once and returns a plain mesh.
 """
 
 from __future__ import annotations
@@ -99,40 +99,13 @@ def uniform_mesh(domain: tuple[float, float], n_intervals: int) -> Mesh:
     return Mesh(points)
 
 
-def merged_breakpoints(meshes: Sequence[Mesh]) -> np.ndarray:
-    """Endpoints of the common refinement of meshes sharing one domain.
+def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
+    """Common refinement of meshes sharing one domain.
 
     Walking the sorted endpoints, one is kept when it lies more than
     ``ENDPOINT_COLLAPSE_RTOL`` times the domain width past the last kept one,
     and the last kept one becomes the domain end.  A chain of gaps below the
     tolerance thus keeps a point each time the gaps add up to more than it.
-    """
-    t0, t_end = meshes[0].domain
-    tol = ENDPOINT_COLLAPSE_RTOL * (t_end - t0)
-    points = np.unique(np.concatenate([m.breakpoints for m in meshes])).tolist()
-    kept = points[:1]
-    for p in points[1:]:
-        if p - kept[-1] > tol:
-            kept.append(p)
-    kept[-1] = t_end
-    return np.array(kept)
-
-
-def source_intervals(meshes: Sequence[Mesh], points: np.ndarray) -> np.ndarray:
-    """(n, len(meshes)) index of the interval of each mesh holding each midpoint.
-
-    The midpoints are those of the n intervals between consecutive
-    ``points``, looked up by ``Mesh.interval_index``.
-    """
-    mids = 0.5 * (points[:-1] + points[1:])
-    return np.column_stack([m.interval_index(mids) for m in meshes])
-
-
-def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
-    """Common refinement: intervals between all neighbouring source endpoints.
-
-    All meshes must share the same domain.  Endpoints closer than
-    ``ENDPOINT_COLLAPSE_RTOL`` times the domain width are collapsed.
     """
     if not meshes:
         raise ValueError("need at least one mesh to merge")
@@ -140,4 +113,11 @@ def merge_meshes(meshes: Sequence[Mesh]) -> Mesh:
     for m in meshes[1:]:
         if m.domain != domain:
             raise ValueError(f"domain mismatch: {m.domain} vs {domain}")
-    return Mesh(merged_breakpoints(meshes))
+    tol = ENDPOINT_COLLAPSE_RTOL * (domain[1] - domain[0])
+    points = np.unique(np.concatenate([m.breakpoints for m in meshes])).tolist()
+    kept = points[:1]
+    for p in points[1:]:
+        if p - kept[-1] > tol:
+            kept.append(p)
+    kept[-1] = domain[1]
+    return Mesh(kept)

@@ -18,6 +18,7 @@ with central differences at ``n_samples`` random points drawn from ``seed``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -115,9 +116,12 @@ def check_positive(name: str, value: float) -> None:
 
 
 def default_params(h: float, sigma: float = 1.0, d: int = 4) -> MethodParams:
-    """Parameters with the default coupling omega = h^(d/2), tau = h^d."""
-    check_positive("mesh size", h)
-    return MethodParams(h=h, sigma=sigma, d=d, omega=h ** (d / 2), tau=float(h) ** d)
+    """Default coupling omega = h^(d/2), tau = h^d; an overflowing power is inf."""
+    omega = tau = math.inf
+    with contextlib.suppress(OverflowError):
+        omega = h ** (d / 2)
+        tau = float(h) ** d
+    return MethodParams(h=h, sigma=sigma, d=d, omega=omega, tau=tau)
 
 
 @dataclass(frozen=True)

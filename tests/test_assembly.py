@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sparse
 
 import ocfem.assembly
-import ocfem.fespace
 import ocfem.mesh
 from ocfem.assembly import AssembledNlp
 from ocfem.errors import BarrierDomainError
@@ -131,6 +130,32 @@ class TestObjectiveTerms:
             nlp.objective_terms(x)
         assert err.value.component == 0
         assert err.value.point_index >= nlp.M // 2  # the negative half
+
+
+class TestPointDataCache:
+    def test_one_evaluation_per_point(self, monkeypatch, rng):
+        # a CoefficientVector owns read-only values, so every call on the same
+        # vector, and on an equal but distinct one, shares one evaluation; a
+        # different vector is evaluated again
+        calls = []
+        running_cost = ocfem.assembly.eval_running_cost
+        counting = lambda *args: calls.append(1) or running_cost(*args)
+        monkeypatch.setattr(ocfem.assembly, "eval_running_cost", counting)
+        nlp = make_nlp(get_benchmark("lq").problem, n_intervals=2, degree=2)
+        x = random_interior_point(nlp, rng)
+        terms, grad = nlp.objective_terms(x), nlp.gradient(x)
+        nlp.hessian_band(x)
+        twin = nlp.coefficients(x.values)
+        assert twin is not x
+        assert nlp.objective_terms(twin) == terms
+        assert np.array_equal(nlp.gradient(twin), grad)
+        assert len(calls) == 1
+        other = random_interior_point(nlp, rng)
+        nlp.gradient(other)
+        assert len(calls) == 2
+        assert nlp.objective_terms(x) == terms
+        assert np.array_equal(nlp.gradient(x), grad)
+        assert len(calls) == 3
 
 
 class TestPenaltyBlocks:
@@ -458,16 +483,20 @@ class TestHessianLayout:
         assert fresh._shared["layout"] is built[1].hessian_layout
 
     def test_set_up_merges_the_meshes_once(self, monkeypatch, rng):
-        # to compose the rule; the evaluation operator looks up the component
-        # intervals once, and the band order reads eval_op
+        # to compose the rule; the evaluation operator looks up each distinct
+        # mesh's intervals once, at the merged midpoints, the point operator
+        # once at the point times, and the band order reads eval_op
         calls = []
-        for module, name in ((ocfem.mesh, "merged_breakpoints"), (ocfem.fespace, "source_intervals")):
-            step = getattr(module, name)
-            counting = lambda *args, name=name, step=step: calls.append(name) or step(*args)
-            monkeypatch.setattr(module, name, counting)
+        merge, lookup = ocfem.assembly.merge_meshes, ocfem.mesh.Mesh.interval_index
+        counting_merge = lambda meshes: calls.append("merge") or merge(meshes)
+        counting_lookup = lambda mesh, t: calls.append(np.size(t)) or lookup(mesh, t)
+        monkeypatch.setattr(ocfem.assembly, "merge_meshes", counting_merge)
+        monkeypatch.setattr(ocfem.mesh.Mesh, "interval_index", counting_lookup)
         nlp = oracle_case("lq-multimesh")
         nlp.hessian_band(random_interior_point(nlp, rng))
-        assert calls == ["merged_breakpoints", "source_intervals"]
+        E, n_t = nlp.rule.mesh.n_intervals, len(nlp.problem.time_points)
+        assert len(nlp.space.mesh_groups) == 2
+        assert calls == ["merge", E, E, n_t, n_t]
 
     def test_solve_builds_no_csr_hessian(self, monkeypatch):
         built = []

@@ -40,6 +40,22 @@ class TestSolve:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["solve", "--d", "4", "--h", "1e200"], "penalty parameter omega inf"),
+            (["solve", "--d", "2", "--h", "1e200"], "barrier parameter tau inf"),
+            (["study", "--d", "4", "--h-list", "1e200,1e100,1e50"], "penalty parameter omega inf"),
+            (["export-nlp", "--d", "4", "--h", "1e200"], "penalty parameter omega inf"),
+            (["sparsity", "--d", "4", "--h", "1e200"], "penalty parameter omega inf"),
+        ],
+    )
+    def test_overflowing_default_weights_are_usage_errors(self, args, message, capsys):
+        # omega = h^(d/2) overflows at d = 4; at d = 2 only tau = h^d does
+        code = cli_main([*args, "--problem", "lq"])
+        assert code == 2
+        assert f"error: invalid {message}: need a finite value > 0" in capsys.readouterr().err
+
     def test_trivial_reports_residual(self, capsys):
         code = cli_main(["solve", "--problem", "trivial", "--h", "0.25", "--d", "4"])
         out = capsys.readouterr().out

@@ -7,9 +7,12 @@ from hypothesis import given, strategies as st
 from ocfem.mesh import (
     Mesh,
     merge_meshes,
-    source_intervals,
     uniform_mesh,
 )
+
+
+def midpoints(mesh):
+    return 0.5 * (mesh.breakpoints[:-1] + mesh.breakpoints[1:])
 
 
 class TestInterval:
@@ -81,7 +84,7 @@ class TestMerge:
         mesh = uniform_mesh((0.0, 1.0), 2)
         merged = merge_meshes([mesh])
         assert merged.breakpoints == pytest.approx(mesh.breakpoints, abs=0)
-        assert np.array_equal(source_intervals([mesh], merged.breakpoints), [[0], [1]])
+        assert np.array_equal(mesh.interval_index(midpoints(merged)), [0, 1])
 
     def test_two_and_three(self):
         merged = merge_meshes([uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 3)])
@@ -105,9 +108,9 @@ class TestMerge:
     def test_provenance_points_to_containing_interval(self):
         meshes = [uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 1.0), 3)]
         merged = merge_meshes(meshes)
-        sources = source_intervals(meshes, merged.breakpoints)
+        mids = midpoints(merged)
+        sources = np.column_stack([mesh.interval_index(mids) for mesh in meshes])
         assert sources.shape == (merged.n_intervals, len(meshes))
-        mids = 0.5 * (merged.breakpoints[:-1] + merged.breakpoints[1:])
         for i, mid in enumerate(mids):
             for s, mesh in enumerate(meshes):
                 k = sources[i, s]
@@ -149,7 +152,7 @@ class TestMergeProperties:
             return
         assert len(hits) == 1
         idx = merged.interval_index(t)
-        k = source_intervals([mesh], merged.breakpoints)[idx, 0]
+        k = mesh.interval_index(midpoints(merged))[idx]
         assert mesh.breakpoints[k] <= t <= mesh.breakpoints[k + 1]
 
     @given(breakpoint_lists)

@@ -13,7 +13,7 @@ import ocfem.harness
 from ocfem.assembly import AssembledNlp
 from ocfem.fespace import build_eval_operator, build_space
 from ocfem.harness import benchmark_names, build_setup, get_benchmark
-from ocfem.mesh import Mesh, merge_meshes, source_intervals, uniform_mesh
+from ocfem.mesh import Mesh, merge_meshes, uniform_mesh
 from ocfem.polybasis import eval_basis
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
 
@@ -31,7 +31,10 @@ def reference_basis_rows(space, comp, t, src):
 def reference_eval_operator(space, rule):
     """The evaluation operator built component by component."""
     B, M, d1, n_y = space.block_width, rule.M, space.degree + 1, space.n_y
-    src_of_point = source_intervals(space.component_meshes, rule.mesh.breakpoints)[rule.interval_of]
+    points = rule.mesh.breakpoints
+    mids = 0.5 * (points[:-1] + points[1:])
+    sources = np.column_stack([mesh.interval_index(mids) for mesh in space.component_meshes])
+    src_of_point = sources[rule.interval_of]
     indices = np.empty((M, B, d1), dtype=int)
     data = np.empty((M, B, d1))
     for comp in range(space.n_x):

@@ -11,13 +11,12 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given, strategies as st
 
-from ocfem.fespace import build_point_eval_operator, build_space
+from ocfem.fespace import build_eval_operator, build_point_eval_operator, build_space
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import (
     ENDPOINT_COLLAPSE_RTOL,
     Mesh,
     merge_meshes,
-    merged_breakpoints,
     uniform_mesh,
 )
 from ocfem.polybasis import _lobatto_data, eval_basis, gauss_lobatto_nodes
@@ -247,7 +246,7 @@ class TestMergedBreakpointChains:
         ]
         expected = loop_merged_breakpoints(meshes)
         assert expected.tolist() == [0.0, 0.5, 0.5 + 2 * step, 0.5 + 4 * step, 1.0]
-        assert bitwise(merged_breakpoints(meshes), expected)
+        assert bitwise(merge_meshes(meshes).breakpoints, expected)
 
     def test_collapse_at_end(self):
         meshes = [
@@ -256,7 +255,7 @@ class TestMergedBreakpointChains:
         ]
         expected = loop_merged_breakpoints(meshes)
         assert expected.tolist() == [0.0, 0.5, 1.0 - 1.2e-12, 1.0]
-        assert bitwise(merged_breakpoints(meshes), expected)
+        assert bitwise(merge_meshes(meshes).breakpoints, expected)
 
     @given(
         st.lists(
@@ -273,4 +272,91 @@ class TestMergedBreakpointChains:
             interior = t0 + np.cumsum(gaps)
             interior = interior[interior < t_end]
             meshes.append(Mesh([t0, *interior.tolist(), t_end]))
-        assert bitwise(merged_breakpoints(meshes), loop_merged_breakpoints(meshes))
+        assert bitwise(merge_meshes(meshes).breakpoints, loop_merged_breakpoints(meshes))
+
+
+FOREIGN_RULE = "quadrature rule was not composed over the merged mesh of this space"
+
+
+def search_rule_check(space, rule):
+    """The rule check as a search of every component breakpoint among the rule's
+    breakpoints: the message when rejected, else None, and each breakpoint's
+    distance to the nearest rule breakpoint over the tolerance."""
+    points = rule.mesh.breakpoints
+    t0, t_end = space.domain
+    tol = ENDPOINT_COLLAPSE_RTOL * (t_end - t0)
+    ends = np.concatenate([mesh.breakpoints for mesh, _ in space.mesh_groups])
+    k = np.clip(np.searchsorted(points, ends), 1, points.size - 1)
+    gaps = np.minimum(ends - points[k - 1], points[k] - ends)
+    rejected = rule.mesh.domain != space.domain or (gaps > tol).any()
+    return (FOREIGN_RULE if rejected else None), gaps / tol
+
+
+def eval_operator_verdict(space, rule):
+    try:
+        build_eval_operator(space, rule)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def random_space(rng):
+    """One to three random meshes on a random domain; half the later ones also
+    hold a breakpoint of the first moved by less than the tolerance."""
+    t0 = float(rng.uniform(-10.0, 10.0))
+    t_end = t0 + float(rng.choice([0.25, 1.0, 4.0]))
+    tol = ENDPOINT_COLLAPSE_RTOL * (t_end - t0)
+    meshes = []
+    for _ in range(rng.integers(1, 4)):
+        inner = rng.uniform(t0, t_end, rng.integers(0, 8))
+        if meshes and rng.random() < 0.5:
+            first = meshes[0].breakpoints
+            near = rng.choice(first[1:-1]) if first.size > 2 else 0.5 * (t0 + t_end)
+            inner = np.append(inner, near + rng.uniform(-0.9, 0.9) * tol)
+        meshes.append(Mesh(np.unique(np.concatenate([[t0], inner, [t_end]]))))
+    n_y = int(rng.integers(0, len(meshes) + 1))
+    return build_space(meshes, 1, n_y, len(meshes) - n_y)
+
+
+def random_rule_meshes(rng, space):
+    """The merge, a refinement of it, the merge with one breakpoint moved, and
+    unrelated uniform meshes on the space's domain and on a wider one."""
+    t0, t_end = space.domain
+    merged = merge_meshes(space.component_meshes)
+    yield "merge", merged
+    extra = rng.uniform(t0, t_end, rng.integers(1, 6))
+    yield "refinement", Mesh(np.unique(np.concatenate([merged.breakpoints, extra])))
+    for move in (5e-13, 1.5e-12, 1e-9, 1e-3):
+        points = merged.breakpoints.copy()
+        if points.size > 2:
+            sign = rng.choice([-1.0, 1.0])
+            points[rng.integers(1, points.size - 1)] += sign * move * (t_end - t0)
+            if (np.diff(points) > 0).all():
+                yield f"moved by {move}", Mesh(points)
+    yield "uniform", uniform_mesh((t0, t_end), int(rng.integers(1, 20)))
+    yield "wider domain", uniform_mesh((t0, 2 * t_end - t0), int(rng.integers(1, 20)))
+
+
+class TestRuleCheckAgainstBreakpointSearch:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_verdict_and_message(self, seed):
+        # the interval lookup accepts a rule exactly when every component
+        # breakpoint lies within the tolerance of a rule breakpoint; a distance
+        # equal to the tolerance up to rounding may go either way, so a rule
+        # with one is left out (none among these seeds)
+        rng = np.random.default_rng(seed)
+        verdicts = {}
+        for _ in range(100):
+            space = random_space(rng)
+            for kind, mesh in random_rule_meshes(rng, space):
+                rule = compose_rule(mesh, gauss_legendre_unit(2))
+                expected, gaps = search_rule_check(space, rule)
+                if (np.abs(gaps - 1.0) < 0.01).any():
+                    continue
+                assert eval_operator_verdict(space, rule) == expected, kind
+                verdicts.setdefault(kind, set()).add(expected)
+        assert verdicts["merge"] == verdicts["refinement"] == {None}
+        assert verdicts["moved by 5e-13"] >= {None}
+        for kind in ("moved by 1.5e-12", "moved by 1e-09", "moved by 0.001", "wider domain"):
+            assert verdicts[kind] == {FOREIGN_RULE}
+        assert verdicts["uniform"] == {None, FOREIGN_RULE}
