@@ -86,7 +86,7 @@ class _PointData:
 
 
 class HessianLayout:
-    """Fixed pattern of the Hessian and the band order it is factored in.
+    """Fixed pattern of the Hessian and the band it is summed and factored in.
 
     Each merged interval's element dofs are read off ``eval_op.indices``.
     ``band_order`` sorts the coefficients by first + last merged interval of
@@ -95,10 +95,11 @@ class HessianLayout:
     endpoints between windows, so the half-bandwidth is the clique bound
     n_x (d + 1) - 1 whatever the number of intervals (14 for ``lq`` at d = 4);
     per-component meshes give more (``lq-multimesh`` 24).  ``band_position``
-    is its inverse.  ``sum_op`` sums the flat element squares, then the flat
-    point square, into the lower entries, one CSR row each: the coefficient pairs
-    (i, j) with i at or after j in ``band_order``, sorted by their (``offset``,
-    ``column``) in LAPACK lower band storage.
+    is its inverse.  ``band_index`` places each entry (i, j), i >= j, of the flat
+    element squares, then of the flat point square, at ``column * (kd + 1) +
+    offset`` in the C-order (N, kd + 1) lower band, kd the widest element offset.
+    The other half and the point pairs past kd (``wide_pairs``, at ``wide_offset``
+    and ``wide_column``) go to one spill slot past the end.
     """
 
     def __init__(self, nlp: "AssembledNlp"):
@@ -125,22 +126,19 @@ class HessianLayout:
         if point_dofs.size:
             rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
             self.point_eval[rows, np.searchsorted(point_dofs, op.indices)] = op.data
-        # flat pairs i >= j of the element and point squares; element matrices are
-        # symmetric only to rounding, and natural indices keep values off band_order
-        pairs, slots, squares = [], [], dofs.size * dofs.shape[1]
-        for local_dofs in (dofs, point_dofs):
-            rows, cols = np.broadcast_arrays(local_dofs[..., :, None], local_dofs[..., None, :])
-            pairs.append(np.flatnonzero(rows >= cols))
-            rows, cols = pos[rows.ravel()[pairs[-1]]], pos[cols.ravel()[pairs[-1]]]
-            slots.append(np.abs(rows - cols) * N + np.minimum(rows, cols))
-        # one CSR row per lower entry, summing in pair order: COO -> CSR is a stable counting sort
-        band_slot, target = np.unique(np.concatenate(slots), return_inverse=True)
-        columns = np.concatenate([pairs[0], squares + pairs[1]])
-        shape = (band_slot.size, squares + point_dofs.size**2)
-        self.sum_op = sparse.csr_matrix((np.ones(columns.size), (target, columns)), shape)
-        self.offset, self.column = np.divmod(band_slot, N)
-        # the first lower entry of each offset, where ``hessian_band`` looks for kd
-        self.offset_start = np.flatnonzero(np.diff(self.offset, prepend=-1))
+        # natural (i, j) of each entry of the flat element squares, then of the flat point
+        # square; the pairs i >= j are kept, as element matrices are symmetric only to
+        # rounding and natural indices keep values off band_order
+        squares = [np.broadcast_arrays(d[..., :, None], d[..., None, :]) for d in (dofs, point_dofs)]
+        rows, cols = (np.concatenate([square[k].ravel() for square in squares]) for k in (0, 1))
+        pairs = np.flatnonzero(rows >= cols)
+        i, j = pos[rows[pairs]], pos[cols[pairs]]
+        offset, column = np.abs(i - j), np.minimum(i, j)
+        self.kd = kd = int(offset[pairs < dofs.size * dofs.shape[1]].max())
+        wide = offset > kd  # point pairs only
+        self.wide_pairs, self.wide_offset, self.wide_column = pairs[wide], offset[wide], column[wide]
+        self.band_index = np.full(rows.size, N * (kd + 1))  # the spill slot
+        self.band_index[pairs[~wide]] = column[~wide] * (kd + 1) + offset[~wide]
 
 
 class AssembledNlp:
@@ -303,20 +301,22 @@ class AssembledNlp:
             grad += (point_t @ (data.b_jac.T @ data.b)) / omega
         return np.asarray(grad)
 
-    def _lower_sums(self, x: CoefficientVector) -> np.ndarray:
-        """The Hessian's lower entries at x, in ``hessian_layout.sum_op``'s row order.
+    def hessian_band(self, x: CoefficientVector) -> np.ndarray:
+        """Exact Hessian at x as LAPACK's Fortran-contiguous (kd + 1, N) lower band in
+        the layout's ``band_order``; kd is the widest offset holding a nonzero.
 
-        Per quadrature point the curvature of f, the Gauss-Newton and
-        curvature terms of the path penalty, the barrier diagonal
-        tau alpha_j / z^2 and omega alpha_j (its share of omega S) form a
-        (B, B) block.  The element matrices V_e' blocks V_e, then the point term,
-        are written into one flat buffer, each temporary dropped once consumed, and
-        ``sum_op`` sums them into every structurally possible entry, zeros included.
+        Per quadrature point the curvature of f, the Gauss-Newton and curvature
+        terms of the path penalty, the barrier diagonal tau alpha_j / z^2 and
+        omega alpha_j (its share of omega S) form a (B, B) block.  The element
+        matrices V_e' blocks V_e, then the point term, are written into one flat
+        buffer, each temporary dropped once consumed, and one ``np.bincount`` over
+        ``band_index`` sums it into the band in buffer order.  A nonzero point
+        entry past the element band widens it.
         """
         data = self._point_data(x)
         layout = self.hessian_layout
         omega, tau = self.params.omega, self.params.tau
-        B, n_y = self.space.block_width, self.space.n_y
+        B, n_y, N, kd = self.space.block_width, self.space.n_y, self.N, layout.kd
         blocks = self._alpha[:, None, None] * data.f_hess
         if self.problem.m > 0:
             # the path penalty's Gauss-Newton and curvature terms, summed in place
@@ -332,41 +332,38 @@ class AssembledNlp:
         E, rows, L = local.shape
         weighted = (blocks.reshape(E, -1, B, B) @ local.reshape(E, -1, B, L)).reshape(E, rows, L)
         del blocks, diagonal
-        flat = np.empty(layout.sum_op.shape[1])
+        flat = np.empty(layout.band_index.size)
         np.matmul(local.transpose(0, 2, 1), weighted, out=flat[: E * L * L].reshape(E, L, L))
         del weighted
         if self.problem.p > 0:
             point_block = data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
             point = layout.point_eval.T @ point_block @ layout.point_eval / omega
             flat[E * L * L :] = point.ravel()
-        return layout.sum_op @ flat
-
-    def hessian_band(self, x: CoefficientVector) -> np.ndarray:
-        """Exact Hessian at x as LAPACK's Fortran-contiguous (kd + 1, N) lower band in
-        the layout's ``band_order``, each entry written once; kd is the widest offset
-        holding a nonzero: stored zeros do not widen it."""
-        values, layout = self._lower_sums(x), self.hessian_layout
-        end = values.size
-        for start in layout.offset_start[::-1]:  # from the widest offset down
-            if values[start:end].any():
-                break
-            end = start
-        kd = int(layout.offset[end - 1]) if end else 0
-        band = np.zeros((self.N, kd + 1))
-        index = layout.column[:end] * (kd + 1)
-        index += layout.offset[:end]  # in place: one index array alive, not two
-        band.ravel()[index] = values[:end]
-        return band.T
+        band = np.bincount(layout.band_index, flat, N * (kd + 1) + 1)
+        band = band[:-1].reshape(N, kd + 1)  # without the spill slot
+        wide, offset = flat[layout.wide_pairs], layout.wide_offset
+        del flat
+        if wide.any():  # a nonzero point entry past the element band
+            kd = int(offset[wide != 0].max())
+            band, inside = np.hstack([band, np.zeros((N, kd - layout.kd))]), offset <= kd
+            band[layout.wide_column[inside], offset[inside]] += wide[inside]
+        while kd and not band[:, kd].any():  # from the widest offset down
+            kd -= 1
+        return np.ascontiguousarray(band[:, : kd + 1]).T
 
     def full_hessian(self, x: CoefficientVector) -> sparse.csr_matrix:
-        """Exact Hessian at x as a CSR matrix, for export and as an oracle: the lower
+        """Exact Hessian at x as a CSR matrix, for export and as an oracle: the band's
         entries mirrored, every structurally possible one stored, zeros included."""
-        layout = self.hessian_layout
-        order, offset, column = layout.band_order, layout.offset, layout.column
+        layout, N, band = self.hessian_layout, self.N, self.hessian_band(x)
+        width = layout.kd + 1
+        column, offset = np.divmod(layout.band_index[layout.band_index < N * width], width)
+        slots = np.r_[offset * N + column, layout.wide_offset * N + layout.wide_column]
+        offset, column = np.divmod(np.unique(slots), N)  # sorted by (offset, column)
+        kd, order = band.shape[0] - 1, layout.band_order
+        values = np.where(offset <= kd, band[np.minimum(offset, kd), column], 0.0)
         i, j, off = order[column + offset], order[column], np.flatnonzero(offset)
-        values = self._lower_sums(x)
         entries = (np.r_[values, values[off]], (np.r_[i, j[off]], np.r_[j, i[off]]))
-        return sparse.coo_matrix(entries, (self.N,) * 2).tocsr()
+        return sparse.coo_matrix(entries, (N,) * 2).tocsr()
 
     def penalty_multipliers(self, x: CoefficientVector) -> MultiplierSet:
         """Multiplier estimates induced by the penalty terms at x.

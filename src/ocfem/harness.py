@@ -542,6 +542,8 @@ def _options(args: argparse.Namespace) -> dict:
     """Each flag of the subcommand: as given, else from the config file, else its default."""
     _, _, flags, required = _COMMANDS[args.command]
     config = _read_config(args.config) if args.config else {}
+    if config.get("breakpoints") is not None and "h" not in flags:  # would go unused
+        raise ValueError(f"config key breakpoints: {args.command} takes no breakpoints")
     merged = {"breakpoints": config.get("breakpoints")}
     for key in flags:
         parse, default, _ = _FLAGS[key]

@@ -8,9 +8,9 @@ positive at all quadrature points.
 
 Newton steps are taken in the ``band_order`` of ``AssembledNlp.hessian_layout``,
 which sorts coefficients by the position of their support and under which
-the Hessian is banded: ``AssembledNlp.hessian_band`` sums the element and point
-terms into its (kd + 1, N) lower band with one constant sparse sum operator,
-and LAPACK ``pbtrf`` and ``pbtrs`` factor and solve it at O(N kd^2) time and
+the Hessian is banded: ``AssembledNlp.hessian_band`` scatters the element and
+point squares into its (kd + 1, N) lower band with one ``np.bincount``, and
+LAPACK ``pbtrf`` and ``pbtrs`` factor and solve it at O(N kd^2) time and
 O(N kd) memory.  kd is the largest offset holding a nonzero at this step, not
 the structural one: the pattern stores the possible y(t0)-y(tE) coupling even
 when it is zero (kd 14, not 1782, for ``lq`` at N = 1793).  Point constraints
@@ -160,22 +160,22 @@ def _schedule(omega: float, tau: float) -> list[tuple[float, float]]:
 
 
 def _newton_direction(band: np.ndarray, grad: np.ndarray) -> Optional[np.ndarray]:
-    """Solve (H + delta I) p = -g for H in lower band form, doubling delta until PD;
-    the band is left unchanged, as a shifted retry factors a copy of it."""
+    """Solve (H + delta I) p = -g for H in lower band form, delta 0 first, then doubling
+    from the floor until PD; the band is left unchanged, as each try factors a copy."""
     if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    # hessian_band's band is Fortran-contiguous, so the copy pbtrf overwrites is one memcpy
-    delta, (factor, info) = 0.0, _PBTRF(band.copy(order="F"), lower=1, overwrite_ab=1)
-    while info != 0:
+    delta = 0.0
+    while delta <= _MAX_SHIFT_FACTOR * _REGULARIZATION_FLOOR:
+        # hessian_band's band is Fortran-contiguous, so the copy pbtrf overwrites is one memcpy
+        shifted = band.copy(order="F")
+        shifted[0] += delta  # a positive diagonal is unchanged by delta 0
+        factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
+        if info == 0:
+            return _PBTRS(factor, -grad, lower=1, overwrite_b=1)[0]
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of internal pbtrf")
         delta = _REGULARIZATION_FLOOR if delta == 0.0 else 2.0 * delta
-        if delta > _MAX_SHIFT_FACTOR * _REGULARIZATION_FLOOR:
-            return None
-        shifted = band.copy(order="F")
-        shifted[0] += delta
-        factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
-    return _PBTRS(factor, -grad, lower=1, overwrite_b=1)[0]
+    return None
 
 
 def _newton_step(

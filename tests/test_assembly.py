@@ -359,10 +359,12 @@ def reference_hessian(nlp, x):
 
 
 def oracle_case(name):
-    """An AssembledNlp at h = 1/8, d = 3 for each assembly corner."""
+    """An AssembledNlp at h = 1/8 (one interval for ``one-interval``), d = 3 for each
+    assembly corner."""
     if name == "curved":
         return make_nlp(curved_problem(), n_intervals=8, degree=3)
-    bench = get_benchmark("lq" if name in ("breakpoints", "wrap-around") else name)
+    aliases = {"breakpoints": "lq", "wrap-around": "lq", "one-interval": "trivial"}
+    bench = get_benchmark(aliases.get(name, name))
     problem, breakpoints = bench.problem, None
     if name == "breakpoints":
         # a stretched y mesh splits every interval of the uniform z meshes
@@ -373,12 +375,13 @@ def oracle_case(name):
         problem = replace(problem, b_eval=lambda y: (
             np.array([y[0] - y[1]]), np.array([[1.0, -1.0]]), np.zeros((1, 2, 2))
         ))
-    space, params = build_setup(bench, 1 / 8, 3, breakpoints)
+    space, params = build_setup(bench, 1.0 if name == "one-interval" else 1 / 8, 3, breakpoints)
     return AssembledNlp(problem, space, params).with_params(1e-2, 1e-2)
 
 
 ORACLE_CASES = [
-    "lq", "lq-multimesh", "breakpoints", "barrier-pull", "trivial", "wrap-around", "curved"
+    "lq", "lq-multimesh", "breakpoints", "barrier-pull", "trivial", "wrap-around", "curved",
+    "one-interval",
 ]
 
 
@@ -418,6 +421,28 @@ def bincount_lower_sums(nlp, x):
     return np.bincount(target, np.concatenate(sums))
 
 
+def bincount_band(nlp, x):
+    """The ``bincount_lower_sums`` entries in LAPACK lower band storage, (kd + 1, N),
+    kd the widest offset holding a nonzero."""
+    space, pos, N = nlp.space, nlp.hessian_layout.band_position, nlp.N
+    B, E = space.block_width, nlp.rule.mesh.n_intervals
+    dofs = nlp.eval_op.indices.reshape(E, space.degree + 1, B, -1)[:, 0, space.n_y :]
+    squares = [dofs.reshape(E, -1)]
+    if nlp.problem.p > 0:
+        squares.append(np.unique(nlp.point_op.indices))
+    slots = []
+    for local_dofs in squares:
+        i, j = np.broadcast_arrays(local_dofs[..., :, None], local_dofs[..., None, :])
+        i, j = pos[i[i >= j]], pos[j[i >= j]]
+        slots.append(np.abs(i - j) * N + np.minimum(i, j))
+    offset, column = np.divmod(np.unique(np.concatenate(slots)), N)
+    sums = bincount_lower_sums(nlp, x)
+    kd = offset[sums != 0].max(initial=0)
+    band = np.zeros((kd + 1, N))
+    band[offset[offset <= kd], column[offset <= kd]] = sums[offset <= kd]
+    return band
+
+
 class TestHessianLayout:
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_matches_sparse_product_reference(self, name, rng):
@@ -435,7 +460,9 @@ class TestHessianLayout:
         nlp = oracle_case(name)
         for _ in range(3):
             x = random_interior_point(nlp, rng)
-            assert nlp._lower_sums(x).tobytes() == bincount_lower_sums(nlp, x).tobytes()
+            band = nlp.hessian_band(x)
+            assert band.flags.f_contiguous
+            assert band.tobytes() == bincount_band(nlp, x).tobytes()
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_band_is_lower_band_of_full_hessian(self, name, rng):
@@ -456,7 +483,10 @@ class TestHessianLayout:
             assert kd > N // 2
         elif name == "lq":
             # the stored y(t0)-y(tE) pair is zero and stays out of the band
-            assert kd == nlp.space.n_x * 4 - 1 < nlp.hessian_layout.offset[-1]
+            assert kd == nlp.space.n_x * 4 - 1 < nlp.hessian_layout.wide_offset.max()
+        elif name == "one-interval":
+            # y and z do not couple, so the element's widest offsets hold zeros only
+            assert kd == 3 < nlp.hessian_layout.kd
 
     def test_curvature_reaches_the_hessian(self, rng):
         nlp = oracle_case("curved")

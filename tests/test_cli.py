@@ -299,6 +299,26 @@ class TestConfig:
             assert cli_main(["solve", "--config", str(config)]) == 2
             assert f"mesh endpoint {bad} is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("study", {"problem": "lq", "d": 2, "h_list": [0.5, 0.25, 0.125]}),
+            ("norm-check", {"d_max": 2}),
+            ("check-derivatives", {"problem": "lq", "samples": 2}),
+        ],
+    )
+    def test_breakpoints_rejected_where_no_program_is_set_up(
+        self, command, payload, capsys, tmp_path
+    ):
+        # the study solves its uniform h_list meshes, so given meshes would have no effect
+        config = tmp_path / "run.json"
+        breakpoints = [[0.0, 0.5, 1.0], [0.0, 0.25, 1.0], [0.0, 0.5, 1.0]]
+        config.write_text(json.dumps(payload | {"breakpoints": breakpoints}), encoding="utf-8")
+        assert cli_main([command, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config key breakpoints: {command} takes no breakpoints\n"
+
     def test_study_h_list_from_config(self, capsys, tmp_path):
         config = tmp_path / "study.json"
         config.write_text(
@@ -413,6 +433,20 @@ class TestExportAndSparsity:
         args = ["sparsity", "--problem", problem, "--h", h, "--d", d]
         assert cli_main([*args, "--out", str(out)]) == 0
         assert (out / f"{name}.coo").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("problem, h, d", [("lq", "0.25", "4"), ("lq-multimesh", "0.5", "2")])
+    def test_full_hessian_pattern_matches_golden(self, problem, h, d, capsys, tmp_path):
+        # the golden holds full_hessian.coo's header and (row, col) columns, values
+        # stripped, as those go through a BLAS product; lq's pattern keeps the
+        # y(t0)-y(tE) pair of its point square, although that entry is zero
+        name = f"sparsity_{problem}_h{h}_d{d}_full_hessian_pattern.coo"
+        golden = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+        out = tmp_path / "spy"
+        args = ["sparsity", "--problem", problem, "--h", h, "--d", d, "--out", str(out)]
+        assert cli_main(args) == 0
+        header, *lines = (out / "full_hessian.coo").read_text(encoding="utf-8").splitlines()
+        pattern = [header] + [line.rsplit(" ", 1)[0] for line in lines]
+        assert "\n".join(pattern) + "\n" == golden
 
     def test_sparsity_lines_are_numeric_triplets(self, capsys, tmp_path):
         out = tmp_path / "spy"
