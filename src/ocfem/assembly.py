@@ -61,14 +61,6 @@ class ObjectiveTerms(NamedTuple):
         return self.total + self.barrier
 
 
-@dataclass(frozen=True)
-class MultiplierSet:
-    """Multiplier estimates: lambda per scaled path-constraint row, nu per point constraint."""
-
-    lam: np.ndarray
-    nu: np.ndarray
-
-
 @dataclass
 class _PointData:
     values: np.ndarray  # (M, B) stacked (dy, y, z) rows
@@ -365,8 +357,9 @@ class AssembledNlp:
         entries = (np.r_[values, values[off]], (np.r_[i, j[off]], np.r_[j, i[off]]))
         return sparse.coo_matrix(entries, (N,) * 2).tocsr()
 
-    def penalty_multipliers(self, x: CoefficientVector) -> MultiplierSet:
-        """Multiplier estimates induced by the penalty terms at x.
+    def penalty_multipliers(self, x: CoefficientVector) -> tuple[np.ndarray, np.ndarray]:
+        """Multiplier estimates (lambda, nu) induced by the penalty terms at x,
+        lambda per scaled path-constraint row and nu per point constraint.
 
         With lambda = -H_c / omega and nu = -H_b / omega the penalty gradient
         (J_c' H_c + J_b' H_b) / omega equals -(J_c' lambda + J_b' nu), the
@@ -374,4 +367,4 @@ class AssembledNlp:
         """
         h_c, h_b = self.penalty_blocks(x)
         omega = self.params.omega
-        return MultiplierSet(lam=-h_c / omega, nu=-h_b / omega)
+        return -h_c / omega, -h_b / omega

@@ -288,29 +288,16 @@ def residual(
 
 @dataclass
 class DerivativeReport:
-    """Max relative finite-difference errors per callback derivative."""
+    """Max relative finite-difference error per callback derivative, by name:
+    f_gradient and f_hessian, then c_jacobian and c_hessian when m > 0, then
+    b_jacobian and b_hessian when p > 0."""
 
     n_samples: int
-    f_gradient: float = math.nan
-    f_hessian: float = math.nan
-    c_jacobian: Optional[float] = None
-    c_hessian: Optional[float] = None
-    b_jacobian: Optional[float] = None
-    b_hessian: Optional[float] = None
-
-    def entries(self) -> list[tuple[str, float]]:
-        out = [("f_gradient", self.f_gradient), ("f_hessian", self.f_hessian)]
-        for name in ("c_jacobian", "c_hessian", "b_jacobian", "b_hessian"):
-            value = getattr(self, name)
-            if value is not None:
-                out.append((name, value))
-        return out
+    errors: dict[str, float]
 
     def __str__(self) -> str:
-        lines = [f"derivative check over {self.n_samples} samples"]
-        for name, err in self.entries():
-            lines.append(f"  {name}: max relative error {err:.3e}")
-        return "\n".join(lines)
+        lines = [f"  {name}: max relative error {err:.3e}" for name, err in self.errors.items()]
+        return "\n".join([f"derivative check over {self.n_samples} samples", *lines])
 
 
 def _rel_error(approx: np.ndarray, exact: np.ndarray) -> float:
@@ -355,18 +342,15 @@ def check_derivatives(problem: OcpProblem, *, n_samples: int = 5, seed: int = 0)
     """
     if n_samples < 1:
         raise ValueError(f"derivative check needs n_samples >= 1, got {n_samples}")
+    if seed < 0:
+        raise ValueError(f"derivative check needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     t0, t_end = problem.domain
-    errors = {"f_gradient": 0.0, "f_hessian": 0.0}
-    if problem.m > 0:
-        errors |= {"c_jacobian": 0.0, "c_hessian": 0.0}
-    if problem.p > 0:
-        errors |= {"b_jacobian": 0.0, "b_hessian": 0.0}
+    errors: dict[str, float] = {}  # in order of first record: f, then c, then b
 
     def record(first: str, second: str, func, v0: np.ndarray) -> None:
-        first_err, second_err = _fd_errors(func, v0)
-        errors[first] = max(errors[first], first_err)
-        errors[second] = max(errors[second], second_err)
+        for name, err in zip((first, second), _fd_errors(func, v0)):
+            errors[name] = float(np.maximum(errors.get(name, err), err))  # a NaN stays
 
     def at_point(evaluate, t: float):
         # one-point batches: (value, first, second) of the point v
@@ -383,4 +367,4 @@ def check_derivatives(problem: OcpProblem, *, n_samples: int = 5, seed: int = 0)
     for _ in range(n_samples if problem.p > 0 else 0):
         yv = rng.uniform(-1.0, 1.0, problem.n_y * problem.n_T)
         record("b_jacobian", "b_hessian", lambda v: eval_point_constraints(problem, v), yv)
-    return DerivativeReport(n_samples=n_samples, **errors)
+    return DerivativeReport(n_samples, errors)

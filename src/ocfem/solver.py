@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .assembly import AssembledNlp, MultiplierSet, ObjectiveTerms
+from .assembly import AssembledNlp, ObjectiveTerms
 from .errors import BarrierDomainError
 from .fespace import CoefficientVector
 from .ocp_model import check_positive
@@ -108,7 +108,7 @@ class SolveReport:
     grad_norm: float
     terms: Optional[ObjectiveTerms]
     residual: float
-    multipliers: MultiplierSet
+    multipliers: tuple[np.ndarray, np.ndarray]  # (lambda, nu), see penalty_multipliers
     min_z: float
 
     @property

@@ -8,6 +8,7 @@ import pytest
 from ocfem import harness
 from ocfem.assembly import AssembledNlp
 from ocfem.harness import build_setup, cli_main, get_benchmark
+from ocfem.ocp_model import DerivativeReport
 from ocfem.solver import default_start
 
 
@@ -486,6 +487,24 @@ class TestCheckDerivatives:
         code = cli_main(["check-derivatives", "--problem", "lq", "--samples", samples])
         assert code == 2
         assert "n_samples" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code = cli_main(["check-derivatives", "--problem", "lq", "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["lq", "lq-multimesh", "trivial", "barrier-pull"])
+    def test_builtins_pass(self, name):
+        assert cli_main(["check-derivatives", "--problem", name]) == 0
+
+    @pytest.mark.parametrize("error", [2e-6, float("nan")])
+    def test_error_above_bound_or_nan_exits_one(self, error, monkeypatch, capsys):
+        def report(problem, *, n_samples, seed):
+            return DerivativeReport(n_samples, {"f_gradient": 0.0, "f_hessian": error})
+
+        monkeypatch.setattr(harness, "check_derivatives", report)
+        assert cli_main(["check-derivatives", "--problem", "lq"]) == 1
+        assert f"f_hessian: max relative error {error:.3e}" in capsys.readouterr().out
 
 
 class TestModuleEntryPoint:

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from ocfem.harness import (
     study_json,
 )
 from ocfem.mesh import merge_meshes
-from ocfem.ocp_model import residual
+from ocfem.ocp_model import check_derivatives, residual
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
 from ocfem.solver import SolverOptions
 
@@ -27,6 +28,20 @@ class TestRegistry:
         assert benchmark_names() == ["barrier-pull", "lq", "lq-multimesh", "trivial"]
         for name in benchmark_names():
             assert get_benchmark(name).name == name
+
+    @pytest.mark.parametrize(
+        "name, coded",
+        [("lq", "fcb"), ("lq-multimesh", "fcb"), ("trivial", "fcb"), ("barrier-pull", "f")],
+    )
+    def test_derivative_report_names_coded_derivatives(self, name, coded):
+        # f always, c when m > 0, b when p > 0, in that order
+        names = {
+            "f": ["f_gradient", "f_hessian"],
+            "c": ["c_jacobian", "c_hessian"],
+            "b": ["b_jacobian", "b_hessian"],
+        }
+        report = check_derivatives(get_benchmark(name).problem, n_samples=1)
+        assert list(report.errors) == [n for callback in coded for n in names[callback]]
 
     def test_registration_idempotent(self):
         assert get_benchmark("lq") is get_benchmark("lq")
@@ -57,42 +72,41 @@ def test_constant_stacks_kept_per_point_count(name):
 class TestLqReferences:
     def test_reference_solves_two_point_problem(self):
         # y'' = y with y(0) = 1 and dy(1) = 0, checked by finite differences
-        analytic = get_benchmark("lq").analytic
+        bench = get_benchmark("lq")
         ts = np.linspace(0.02, 0.98, 33)
         step = 1e-4
         for t in ts:
-            y = analytic.y(t)[0]
+            y = bench.y(t)[0]
             ypp = (
-                analytic.y(t + step)[0] - 2 * y + analytic.y(t - step)[0]
+                bench.y(t + step)[0] - 2 * y + bench.y(t - step)[0]
             ) / step**2
             assert ypp == pytest.approx(y, rel=1e-5)
-        assert analytic.y(0.0)[0] == pytest.approx(1.0)
-        du = (analytic.y(1.0)[0] - analytic.y(1.0 - step)[0]) / step
+        assert bench.y(0.0)[0] == pytest.approx(1.0)
+        du = (bench.y(1.0)[0] - bench.y(1.0 - step)[0]) / step
         assert du == pytest.approx(0.0, abs=1e-3)
 
     def test_cost_matches_quadrature_of_reference(self):
-        analytic = get_benchmark("lq").analytic
+        bench = get_benchmark("lq")
         rule = compose_rule(
             merge_meshes([__import__("ocfem").uniform_mesh((0.0, 1.0), 8)]),
             gauss_legendre_unit(10),
         )
         def integrand(t):
-            y = analytic.y(t)[0]
-            z = analytic.z(t)
+            y = bench.y(t)[0]
+            z = bench.z(t)
             return 0.5 * (y**2 + (z[0] - z[1]) ** 2)
         value = float(rule.weights @ np.array([integrand(t) for t in rule.points]))
-        assert value == pytest.approx(analytic.cost, rel=1e-12)
+        assert value == pytest.approx(bench.cost, rel=1e-12)
 
     def test_interpolated_reference_nearly_feasible(self):
         bench = get_benchmark("lq")
         space, params = build_setup(bench, 1.0 / 16, 8)
         nlp = AssembledNlp(bench.problem, space, params)
-        analytic = bench.analytic
         x = space.interpolate(
             [
-                lambda t: analytic.y(t)[0],
-                lambda t: analytic.z(t)[0],
-                lambda t: analytic.z(t)[1],
+                lambda t: bench.y(t)[0],
+                lambda t: bench.z(t)[0],
+                lambda t: bench.z(t)[1],
             ]
         )
         assert residual(bench.problem, x, space, nlp.rule) <= 1e-8
@@ -101,7 +115,7 @@ class TestLqReferences:
         bench = get_benchmark("trivial")
         space, params = build_setup(bench, 1.0 / 16, 8)
         nlp = AssembledNlp(bench.problem, space, params)
-        x = space.interpolate([lambda t: bench.analytic.y(t)[0], lambda t: 1.0])
+        x = space.interpolate([lambda t: bench.y(t)[0], lambda t: 1.0])
         assert residual(bench.problem, x, space, nlp.rule) <= 1e-8
 
 
@@ -118,6 +132,17 @@ class TestBuildSetup:
         counts = [m.n_intervals for m in space.component_meshes]
         assert counts == [4, 8, 8]
         assert params.h == 0.125
+
+    @pytest.mark.parametrize("name, shared", [("lq", [0, 0, 0]), ("lq-multimesh", [0, 1, 1])])
+    def test_equal_components_share_one_mesh(self, name, shared):
+        space, _ = build_setup(get_benchmark(name), 0.125, 4)
+        meshes = space.component_meshes
+        assert [next(i for i, m in enumerate(meshes) if m is mesh) for mesh in meshes] == shared
+        assert all(m.domain == (0.0, 1.0) for m in meshes)
+
+    def test_multimesh_is_lq_with_a_plan(self):
+        multimesh = get_benchmark("lq-multimesh")
+        assert replace(multimesh, name="lq", mesh_plan=None) == get_benchmark("lq")
 
     def test_breakpoints_override(self):
         bench = get_benchmark("trivial")

@@ -171,10 +171,10 @@ class TestResidual:
 class TestCheckDerivatives:
     def test_quadratic_problem_clean(self):
         report = check_derivatives(quadratic_problem(), n_samples=4, seed=1)
-        assert report.f_gradient <= 1e-6
-        assert report.f_hessian <= 1e-6
-        assert report.c_jacobian <= 1e-9  # linear constraint, exact up to rounding
-        assert report.b_jacobian <= 1e-9
+        assert report.errors["f_gradient"] <= 1e-6
+        assert report.errors["f_hessian"] <= 1e-6
+        assert report.errors["c_jacobian"] <= 1e-9  # linear constraint, exact up to rounding
+        assert report.errors["b_jacobian"] <= 1e-9
 
     def test_wrong_hessian_flagged(self):
         base = quadratic_problem()
@@ -188,17 +188,38 @@ class TestCheckDerivatives:
             f_eval=bad_f, c_eval=base.c_eval, b_eval=base.b_eval,
         )
         report = check_derivatives(broken, n_samples=3, seed=2)
-        assert report.f_hessian > 1e-2
-        assert report.f_gradient <= 1e-6
+        assert report.errors["f_hessian"] > 1e-2
+        assert report.errors["f_gradient"] <= 1e-6
 
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_no_samples_rejected(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
             check_derivatives(quadratic_problem(), n_samples=n_samples)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed >= 0, got -1"):
+            check_derivatives(quadratic_problem(), seed=-1)
+
+    def test_nan_derivative_stays_in_report(self):
+        # seed 0 draws t = 0.017, 0.729, 0.003, 0.176: only the second sample
+        # meets the NaN, and the finite samples around it must not hide it
+        base = quadratic_problem()
+
+        def nan_f(dy, y, z, t):
+            value, grad, hess = base.f_eval(dy, y, z, t)
+            return value, np.where([False, False, t > 0.5], np.nan, grad), hess
+
+        broken = OcpProblem(
+            n_y=1, n_z=1, m=1, p=1, time_points=(0.0, 1.0),
+            f_eval=nan_f, c_eval=base.c_eval, b_eval=base.b_eval,
+        )
+        errors = check_derivatives(broken, n_samples=4, seed=0).errors
+        assert np.isnan(errors["f_gradient"]) and np.isnan(errors["f_hessian"])
+        assert errors["c_jacobian"] <= 1e-9 and errors["b_jacobian"] <= 1e-9
+
     def test_report_lists_entries(self):
         report = check_derivatives(quadratic_problem(), n_samples=2, seed=3)
-        names = [name for name, _ in report.entries()]
+        names = list(report.errors)
         assert names == [
             "f_gradient", "f_hessian", "c_jacobian", "c_hessian",
             "b_jacobian", "b_hessian",

@@ -161,7 +161,7 @@ def curved_lq():
 class TestCurvedPenalty:
     def test_derivatives_match_finite_differences(self):
         _, problem = curved_lq()
-        entries = dict(check_derivatives(problem).entries())
+        entries = check_derivatives(problem).errors
         assert len(entries) == 6 and max(entries.values()) <= 1e-8
 
     def test_converges_at_lq_orders(self):
@@ -172,7 +172,7 @@ class TestCurvedPenalty:
             nlp = AssembledNlp(problem, *build_setup(bench, h, d))
             report = solve(nlp)
             assert report.status == STATUS_CONVERGED
-            gaps.append(report.terms.f - bench.analytic.cost)
+            gaps.append(report.terms.f - bench.cost)
             residuals.append(report.residual)
             if h == widths[0]:
                 data = nlp._point_data(report.x_final)
@@ -526,7 +526,7 @@ class TestLiftedExport:
         assert report.status == STATUS_CONVERGED
         h_c, h_b = nlp.penalty_blocks(report.x_final)
         omega = nlp.params.omega
-        lam, nu = report.multipliers.lam, report.multipliers.nu
+        lam, nu = report.multipliers
         assert np.array_equal(lam, -h_c / omega) and np.array_equal(nu, -h_b / omega)
         value = lifted_objective(nlp, report.x_final, -lam, -nu)
         assert abs(value - report.terms.barrier_free) <= 1e-9
