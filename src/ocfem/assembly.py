@@ -364,6 +364,7 @@ class AssembledNlp:
         With lambda = -H_c / omega and nu = -H_b / omega the penalty gradient
         (J_c' H_c + J_b' H_b) / omega equals -(J_c' lambda + J_b' nu), the
         constraint term of the Lagrangian gradient of F - lambda'H_c - nu'H_b.
+        The lifted export's H - omega (lambda; nu) = 0 holds at their negatives.
         """
         h_c, h_b = self.penalty_blocks(x)
         omega = self.params.omega

@@ -25,7 +25,7 @@ from .ocp_model import (
     check_positive,
     default_params,
 )
-from .polybasis import norm_constants_csv, verify_norm_constants
+from .polybasis import MAX_DEGREE, verify_norm_constants
 from .solver import (
     STATUS_CONVERGED,
     SolveReport,
@@ -266,16 +266,6 @@ def build_setup(
     return space, default_params(params_h, sigma, d)
 
 
-def _assemble(
-    benchmark: Benchmark,
-    h: Optional[float],
-    d: int,
-    breakpoints: Optional[Sequence[Sequence[float]]] = None,
-) -> AssembledNlp:
-    space, params = build_setup(benchmark, h, d, breakpoints)
-    return AssembledNlp(benchmark.problem, space, params)
-
-
 @dataclass
 class ConvergenceRow:
     h: float
@@ -344,7 +334,7 @@ def run_study(
     fewer than three distinct meshes are rejected.
     """
     benchmark = get_benchmark(problem)
-    nlps = [_assemble(benchmark, h, d) for h in h_list]
+    nlps = [AssembledNlp(benchmark.problem, *build_setup(benchmark, h, d)) for h in h_list]
     if len({nlp.N for nlp in nlps}) < 3:
         raise ValueError("insufficient points for order fit: need at least 3 distinct meshes")
     rows: list[ConvergenceRow] = []
@@ -401,6 +391,11 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _csv_text(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """The header line and one line per row, LF-ended; the writer of every CLI CSV."""
+    return "".join(",".join(map(_csv_cell, line)) + "\n" for line in (columns, *rows))
+
+
 def study_csv(rows: Sequence[ConvergenceRow]) -> str:
     """CSV of the study rows, one column per ``ConvergenceRow`` field.
 
@@ -408,10 +403,7 @@ def study_csv(rows: Sequence[ConvergenceRow]) -> str:
     with identical inputs produce bitwise-identical CSV.
     """
     columns = [f.name for f in fields(ConvergenceRow) if f.name != "wall_time"]
-    lines = [",".join(columns)]
-    for r in rows:
-        lines.append(",".join(_csv_cell(getattr(r, column)) for column in columns))
-    return "\n".join(lines) + "\n"
+    return _csv_text(columns, [[getattr(r, column) for column in columns] for r in rows])
 
 
 def _report_summary(report: SolveReport) -> dict:
@@ -466,7 +458,7 @@ _FLAGS: dict[str, tuple[Callable[[str], object], object, Optional[str]]] = {
     "max_iters": (int, None, None),
     "grad_tol": (float, None, None),
     "h_list": (_float_list, None, None),
-    "d_max": (int, 30, None),
+    "d_max": (int, MAX_DEGREE, None),
     "samples": (int, 5, None),
     "seed": (int, 0, None),
 }
@@ -560,7 +552,8 @@ def _solver_options(merged: dict) -> SolverOptions:
 def _nlp_from(merged: dict) -> tuple[Benchmark, AssembledNlp]:
     """The benchmark and assembled program named by --problem, --d and --h or breakpoints."""
     benchmark = get_benchmark(merged["problem"])
-    return benchmark, _assemble(benchmark, merged["h"], merged["d"], merged["breakpoints"])
+    setup = build_setup(benchmark, merged["h"], merged["d"], merged["breakpoints"])
+    return benchmark, AssembledNlp(benchmark.problem, *setup)
 
 
 def _write(out: Path, name: str, text: str) -> Path:
@@ -624,8 +617,7 @@ def _cmd_study(merged: dict) -> int:
 
 
 def _cmd_norm_check(merged: dict) -> int:
-    rows = verify_norm_constants(merged["d_max"])
-    text = norm_constants_csv(rows)
+    text = _csv_text(("d", "computed", "expected", "error"), verify_norm_constants(merged["d_max"]))
     print(text, end="")
     if merged["out"]:
         _write(merged["out"], "norm_check.csv", text)

@@ -130,7 +130,8 @@ class OcpProblem:
 
     Minimize the integral of f(dy, y, z, t) subject to the point conditions
     b(y(t_0), ..., y(t_E)) = 0, the differential-algebraic constraints
-    c(dy, y, z, t) = 0 almost everywhere, and z >= 0.
+    c(dy, y, z, t) = 0 almost everywhere, and z >= 0.  ``initial_guess(t)``, if
+    given, returns y's start values at t, of shape (n_y,); ``default_start`` checks that.
     """
 
     n_y: int

@@ -14,7 +14,7 @@ the coefficient 2-norm.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -174,9 +174,3 @@ def verify_norm_constants(d_max: int) -> list[NormConstantRow]:
             )
     return rows
 
-
-def norm_constants_csv(rows: Sequence[NormConstantRow]) -> str:
-    lines = ["d,computed,expected,error"]
-    for r in rows:
-        lines.append(f"{r.d},{r.computed!r},{r.expected!r},{r.abs_error!r}")
-    return "\n".join(lines) + "\n"

@@ -128,6 +128,9 @@ def default_start(nlp: AssembledNlp) -> CoefficientVector:
     space, hint = nlp.space, nlp.problem.initial_guess
     values = np.zeros(space.N)
     if hint is not None:
+        shape = np.shape(hint(space.domain[0]))  # once per start, not per node
+        if shape != (space.n_y,):
+            raise ValueError(f"initial_guess returns shape {shape}, need ({space.n_y},)")
         for comp in range(space.n_y):
             index, ts = space.nodes(comp)
             values[index] = np.fromiter((float(hint(float(t))[comp]) for t in ts), float)

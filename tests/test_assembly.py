@@ -84,6 +84,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             AssembledNlp(bench.problem, space, replace(params, sigma=0.25))
 
+    def test_space_components_must_match_problem(self):
+        space = build_space([uniform_mesh((0.0, 1.0), 2)] * 2, 2, 0, 2)
+        with pytest.raises(ValueError, match=r"space has \(n_y, n_z\) = \(0, 2\), problem needs \(0, 1\)"):
+            AssembledNlp(constant_cost_problem(), space, default_params(0.5, 1.0, 2))
+
+    def test_space_domain_must_match_problem(self):
+        space = build_space([uniform_mesh((0.0, 2.0), 2)], 2, 0, 1)
+        with pytest.raises(ValueError, match="space domain .* differs from problem domain"):
+            AssembledNlp(constant_cost_problem(), space, default_params(1.0, 1.0, 2))
+
     def test_uniform_widths_pass_sigma_one(self):
         # ten uniform widths differ in their last bits; the check allows for it
         space = build_space([uniform_mesh((0.0, 1.0), 10)], 2, 0, 1)

@@ -275,19 +275,38 @@ class TestConfig:
         assert "d: 2" in capsys.readouterr().out
 
     def test_breakpoints_from_config(self, capsys, tmp_path):
+        # lq's three meshes differ: the merge, the rule lookup and sigma see them all
         config = tmp_path / "run.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "problem": "trivial",
-                    "d": 3,
-                    "breakpoints": [[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0]],
-                }
-            ),
-            encoding="utf-8",
-        )
+        for payload in (
+            {"problem": "trivial", "d": 3, "breakpoints": [[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0]]},
+            {"problem": "lq", "d": 3, "breakpoints": [[0, 0.3, 1], [0, 0.1, 0.55, 1], [0, 0.3, 0.7, 1]]},
+        ):
+            config.write_text(json.dumps(payload), encoding="utf-8")
+            assert cli_main(["solve", "--config", str(config)]) == 0, payload
+            assert "status: converged" in capsys.readouterr().out.splitlines()
+
+    def test_one_config_serves_solve_and_study(self, capsys, tmp_path):
+        # each subcommand reads the keys it takes and passes over the others' keys
+        config = tmp_path / "run.json"
+        payload = {"problem": "lq", "h": 0.25, "d": 2, "h_list": [0.5, 0.25, 0.125]}
+        config.write_text(json.dumps(payload), encoding="utf-8")
         assert cli_main(["solve", "--config", str(config)]) == 0
-        assert "status: converged" in capsys.readouterr().out
+        out = tmp_path / "study"
+        assert cli_main(["study", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "study.csv").stat().st_size > 0
+
+    def test_null_value_means_unset(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        payload = {"problem": "trivial", "h": None, "d": 3, "max_iters": None}
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli_main(["solve", "--config", str(config), "--h", "0.5"]) == 0
+        assert "h: 0.5  d: 3" in capsys.readouterr().out
+
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text("[1, 2]", encoding="utf-8")
+        assert cli_main(["solve", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
 
     def test_non_finite_breakpoints_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -448,6 +467,16 @@ class TestExportAndSparsity:
         header, *lines = (out / "full_hessian.coo").read_text(encoding="utf-8").splitlines()
         pattern = [header] + [line.rsplit(" ", 1)[0] for line in lines]
         assert "\n".join(pattern) + "\n" == golden
+
+    @pytest.mark.parametrize("problem", ["lq", "barrier-pull", "trivial"])
+    def test_sparsity_stdout_is_the_files_in_order(self, problem, capsys, tmp_path):
+        args = ["sparsity", "--problem", problem, "--h", "0.25", "--d", "2"]
+        assert cli_main(args) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "spy"
+        assert cli_main([*args, "--out", str(out)]) == 0
+        names = ["eval_operator", "point_operator", "regularizer", "full_hessian"]
+        assert stdout == "".join((out / f"{n}.coo").read_text(encoding="utf-8") for n in names)
 
     def test_sparsity_lines_are_numeric_triplets(self, capsys, tmp_path):
         out = tmp_path / "spy"

@@ -76,6 +76,16 @@ class TestBuildSpace:
                 [uniform_mesh((0.0, 1.0), 2), uniform_mesh((0.0, 2.0), 2)], 1, 1, 1
             )
 
+    @pytest.mark.parametrize("n_y, n_z", [(0, 0), (-1, 1), (1, -1)])
+    def test_component_counts_rejected(self, n_y, n_z):
+        with pytest.raises(ValueError, match=f"invalid component counts n_y={n_y}, n_z={n_z}"):
+            build_space([uniform_mesh((0.0, 1.0), 2)] * max(0, n_y + n_z), 1, n_y, n_z)
+
+    def test_interpolate_needs_one_function_per_component(self):
+        space = build_space([uniform_mesh((0.0, 1.0), 2)] * 2, 1, 1, 1)
+        with pytest.raises(ValueError, match="need 2 component functions, got 1"):
+            space.interpolate([lambda t: t])
+
     def test_mesh_count_mismatch(self):
         with pytest.raises(ValueError, match="one per component"):
             build_space([uniform_mesh((0.0, 1.0), 2)], 1, 1, 1)

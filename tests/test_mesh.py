@@ -80,6 +80,10 @@ class TestBreakpoints:
 
 
 class TestMerge:
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="need at least one mesh to merge"):
+            merge_meshes([])
+
     def test_self_merge(self):
         mesh = uniform_mesh((0.0, 1.0), 2)
         merged = merge_meshes([mesh])

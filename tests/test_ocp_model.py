@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ocfem.ocp_model import (
     OcpProblem,
     check_derivatives,
     default_params,
+    eval_point_constraints,
     residual,
 )
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
@@ -99,6 +102,33 @@ class TestProblemValidation:
                 n_y=1, n_z=0, m=1, p=0, time_points=(0.0, 1.0),
                 f_eval=lambda dy, y, z, t: (0.0, np.zeros(2), np.zeros((2, 2))),
             )
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"m": -1}, "m must be nonnegative"),
+            ({"n_y": 0, "n_z": 0}, "need at least one solution component"),
+            ({"time_points": (0.0,)}, "need at least two time points"),
+            ({"p": 1}, "p > 0 requires a point-constraint callback"),
+        ],
+        ids=["negative-m", "no-component", "one-time-point", "p-without-b"],
+    )
+    def test_invalid_definition_rejected(self, changes, message):
+        fields = dict(
+            n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0),
+            f_eval=lambda dy, y, z, t: (0.0, np.zeros(2), np.zeros((2, 2))),
+        )
+        with pytest.raises(ValueError, match=message):
+            OcpProblem(**(fields | changes))
+
+    def test_point_constraint_failure_wrapped(self):
+        def bad_b(stacked_y):
+            raise ArithmeticError("boom")
+
+        problem = replace(quadratic_problem(), b_eval=bad_b)
+        with pytest.raises(RuntimeError, match="point-constraint callback failed") as info:
+            eval_point_constraints(problem, np.zeros(problem.n_T))
+        assert isinstance(info.value.__cause__, ArithmeticError)
 
 
 class TestResidual:

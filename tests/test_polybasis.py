@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ocfem.fespace import build_space
+from ocfem.harness import cli_main
 from ocfem.mesh import uniform_mesh
 from ocfem.polybasis import (
     _NODE_SNAP,
@@ -9,7 +10,6 @@ from ocfem.polybasis import (
     _shifted_legendre,
     eval_basis,
     gauss_lobatto_nodes,
-    norm_constants_csv,
     verify_norm_constants,
 )
 from ocfem.quadrature import gauss_legendre_unit
@@ -137,11 +137,13 @@ class TestNormConstants:
         assert len(rows) == 31
         assert max(row.abs_error for row in rows) <= 1e-9
 
-    def test_csv_shape(self):
-        text = norm_constants_csv(verify_norm_constants(2))
-        lines = text.strip().split("\n")
+    def test_csv_shape(self, capsys):
+        # the CLI writes the rows: ints by str, floats by repr, LF endings
+        assert cli_main(["norm-check", "--d-max", "2"]) == 0
+        lines = capsys.readouterr().out.split("\n")
         assert lines[0] == "d,computed,expected,error"
-        assert len(lines) == 4
+        rows = verify_norm_constants(2)
+        assert lines[1:] == [f"{r.d},{r.computed!r},{r.expected!r},{r.abs_error!r}" for r in rows] + [""]
 
 
 class TestNormEquivalence:

@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -12,7 +14,7 @@ import ocfem.solver
 from ocfem.assembly import AssembledNlp
 from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_space
-from ocfem.harness import build_setup, get_benchmark
+from ocfem.harness import _report_summary, build_setup, get_benchmark
 from ocfem.mesh import Mesh, uniform_mesh
 from ocfem.ocp_model import (
     MethodParams,
@@ -26,6 +28,7 @@ from ocfem.polybasis import gauss_lobatto_nodes
 from ocfem.solver import (
     _FLOOR_REL_CHANGE,
     _FLOOR_STEPS,
+    STATUS_BARRIER,
     STATUS_CONVERGED,
     STATUS_LINE_SEARCH,
     STATUS_MAX_ITERS,
@@ -226,6 +229,19 @@ class TestStageExits:
         norms = [math.sqrt(g @ g) for g in grads]
         assert stage.grad_norm == norms[1] != norms[0]
 
+    def test_start_on_the_barrier_boundary_ends_the_solve(self):
+        # z1 = 1e17 (t - rho)^2 vanishes at the Gauss point rho; ensure_interior's
+        # shift of 1e-2 is lost to rounding against coefficients near 1e17
+        nlp = lq_nlp(h=0.5, d=3)
+        rho = float(nlp.rule.points[4])
+        x0 = nlp.space.interpolate([lambda t: 1.0, lambda t: 1e17 * (t - rho) ** 2, lambda t: 1.0])
+        assert nlp.z_values(ensure_interior(nlp, x0)).min() == 0.0
+        report = solve(nlp, x0)
+        assert report.status == STATUS_BARRIER
+        assert report.iterations == [0]
+        assert report.terms is None
+        assert '"terms": null' in json.dumps(_report_summary(report))
+
 
 class TestStageStatus:
     K, TOL = _FLOOR_STEPS, 1e-8
@@ -387,6 +403,18 @@ class TestStartingPoint:
         assert nlps[1].N == x0.space.N
         with pytest.raises(ValueError, match="another space"):
             solve(nlps[1], x0)
+
+    @pytest.mark.parametrize(
+        "hint, shape",
+        [(lambda t: np.array([1.0, 2.0, 3.0]), (3,)), (lambda t: 1.0, ()), (lambda t: [[1.0]], (1, 1))],
+        ids=["length-3", "float", "column"],
+    )
+    def test_hint_of_another_shape_rejected(self, hint, shape):
+        bench = get_benchmark("lq")
+        nlp = AssembledNlp(replace(bench.problem, initial_guess=hint), *build_setup(bench, 0.5, 2))
+        message = f"initial_guess returns shape {shape}, need (1,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve(nlp)
 
     def test_negative_start_shifted_then_solves(self):
         nlp = barrier_pull_nlp(tau=1e-2)
@@ -720,6 +748,8 @@ class TestSchedules:
         for grad_tol in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="grad_tol"):
                 SolverOptions(grad_tol=grad_tol)
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            SolverOptions(max_iters=-1)
 
     def test_stages_and_report_reuse_point_data(self, monkeypatch):
         calls, first, ends = [], [], []
