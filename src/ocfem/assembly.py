@@ -301,9 +301,12 @@ class AssembledNlp:
         terms of the path penalty, the barrier diagonal tau alpha_j / z^2 and
         omega alpha_j (its share of omega S) form a (B, B) block.  The element
         matrices V_e' blocks V_e, then the point term, are written into one flat
-        buffer, each temporary dropped once consumed, and one ``np.bincount`` over
-        ``band_index`` sums it into the band in buffer order.  A nonzero point
-        entry past the element band widens it.
+        buffer, and one ``np.bincount`` over ``band_index`` sums it into the band in
+        buffer order.  The weighted rows blocks @ V_e are formed in
+        ceil(E rows L / (N (kd + 1))) element slices, so no slice's rows outgrow
+        the band, and the blocks are dropped before the last slice's squares are
+        written.  A nonzero point entry past the element band widens it.  The
+        band is a new array that nothing else holds: the solver factors it in place.
         """
         data = self._point_data(x)
         layout = self.hessian_layout
@@ -320,13 +323,22 @@ class AssembledNlp:
         diagonal = np.einsum("jbb->jb", blocks)  # a writable view
         diagonal += omega * self._alpha[:, None]
         diagonal[:, 2 * n_y :] += tau * self._alpha[:, None] / self._checked_z(data) ** 2
+        del diagonal
         local = layout.local_eval  # (E, points x B, L)
         E, rows, L = local.shape
-        weighted = (blocks.reshape(E, -1, B, B) @ local.reshape(E, -1, B, L)).reshape(E, rows, L)
-        del blocks, diagonal
-        flat = np.empty(layout.band_index.size)
-        np.matmul(local.transpose(0, 2, 1), weighted, out=flat[: E * L * L].reshape(E, L, L))
-        del weighted
+        blocks, local_rows = blocks.reshape(E, -1, B, B), local.reshape(E, -1, B, L)
+        slices = -(-E * rows * L // (N * (kd + 1)))  # weighted rows of at most a band each
+        size = -(-E // slices)
+        for start in range(0, E, size):
+            part = slice(start, start + size)
+            weighted = (blocks[part] @ local_rows[part]).reshape(-1, rows, L)
+            if start + size >= E:
+                del blocks  # the last slice's rows are formed
+            if start == 0:  # after the first rows, and after the blocks if that is all
+                flat = np.empty(layout.band_index.size)
+                squares = flat[: E * L * L].reshape(E, L, L)
+            np.matmul(local[part].transpose(0, 2, 1), weighted, out=squares[part])
+            del weighted
         if self.problem.p > 0:
             point_block = data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
             point = layout.point_eval.T @ point_block @ layout.point_eval / omega

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -140,16 +140,21 @@ def default_start(nlp: AssembledNlp) -> CoefficientVector:
 
 
 def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVector:
-    """Shift auxiliary components whose quadrature values are not positive."""
+    """Shift auxiliary components whose quadrature values are not positive up to the
+    margin; a shift lost to rounding against large coefficients is doubled until the
+    component's values are positive."""
+    space, shifted = nlp.space, x
     mins = nlp.z_values(x).min(axis=0)
-    if (mins > 0).all():
-        return x
-    values = x.values.copy()
-    for comp_z, low in enumerate(mins):
-        if low <= 0:
+    shifts = np.where(mins <= 0, _INTERIOR_MARGIN - mins, 0.0)
+    while (mins <= 0).any():
+        values = x.values.copy()
+        for comp_z in np.flatnonzero(shifts):
             # auxiliary blocks are disjoint: one add per coefficient
-            values[nlp.space.index_map[nlp.space.n_y + comp_z].ravel()] += _INTERIOR_MARGIN - low
-    return nlp.coefficients(values)
+            values[space.index_map[space.n_y + comp_z].ravel()] += shifts[comp_z]
+        shifted = nlp.coefficients(values)
+        mins = nlp.z_values(shifted).min(axis=0)
+        shifts[mins <= 0] *= 2.0
+    return shifted
 
 
 def _schedule(omega: float, tau: float) -> list[tuple[float, float]]:
@@ -162,31 +167,43 @@ def _schedule(omega: float, tau: float) -> list[tuple[float, float]]:
     return [pair for i, pair in enumerate(pairs) if i == 0 or pair != pairs[i - 1]]
 
 
-def _newton_direction(band: np.ndarray, grad: np.ndarray) -> Optional[np.ndarray]:
+def _newton_direction(
+    band: np.ndarray, grad: np.ndarray, assemble: Callable[[], np.ndarray]
+) -> Optional[np.ndarray]:
     """Solve (H + delta I) p = -g for H in lower band form, delta 0 first, then doubling
-    from the floor until PD; the band is left unchanged, as each try factors a copy."""
+    from the floor until PD.  The delta-0 try factors ``band`` in place when it is
+    Fortran-contiguous; only when that try fails is a fresh band taken from
+    ``assemble``, and each shifted try factors a copy of it."""
     if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    delta = 0.0
-    while delta <= _MAX_SHIFT_FACTOR * _REGULARIZATION_FLOOR:
-        # hessian_band's band is Fortran-contiguous, so the copy pbtrf overwrites is one memcpy
-        shifted = band.copy(order="F")
-        shifted[0] += delta  # a positive diagonal is unchanged by delta 0
+    delta, shifted = 0.0, band
+    while True:
         factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
         if info == 0:
             return _PBTRS(factor, -grad, lower=1, overwrite_b=1)[0]
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of internal pbtrf")
-        delta = _REGULARIZATION_FLOOR if delta == 0.0 else 2.0 * delta
-    return None
+        if delta == 0.0:  # the first try overwrote the band: drop it, assemble it anew
+            del band, shifted, factor
+            band, delta = assemble(), _REGULARIZATION_FLOOR
+        else:
+            delta *= 2.0
+        if delta > _MAX_SHIFT_FACTOR * _REGULARIZATION_FLOOR:
+            return None
+        shifted = band.copy(order="F")
+        shifted[0] += delta
 
 
 def _newton_step(
     nlp: AssembledNlp, x: CoefficientVector, grad: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Inertia-corrected Newton step at x, solved in the layout's ``band_order``."""
-    band, layout = nlp.hessian_band(x), nlp.hessian_layout
-    step = _newton_direction(band, grad[layout.band_order])
+    """Inertia-corrected Newton step at x, solved in the layout's ``band_order``.  The
+    band ``hessian_band`` returns is factored in place, as nothing reads it again; a
+    shifted retry assembles it once more from the cached point data, with no callback."""
+    layout = nlp.hessian_layout
+    step = _newton_direction(
+        nlp.hessian_band(x), grad[layout.band_order], lambda: nlp.hessian_band(x)
+    )
     return None if step is None else step[layout.band_position]
 
 

@@ -369,11 +369,14 @@ def reference_hessian(nlp, x):
 
 
 def oracle_case(name):
-    """An AssembledNlp at h = 1/8 (one interval for ``one-interval``), d = 3 for each
-    assembly corner."""
+    """An AssembledNlp at h = 1/8, d = 3 for each assembly corner; ``one-interval``
+    has one interval, and ``uneven-slices`` seven at d = 1, which ``hessian_band``
+    forms in two element slices, of four and three."""
     if name == "curved":
         return make_nlp(curved_problem(), n_intervals=8, degree=3)
-    aliases = {"breakpoints": "lq", "wrap-around": "lq", "one-interval": "trivial"}
+    aliases = {
+        "breakpoints": "lq", "wrap-around": "lq", "one-interval": "trivial", "uneven-slices": "trivial"
+    }
     bench = get_benchmark(aliases.get(name, name))
     problem, breakpoints = bench.problem, None
     if name == "breakpoints":
@@ -385,13 +388,14 @@ def oracle_case(name):
         problem = replace(problem, b_eval=lambda y: (
             np.array([y[0] - y[1]]), np.array([[1.0, -1.0]]), np.zeros((1, 2, 2))
         ))
-    space, params = build_setup(bench, 1.0 if name == "one-interval" else 1 / 8, 3, breakpoints)
+    h, d = {"one-interval": (1.0, 3), "uneven-slices": (1 / 7, 1)}.get(name, (1 / 8, 3))
+    space, params = build_setup(bench, h, d, breakpoints)
     return AssembledNlp(problem, space, params).with_params(1e-2, 1e-2)
 
 
 ORACLE_CASES = [
     "lq", "lq-multimesh", "breakpoints", "barrier-pull", "trivial", "wrap-around", "curved",
-    "one-interval",
+    "one-interval", "uneven-slices",
 ]
 
 
@@ -468,6 +472,10 @@ class TestHessianLayout:
     def test_sums_bitwise_equal_bincount_reference(self, name, rng):
         # lq-multimesh's shared y endpoints take four element contributions each
         nlp = oracle_case(name)
+        if name == "uneven-slices":
+            # ceil(E rows L / (N (kd + 1))) = 2 slices of ceil(7 / 2) = 4 intervals
+            E, rows, L = nlp.hessian_layout.local_eval.shape
+            assert (E, -(-E * rows * L // (nlp.N * (nlp.hessian_layout.kd + 1)))) == (7, 2)
         for _ in range(3):
             x = random_interior_point(nlp, rng)
             band = nlp.hessian_band(x)

@@ -28,6 +28,8 @@ from ocfem.polybasis import gauss_lobatto_nodes
 from ocfem.solver import (
     _FLOOR_REL_CHANGE,
     _FLOOR_STEPS,
+    _PBTRF,
+    _PBTRS,
     STATUS_BARRIER,
     STATUS_CONVERGED,
     STATUS_LINE_SEARCH,
@@ -229,13 +231,11 @@ class TestStageExits:
         norms = [math.sqrt(g @ g) for g in grads]
         assert stage.grad_norm == norms[1] != norms[0]
 
-    def test_start_on_the_barrier_boundary_ends_the_solve(self):
-        # z1 = 1e17 (t - rho)^2 vanishes at the Gauss point rho; ensure_interior's
-        # shift of 1e-2 is lost to rounding against coefficients near 1e17
+    def test_start_on_the_barrier_boundary_ends_the_solve(self, monkeypatch):
+        # with the start taken as given, z1 = -1 leaves the barrier domain at once
+        monkeypatch.setattr(ocfem.solver, "ensure_interior", lambda nlp, x: x)
         nlp = lq_nlp(h=0.5, d=3)
-        rho = float(nlp.rule.points[4])
-        x0 = nlp.space.interpolate([lambda t: 1.0, lambda t: 1e17 * (t - rho) ** 2, lambda t: 1.0])
-        assert nlp.z_values(ensure_interior(nlp, x0)).min() == 0.0
+        x0 = nlp.space.interpolate([lambda t: 1.0, lambda t: -1.0, lambda t: 1.0])
         report = solve(nlp, x0)
         assert report.status == STATUS_BARRIER
         assert report.iterations == [0]
@@ -416,11 +416,28 @@ class TestStartingPoint:
         with pytest.raises(ValueError, match=re.escape(message)):
             solve(nlp)
 
+    @pytest.mark.parametrize("point", [1, 2, 4, 5, 6])
+    def test_shift_lost_to_rounding_is_doubled(self, point):
+        # z1 = 1e17 (t - rho)^2 vanishes at the Gauss point rho; against coefficients
+        # near 1e17 a first shift of 1e-2 less min z1 leaves min z1 at 0.0 for these
+        # five of the eight points (the other three start with min z1 > 0)
+        nlp = lq_nlp(h=0.5, d=3)
+        rho = float(nlp.rule.points[point])
+        x0 = nlp.space.interpolate([lambda t: 1.0, lambda t: 1e17 * (t - rho) ** 2, lambda t: 1.0])
+        shifted = ensure_interior(nlp, x0)
+        assert nlp.z_values(shifted).min() > 0.0
+        z2 = nlp.space.index_map[nlp.space.n_y + 1].ravel()
+        assert shifted.values[z2].tobytes() == x0.values[z2].tobytes()  # already positive
+        assert solve(nlp, x0).status != STATUS_BARRIER
+
     def test_negative_start_shifted_then_solves(self):
         nlp = barrier_pull_nlp(tau=1e-2)
         bad = nlp.space.interpolate([lambda t: -1.0])
         shifted = ensure_interior(nlp, bad)
         assert nlp.z_values(shifted).min() > 0.0
+        # one shift of the margin less the minimum, not doubled
+        low = nlp.z_values(bad).min()
+        assert shifted.values.tobytes() == (bad.values + (1e-2 - low)).tobytes()
         report = solve(nlp, bad)
         assert report.status == STATUS_CONVERGED
 
@@ -560,53 +577,93 @@ class TestLiftedExport:
         assert abs(value - report.terms.barrier_free) <= 1e-9
 
 
+def direction(band, grad):
+    """``_newton_direction`` on a Fortran-ordered copy of ``band``, which it may
+    overwrite, re-assembled as another such copy."""
+    return _newton_direction(band.copy(order="F"), grad, lambda: band.copy(order="F"))
+
+
+def copy_per_try_direction(band, grad):
+    """The inertia correction as a loop that factors a fresh copy of ``band`` on
+    every try, delta 0 first, then doubling from the floor up to the cap."""
+    delta = 0.0
+    while delta <= ocfem.solver._MAX_SHIFT_FACTOR * ocfem.solver._REGULARIZATION_FLOOR:
+        shifted = band.copy(order="F")
+        shifted[0] += delta
+        factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
+        if info == 0:
+            return _PBTRS(factor, -grad, lower=1, overwrite_b=1)[0]
+        delta = ocfem.solver._REGULARIZATION_FLOOR if delta == 0.0 else 2.0 * delta
+    return None
+
+
+def concave_nlp(omega=1e-6):
+    """f = -10 y^2 on two intervals at d = 2: the Hessian is concave in y."""
+
+    def f_eval(dy, y, z, t):
+        return -10.0 * float(y[0] ** 2), np.array([0.0, -20.0 * y[0]]), np.diag([0.0, -20.0])
+
+    problem = OcpProblem(n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0), f_eval=f_eval)
+    space = build_space([uniform_mesh((0.0, 1.0), 2)], 2, 1, 0)
+    return AssembledNlp(problem, space, MethodParams(h=0.5, sigma=1.0, d=2, omega=omega, tau=1e-6))
+
+
 class TestInertiaCorrection:
     # matrices in lower band form: row 0 is the diagonal
     def test_identity_needs_no_shift(self):
-        step = _newton_direction(np.ones((1, 3)), np.ones(3))
+        step = direction(np.ones((1, 3)), np.ones(3))
         assert step == pytest.approx(-np.ones(3))
 
     def test_singular_matrix_shifted(self):
-        step = _newton_direction(np.zeros((1, 2)), np.array([1.0, 0.0]))
+        step = direction(np.zeros((1, 2)), np.array([1.0, 0.0]))
         assert step is not None and np.isfinite(step).all()
 
     def test_shift_lands_on_diagonal(self):
         # [[1, 1], [1, 1]] is singular; only a diagonal shift makes it PD
         band = np.array([[1.0, 1.0], [1.0, 0.0]])
-        step = _newton_direction(band, np.ones(2))
+        step = direction(band, np.ones(2))
         assert step == pytest.approx(-0.5 * np.ones(2))
 
-    def test_shifted_retry_leaves_band_unchanged(self):
-        # both need a shift; a one-row band is also Fortran-contiguous
-        for band in (np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([[4.0, 0.0]])):
-            kept = band.copy()
-            step = _newton_direction(band, np.ones(2))
-            assert step is not None and np.isfinite(step).all()
-            assert np.array_equal(band, kept)
+    def test_shifted_retry_reassembles_the_band(self, monkeypatch, rng):
+        # omega's share omega (K + M) of y's stiffness and mass matrices meets the
+        # curvature -20 M: H = omega K - (20 - omega) M, just indefinite (-2e-5) at
+        # this omega.  The delta-0 try fails past the first column, so it has
+        # overwritten the band, and a shift within the cap succeeds.
+        nlp = concave_nlp(omega=19.9999)
+        x = nlp.coefficients(rng.uniform(-0.1, 0.1, nlp.N))
+        grad, layout = nlp.gradient(x), nlp.hessian_layout
+        fresh = nlp.hessian_band(x)
+        assert fresh.flags.f_contiguous and _PBTRF(fresh.copy(order="F"), lower=1)[1] > 1
+        expected = copy_per_try_direction(fresh, grad[layout.band_order])
+        assert expected is not None
+        pd = nlp.with_params(100.0, 1e-6)  # H = 100 K + 80 M: PD, no retry
+        calls = []
+        for program in (nlp, pd):
+            band_of = program.hessian_band
+            monkeypatch.setattr(program, "hessian_band", lambda x, f=band_of: calls.append(x) or f(x))
+        step = _newton_step(nlp, x, grad)
+        assert step.tobytes() == expected[layout.band_position].tobytes()
+        assert len(calls) == 2  # the failed try's band, then one to copy for the retries
+        _newton_step(pd, x, pd.gradient(x))
+        assert len(calls) == 3
 
-    def test_non_finite_band_rejected(self):
+    def test_non_finite_band_rejected(self, monkeypatch):
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("pbtrf called")
+
+        monkeypatch.setattr(ocfem.solver, "_PBTRF", no_factorization)
         for bad in (np.nan, np.inf, -np.inf):
             band = np.array([[1.0, 1.0], [bad, 0.0]])
             with pytest.raises(ValueError, match="infs or NaNs"):
-                _newton_direction(band, np.ones(2))
+                direction(band, np.ones(2))
 
     def test_strongly_indefinite_gives_up(self):
         # a negative eigenvalue far beyond the shift cap -> gradient fallback
-        assert _newton_direction(np.array([[1.0, -1.0]]), np.ones(2)) is None
+        assert direction(np.array([[1.0, -1.0]]), np.ones(2)) is None
 
     def test_concave_problem_fails_gracefully(self, rng):
-        def f_eval(dy, y, z, t):
-            return -10.0 * float(y[0] ** 2), np.array([0.0, -20.0 * y[0]]), np.diag(
-                [0.0, -20.0]
-            )
-
-        problem = OcpProblem(
-            n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0), f_eval=f_eval
-        )
-        space = build_space([uniform_mesh((0.0, 1.0), 2)], 2, 1, 0)
-        params = MethodParams(h=0.5, sigma=1.0, d=2, omega=1e-6, tau=1e-6)
-        nlp = AssembledNlp(problem, space, params)
-        x0 = space.coefficient_vector(rng.uniform(-0.1, 0.1, space.N))
+        nlp = concave_nlp()
+        x0 = nlp.coefficients(rng.uniform(-0.1, 0.1, nlp.N))
         report = solve(nlp, x0, SolverOptions(max_iters=20))
         assert report.status in (STATUS_MAX_ITERS, STATUS_LINE_SEARCH)
 
@@ -675,8 +732,9 @@ class TestBandedStep:
         [("lq", 4, 1 / 64), ("lq-multimesh", 4, 1 / 64), ("lq", 8, 1 / 16), ("barrier-pull", 4, 1 / 256)],
     )
     def test_step_peak_within_band_multiple(self, name, d, h):
-        # the band, the copy pbtrf factors and short-lived element products; a
-        # gathered copy of the pairs or a second sum buffer would pass the bound
+        # the flat squares beside one slice of weighted rows (and the blocks, unless
+        # it is the only slice), then beside the band, which pbtrf factors in place; a
+        # second band, all weighted rows at once or a second sum buffer would pass it
         bench = get_benchmark(name)
         nlp = AssembledNlp(bench.problem, *build_setup(bench, h, d))
         x = default_start(nlp)
@@ -690,7 +748,7 @@ class TestBandedStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * band_bytes
+        assert peak <= 2.3 * band_bytes
 
 
 def loop_default_schedule(omega, tau, stages=4):
