@@ -20,7 +20,6 @@ from .mesh import Mesh, uniform_mesh
 from .ocp_model import (
     MethodParams,
     OcpProblem,
-    batched,
     check_derivatives,
     check_positive,
     default_params,
@@ -100,14 +99,12 @@ def _lq_benchmark() -> Benchmark:
     c_jac = _constant_stack([[1.0, 0.0, -1.0, 1.0]], (1, 4))
     c_hess = _constant_stack(0.0, (1, 4, 4))
 
-    @batched
     def f_eval(dy, y, z, t):
         u = z[:, 0] - z[:, 1]
         value = 0.5 * (y[:, 0] ** 2 + u**2)
         grad = np.stack([np.zeros_like(u), y[:, 0], u, -u], axis=1)
         return value, grad, f_hess(len(t))
 
-    @batched
     def c_eval(dy, y, z, t):
         values = (dy[:, 0] - z[:, 0] + z[:, 1])[:, None]
         return values, c_jac(len(t)), c_hess(len(t))
@@ -146,12 +143,10 @@ def _trivial_benchmark() -> Benchmark:
     c_jac = _constant_stack([[1.0, 0.0, 0.0]], (1, 3))
     c_hess = _constant_stack(0.0, (1, 3, 3))
 
-    @batched
     def f_eval(dy, y, z, t):
         M = len(t)
         return np.zeros(M), f_grad(M), f_hess(M)
 
-    @batched
     def c_eval(dy, y, z, t):
         return dy[:, :1].copy(), c_jac(len(t)), c_hess(len(t))
 
@@ -177,7 +172,6 @@ def _barrier_pull_benchmark() -> Benchmark:
     """
     f_grad, f_hess = _constant_stack(1.0, (1,)), _constant_stack(0.0, (1, 1))
 
-    @batched
     def f_eval(dy, y, z, t):
         M = len(t)
         return z[:, 0].copy(), f_grad(M), f_hess(M)

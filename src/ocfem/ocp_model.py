@@ -1,13 +1,10 @@
 """Problem definition: dimensions, time grid, derivative-supplying callbacks.
 
 The running cost f and the path constraints c are evaluated at all M
-quadrature points of a rule in one call.  A callback marked with
-``@batched`` receives the stacks ``dy, y: (M, n_y)``, ``z: (M, n_z)`` and
-``t: (M,)`` and returns the value, first-derivative and Hessian stacks of
-every point at once.  An unmarked callback is taken to be per point, with
-arguments ``(n_y,), (n_y,), (n_z,)`` and a float t, and is run by the
-``pointwise`` adapter, a Python loop over the points.  The point
-constraints b are evaluated once per coefficient vector and are not batched.
+quadrature points of a rule in one call: they receive the read-only stacks
+``dy, y: (M, n_y)``, ``z: (M, n_z)`` and ``t: (M,)`` and return the value,
+first-derivative and Hessian stacks of every point at once.  The point
+constraints b are evaluated once per coefficient vector.
 
 Callbacks must return analytic first and second derivatives; the assembled
 Hessians rely on them and a silent finite-difference fallback would corrupt
@@ -29,14 +26,14 @@ from .fespace import CoefficientVector, FESpace, build_eval_operator, build_poin
 from .polybasis import MAX_DEGREE
 from .quadrature import GlobalRule
 
-#: (dy, y, z, t) -> (value, gradient over (dy, y, z), Hessian over (dy, y, z)),
-#: as (M,), (M, B), (M, B, B) stacks when batched, else for one point
+#: (dy, y, z, t) -> (value, gradient over (dy, y, z), Hessian over (dy, y, z))
+#: as (M,), (M, B), (M, B, B) stacks, with B = 2 n_y + n_z
 RunningCost = Callable[
     [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     tuple[np.ndarray, np.ndarray, np.ndarray],
 ]
-#: (dy, y, z, t) -> (values, Jacobian, Hessians), as (M, m), (M, m, B),
-#: (M, m, B, B) stacks when batched, else (m,), (m, B), (m, B, B) for one point
+#: (dy, y, z, t) -> (values, Jacobian, Hessians) as (M, m), (M, m, B),
+#: (M, m, B, B) stacks
 PathConstraint = Callable[
     [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -45,49 +42,6 @@ PathConstraint = Callable[
 PointConstraint = Callable[
     [np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]
 ]
-
-_BATCHED = "ocfem_batched"
-
-
-def batched(fn):
-    """Mark a running-cost or path-constraint callback as taking point stacks."""
-    setattr(fn, _BATCHED, True)
-    return fn
-
-
-def pointwise(fn, what: str = "callback"):
-    """Batched callback that runs the per-point callback ``fn`` at each point.
-
-    A failure is reported with the quadrature point where it happened.
-    """
-
-    @batched
-    def stacked(dy, y, z, t):
-        results = []
-        for j, t_j in enumerate(t):
-            t_j = float(t_j)
-            try:
-                value, first, second = fn(dy[j], y[j], z[j], t_j)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"{what} callback failed at quadrature point {j} (t={t_j})"
-                ) from exc
-            results.append((value, first, second))
-        return tuple(_stack(what, parts) for parts in zip(*results))
-
-    return stacked
-
-
-def _stack(what: str, parts) -> np.ndarray:
-    arrays = [np.asarray(a, dtype=float) for a in parts]
-    for j, a in enumerate(arrays):
-        if a.shape != arrays[0].shape:
-            raise ValueError(
-                f"{what} output at quadrature point {j} has shape {a.shape}, "
-                f"expected {arrays[0].shape} as at point 0"
-            )
-    return np.stack(arrays)
-
 
 @dataclass(frozen=True)
 class MethodParams:
@@ -160,6 +114,10 @@ class OcpProblem:
             raise ValueError("m > 0 requires a path-constraint callback")
         if self.p > 0 and self.b_eval is None:
             raise ValueError("p > 0 requires a point-constraint callback")
+        if self.m == 0 and self.c_eval is not None:
+            raise ValueError("m = 0 leaves the path-constraint callback c_eval unused")
+        if self.p == 0 and self.b_eval is not None:
+            raise ValueError("p = 0 leaves the point-constraint callback b_eval unused")
 
     @property
     def n_x(self) -> int:
@@ -208,19 +166,22 @@ def _checked(what: str, arrays, shapes: list[tuple[int, ...]], batch: bool):
 
 
 def _eval_batch(what: str, fn, problem: OcpProblem, values, t, shapes):
-    """One call of a running-cost or path-constraint callback on a point stack."""
+    """One call of a running-cost or path-constraint callback on a point stack.
+
+    The callback sees read-only views, so it cannot change the cached point
+    values or times behind them.
+    """
+    values, t = values.view(), t.view()
+    values.setflags(write=False)
+    t.setflags(write=False)
     n_y = problem.n_y
-    args = (values[:, :n_y], values[:, n_y : 2 * n_y], values[:, 2 * n_y :], t)
-    if not getattr(fn, _BATCHED, False):
-        outputs = pointwise(fn, what)(*args)
-    else:
-        try:
-            outputs = fn(*args)
-        except Exception as exc:
-            raise RuntimeError(
-                f"{what} callback failed on a batch of {len(t)} points "
-                f"(t={float(t[0])}..{float(t[-1])})"
-            ) from exc
+    try:
+        outputs = fn(values[:, :n_y], values[:, n_y : 2 * n_y], values[:, 2 * n_y :], t)
+    except Exception as exc:
+        raise RuntimeError(
+            f"{what} callback failed on a batch of {len(t)} points "
+            f"(t={float(t[0])}..{float(t[-1])})"
+        ) from exc
     return _checked(what, outputs, shapes, batch=True)
 
 

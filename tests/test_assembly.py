@@ -33,7 +33,8 @@ def constant_cost_problem(value=1.0, n_z=1):
     width = n_z  # no differential components
 
     def f_eval(dy, y, z, t):
-        return value, np.zeros(width), np.zeros((width, width))
+        M = len(t)
+        return np.full(M, value), np.zeros((M, width)), np.zeros((M, width, width))
 
     return OcpProblem(
         n_y=0, n_z=n_z, m=0, p=0, time_points=(0.0, 1.0), f_eval=f_eval
@@ -44,10 +45,13 @@ def dy_equals_z_problem():
     """c = dy - z with zero cost; used for hand-computed penalty values."""
 
     def f_eval(dy, y, z, t):
-        return 0.0, np.zeros(3), np.zeros((3, 3))
+        M = len(t)
+        return np.zeros(M), np.zeros((M, 3)), np.zeros((M, 3, 3))
 
     def c_eval(dy, y, z, t):
-        return np.array([dy[0] - z[0]]), np.array([[1.0, 0.0, -1.0]]), np.zeros((1, 3, 3))
+        M = len(t)
+        jac = np.broadcast_to([[1.0, 0.0, -1.0]], (M, 1, 3))
+        return dy - z, jac, np.zeros((M, 1, 3, 3))
 
     return OcpProblem(
         n_y=1, n_z=1, m=1, p=0, time_points=(0.0, 1.0),
@@ -217,8 +221,8 @@ class TestGradient:
     def test_regularized_quadrature_norm_pattern(self, rng):
         # f reproducing the norm integrand makes the gradient (1 + omega) S x
         def f_eval(dy, y, z, t):
-            v = np.concatenate([dy, y])
-            return 0.5 * float(v @ v), v, np.eye(2)
+            v = np.concatenate([dy, y], axis=1)
+            return 0.5 * (v * v).sum(axis=1), v, np.broadcast_to(np.eye(2), (len(t), 2, 2))
 
         problem = OcpProblem(
             n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0), f_eval=f_eval
@@ -322,14 +326,19 @@ def curved_problem():
     """Nonlinear f, c and b, so c_hess and b_hess are nonzero; B = (dy, y, z)."""
 
     def f_eval(dy, y, z, t):
-        grad = np.array([dy[0], 2 * y[0] * z[0], y[0] ** 2])
-        hess = np.array([[1.0, 0, 0], [0, 2 * z[0], 2 * y[0]], [0, 2 * y[0], 0]])
-        return 0.5 * dy[0] ** 2 + y[0] ** 2 * z[0], grad, hess
+        dy, y, z = dy[:, 0], y[:, 0], z[:, 0]
+        one, zero = np.ones_like(y), np.zeros_like(y)
+        grad = np.stack([dy, 2 * y * z, y**2], axis=1)
+        hess = np.stack([one, zero, zero, zero, 2 * z, 2 * y, zero, 2 * y, zero], axis=1)
+        return 0.5 * dy**2 + y**2 * z, grad, hess.reshape(-1, 3, 3)
 
     def c_eval(dy, y, z, t):
-        value = dy[0] - np.sin(y[0]) + 0.1 * z[0] ** 2
-        jac = np.array([[1.0, -np.cos(y[0]), 0.2 * z[0]]])
-        return np.array([value]), jac, np.diag([0.0, np.sin(y[0]), 0.2])[None]
+        dy, y, z = dy[:, 0], y[:, 0], z[:, 0]
+        value = dy - np.sin(y) + 0.1 * z**2
+        jac = np.stack([np.ones_like(y), -np.cos(y), 0.2 * z], axis=1)
+        hess = np.zeros((len(t), 1, 3, 3))
+        hess[:, 0, 1, 1], hess[:, 0, 2, 2] = np.sin(y), 0.2
+        return value[:, None], jac[:, None], hess
 
     def b_eval(stacked_y):
         y0, y1 = stacked_y

@@ -1,21 +1,21 @@
-"""The batched callback protocol: per-batch validation and the pointwise adapter."""
+"""The callback protocol: f and c take point stacks, each batch validated once."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ocfem import batched
 from ocfem.assembly import AssembledNlp
 from ocfem.fespace import build_space
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import merge_meshes, uniform_mesh
 from ocfem.ocp_model import (
     OcpProblem,
+    check_derivatives,
+    default_params,
     eval_path_constraints,
     eval_point_constraints,
     eval_running_cost,
-    pointwise,
     residual,
 )
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
@@ -29,7 +29,6 @@ def flat_problem(f_eval, c_eval=None, m=0):
     )
 
 
-@batched
 def zero_cost(dy, y, z, t):
     k = len(t)
     return np.zeros(k), np.zeros((k, 2)), np.zeros((k, 2, 2))
@@ -47,7 +46,6 @@ class TestBatchValidation:
         hess[0, 0, 1] = 1e-7
         hess[1, 0, 1] = 1e-9
 
-        @batched
         def f_eval(dy, y, z, t):
             k = len(t)
             return np.zeros(k), np.zeros((k, 2)), hess[:k]
@@ -64,7 +62,6 @@ class TestBatchValidation:
         hess[1, 0] = [[3.0, 7.0], [7.0, 4.0]]
         hess[1, 1] = [[1.0, 0.125], [0.5, 2.0]]
 
-        @batched
         def c_eval(dy, y, z, t):
             k = len(t)
             return np.zeros((k, 2)), np.zeros((k, 2, 2)), hess[:k]
@@ -96,7 +93,6 @@ class TestBatchValidation:
         # never flagged, not even for an asymmetry beside a NaN on the diagonal
         hess = np.array([[[np.nan, 1.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, np.nan]]])
 
-        @batched
         def f_eval(dy, y, z, t):
             return np.zeros(len(t)), np.zeros((len(t), 2)), hess
 
@@ -107,7 +103,6 @@ class TestBatchValidation:
         # a stack with leading stride 0 is one square for all points: point 0 is named
         square = np.array([[1.0, 0.25], [0.0, 1.0]])
 
-        @batched
         def f_eval(dy, y, z, t):
             k = len(t)
             return np.zeros(k), np.zeros((k, 2)), np.broadcast_to(square, (k, 2, 2))
@@ -120,7 +115,6 @@ class TestBatchValidation:
     def test_nan_point_does_not_hide_an_asymmetric_one(self):
         hess = np.array([[[1.0, np.nan], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]])
 
-        @batched
         def f_eval(dy, y, z, t):
             return np.zeros(len(t)), np.zeros((len(t), 2)), hess
 
@@ -130,7 +124,6 @@ class TestBatchValidation:
             eval_running_cost(flat_problem(f_eval), values, t)
 
     def test_per_point_gradient_rejected(self):
-        @batched
         def f_eval(dy, y, z, t):
             k = len(t)
             return np.zeros(k), np.zeros(2), np.zeros((k, 2, 2))
@@ -140,12 +133,10 @@ class TestBatchValidation:
             eval_running_cost(flat_problem(f_eval), values, t)
 
     def test_raising_constraint_reports_batch(self):
-        @batched
         def f_eval(dy, y, z, t):
             k = len(t)
             return np.zeros(k), np.zeros((k, 2)), np.zeros((k, 2, 2))
 
-        @batched
         def c_eval(dy, y, z, t):
             raise ZeroDivisionError("boom")
 
@@ -165,14 +156,12 @@ class TestBatchValidation:
 
         def frozen(fn):
             # every output a read-only broadcast view
-            @batched
             def wrapped(dy, y, z, t):
                 return tuple(np.broadcast_to(a, np.shape(a)) for a in fn(dy, y, z, t))
 
             return wrapped
 
         def writable(fn):
-            @batched
             def wrapped(dy, y, z, t):
                 return tuple(np.array(a) for a in fn(dy, y, z, t))
 
@@ -192,42 +181,40 @@ class TestBatchValidation:
         assert np.array_equal(frozen_result[2], writable_result[2])
 
 
-def per_point(fn):
-    """A per-point callback computing with the batched callback ``fn``."""
+def test_callback_inputs_are_read_only():
+    # a callback writing into its stacks would change the cached point values
+    bench = get_benchmark("lq")
+    space, params = build_setup(bench, 0.25, 2)
 
-    def at_point(dy, y, z, t):
-        return tuple(out[0] for out in fn(dy[None], y[None], z[None], np.array([t])))
+    def doubling(dy, y, z, t):
+        y *= 2.0
+        return bench.problem.f_eval(dy, y, z, t)
 
-    return at_point
+    nlp = AssembledNlp(replace(bench.problem, f_eval=doubling), space, params)
+    x = space.interpolate([lambda t: 1.0 + t, lambda t: 1.0, lambda t: 1.0])
+    message = "objective callback failed on a batch of 12 points"
+    with pytest.raises(RuntimeError, match=message) as err:
+        nlp.objective_terms(x)
+    assert isinstance(err.value.__cause__, ValueError)
+    assert "read-only" in str(err.value.__cause__)
 
 
-class TestPointwiseAdapter:
-    @pytest.mark.parametrize("name", ["lq", "barrier-pull"])
-    def test_bitwise_equal_to_batched(self, name, rng):
-        bench = get_benchmark(name)
-        space, params = build_setup(bench, 1.0 / 16, 4)
-        problem = bench.problem
-        adapted = replace(
-            problem,
-            f_eval=pointwise(per_point(problem.f_eval)),
-            c_eval=pointwise(per_point(problem.c_eval)) if problem.m else None,
-        )
-        native = AssembledNlp(problem, space, params)
-        looped = AssembledNlp(adapted, space, params)
-        start = default_start(native)
-        interior = start.values + rng.uniform(-0.1, 0.1, space.N)
-        for values in (start.values, interior):
-            x = space.coefficient_vector(values)
-            assert native.objective_terms(x) == looped.objective_terms(x)
-            assert np.array_equal(native.gradient(x), looped.gradient(x))
-            h_native, h_looped = native.full_hessian(x), looped.full_hessian(x)
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(h_native, part), getattr(h_looped, part))
+def per_point_constant(dy, y, z, t):
+    return 0.0, np.zeros(2), np.eye(2)
 
-    def test_inconsistent_point_shapes_rejected(self):
-        def f_eval(dy, y, z, t):
-            return 0.0, np.zeros(2 if t < 0.5 else 3), np.zeros((2, 2))
 
-        values, t = two_points()
-        with pytest.raises(ValueError, match="quadrature point 1 has shape"):
-            eval_running_cost(flat_problem(f_eval), values, t)
+def per_point_square(dy, y, z, t):
+    return 0.5 * float(y[0] ** 2), np.array([0.0, y[0]]), np.diag([0.0, 1.0])
+
+
+@pytest.mark.parametrize("f_eval", [per_point_constant, per_point_square])
+def test_per_point_callback_rejected(f_eval):
+    # outputs of shapes (), (B,), (B, B) or a raise: never a number
+    problem = flat_problem(f_eval)
+    space = build_space([uniform_mesh(problem.domain, 2)], 2, 1, 0)
+    nlp = AssembledNlp(problem, space, default_params(0.5, d=2))
+    x = space.interpolate([lambda t: t])
+    with pytest.raises((ValueError, RuntimeError), match="objective"):
+        nlp.objective_terms(x)
+    with pytest.raises((ValueError, RuntimeError), match="objective"):
+        check_derivatives(problem, n_samples=1)

@@ -12,7 +12,7 @@ from ocfem.fespace import (
 )
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import Mesh, merge_meshes, uniform_mesh
-from ocfem.ocp_model import OcpProblem, batched, default_params
+from ocfem.ocp_model import OcpProblem, default_params
 from ocfem.polybasis import eval_basis
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
 
@@ -359,7 +359,6 @@ def zero_cost_nlp(space):
     """The space's AssembledNlp under a zero-cost problem, for its Hessian layout."""
     width = space.block_width
 
-    @batched
     def f_eval(dy, y, z, t):
         M = len(t)
         return np.zeros(M), np.zeros((M, width)), np.zeros((M, width, width))

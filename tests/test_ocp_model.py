@@ -16,17 +16,26 @@ from ocfem.ocp_model import (
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
 
 
+def zero_cost(dy, y, z, t):
+    """f = 0 for n_y = 1, n_z = 0, so B = 2."""
+    M = len(t)
+    return np.zeros(M), np.zeros((M, 2)), np.zeros((M, 2, 2))
+
+
 def quadratic_problem():
     """f = (y^2 + z^2) / 2, c = dy - z, b = y(0) - 1."""
 
     def f_eval(dy, y, z, t):
-        value = 0.5 * (y[0] ** 2 + z[0] ** 2)
-        grad = np.array([0.0, y[0], z[0]])
-        hess = np.diag([0.0, 1.0, 1.0])
+        M = len(t)
+        value = 0.5 * (y[:, 0] ** 2 + z[:, 0] ** 2)
+        grad = np.stack([np.zeros(M), y[:, 0], z[:, 0]], axis=1)
+        hess = np.broadcast_to(np.diag([0.0, 1.0, 1.0]), (M, 3, 3))
         return value, grad, hess
 
     def c_eval(dy, y, z, t):
-        return np.array([dy[0] - z[0]]), np.array([[1.0, 0.0, -1.0]]), np.zeros((1, 3, 3))
+        M = len(t)
+        jac = np.broadcast_to([[1.0, 0.0, -1.0]], (M, 1, 3))
+        return dy - z, jac, np.zeros((M, 1, 3, 3))
 
     def b_eval(stacked_y):
         jac = np.zeros((1, len(stacked_y)))
@@ -93,14 +102,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             OcpProblem(
                 n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 0.0),
-                f_eval=lambda dy, y, z, t: (0.0, np.zeros(2), np.zeros((2, 2))),
+                f_eval=zero_cost,
             )
 
     def test_missing_constraint_callback(self):
         with pytest.raises(ValueError, match="path-constraint callback"):
             OcpProblem(
                 n_y=1, n_z=0, m=1, p=0, time_points=(0.0, 1.0),
-                f_eval=lambda dy, y, z, t: (0.0, np.zeros(2), np.zeros((2, 2))),
+                f_eval=zero_cost,
             )
 
     @pytest.mark.parametrize(
@@ -110,13 +119,16 @@ class TestProblemValidation:
             ({"n_y": 0, "n_z": 0}, "need at least one solution component"),
             ({"time_points": (0.0,)}, "need at least two time points"),
             ({"p": 1}, "p > 0 requires a point-constraint callback"),
+            ({"c_eval": zero_cost}, "m = 0 leaves the path-constraint callback c_eval unused"),
+            ({"b_eval": zero_cost}, "p = 0 leaves the point-constraint callback b_eval unused"),
         ],
-        ids=["negative-m", "no-component", "one-time-point", "p-without-b"],
+        ids=["negative-m", "no-component", "one-time-point", "p-without-b", "c-without-m",
+             "b-without-p"],
     )
     def test_invalid_definition_rejected(self, changes, message):
         fields = dict(
             n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0),
-            f_eval=lambda dy, y, z, t: (0.0, np.zeros(2), np.zeros((2, 2))),
+            f_eval=zero_cost,
         )
         with pytest.raises(ValueError, match=message):
             OcpProblem(**(fields | changes))
@@ -178,19 +190,19 @@ class TestResidual:
 
         problem = OcpProblem(
             n_y=1, n_z=0, m=1, p=0, time_points=(0.0, 1.0),
-            f_eval=lambda dy, y, z, t: (0.0, np.zeros(2), np.zeros((2, 2))),
+            f_eval=zero_cost,
             c_eval=bad_c,
         )
         space, rule = setup(problem, 2, 2)
         x = space.interpolate([lambda t: t])
-        with pytest.raises(RuntimeError, match="quadrature point 0"):
+        with pytest.raises(RuntimeError, match="path-constraint callback failed on a batch of"):
             residual(problem, x, space, rule)
 
     def test_dimension_mismatch(self):
         problem = quadratic_problem()
         other = OcpProblem(
             n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0),
-            f_eval=lambda dy, y, z, t: (0.0, np.zeros(2), np.zeros((2, 2))),
+            f_eval=zero_cost,
         )
         space, rule = setup(other, 2, 2)
         x = space.interpolate([lambda t: t])
@@ -211,7 +223,8 @@ class TestCheckDerivatives:
 
         def bad_f(dy, y, z, t):
             value, grad, _ = base.f_eval(dy, y, z, t)
-            return value, grad, np.diag([0.0, 5.0, 1.0])  # wrong y curvature
+            hess = np.broadcast_to(np.diag([0.0, 5.0, 1.0]), (len(t), 3, 3))
+            return value, grad, hess  # wrong y curvature
 
         broken = OcpProblem(
             n_y=1, n_z=1, m=1, p=1, time_points=(0.0, 1.0),
@@ -237,7 +250,7 @@ class TestCheckDerivatives:
 
         def nan_f(dy, y, z, t):
             value, grad, hess = base.f_eval(dy, y, z, t)
-            return value, np.where([False, False, t > 0.5], np.nan, grad), hess
+            return value, np.where((t > 0.5)[:, None] & [False, False, True], np.nan, grad), hess
 
         broken = OcpProblem(
             n_y=1, n_z=1, m=1, p=1, time_points=(0.0, 1.0),
@@ -259,7 +272,9 @@ class TestCheckDerivatives:
     def test_shape_validation(self):
         problem = OcpProblem(
             n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0),
-            f_eval=lambda dy, y, z, t: (0.0, np.zeros(3), np.zeros((3, 3))),
+            f_eval=lambda dy, y, z, t: (
+                np.zeros(len(t)), np.zeros((len(t), 3)), np.zeros((len(t), 3, 3))
+            ),
         )
         with pytest.raises(ValueError, match="expected"):
             check_derivatives(problem, n_samples=1)
@@ -269,7 +284,9 @@ class TestCheckDerivatives:
         hess[0, 1] = 1e-3
         problem = OcpProblem(
             n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0),
-            f_eval=lambda dy, y, z, t: (0.0, np.zeros(2), hess),
+            f_eval=lambda dy, y, z, t: (
+                np.zeros(len(t)), np.zeros((len(t), 2)), np.broadcast_to(hess, (len(t), 2, 2))
+            ),
         )
         with pytest.raises(ValueError, match="asymmetric"):
             check_derivatives(problem, n_samples=1)

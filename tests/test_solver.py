@@ -19,7 +19,6 @@ from ocfem.mesh import Mesh, uniform_mesh
 from ocfem.ocp_model import (
     MethodParams,
     OcpProblem,
-    batched,
     check_derivatives,
     default_params,
     residual,
@@ -69,7 +68,8 @@ class TestNewtonOnQuadratic:
         """min of the integral of y^2 / 2, with no auxiliary component (n_z = 0)."""
 
         def f_eval(dy, y, z, t):
-            return 0.5 * float(y[0] ** 2), np.array([0.0, y[0]]), np.diag([0.0, 1.0])
+            grad = np.stack([np.zeros(len(t)), y[:, 0]], axis=1)
+            return 0.5 * y[:, 0] ** 2, grad, np.broadcast_to(np.diag([0.0, 1.0]), (len(t), 2, 2))
 
         problem = OcpProblem(
             n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0), f_eval=f_eval
@@ -147,7 +147,6 @@ def curved_lq():
     """
     v = np.array([1.0, 0.0, -1.0, 1.0])
 
-    @batched
     def c_eval(dy, y, z, t):
         s = dy[:, 0] - z[:, 0] + z[:, 1]
         jac = (1.0 + 3.0 * s**2)[:, None, None] * v
@@ -286,13 +285,11 @@ def stiff_nlp(n=64, d=4, lam=1000.0):
     f_hess[1, 1] = f_hess[2, 2] = f_hess[3, 3] = 1.0
     f_hess[2, 3] = f_hess[3, 2] = -1.0
 
-    @batched
     def f_eval(dy, y, z, t):
         u = z[:, 0] - z[:, 1]
         grad = np.stack([np.zeros_like(u), y[:, 0], u, -u], axis=1)
         return 0.5 * (y[:, 0] ** 2 + u**2), grad, np.broadcast_to(f_hess, (len(t), 4, 4))
 
-    @batched
     def c_eval(dy, y, z, t):
         values = (dy[:, 0] + lam * y[:, 0] - z[:, 0] + z[:, 1])[:, None]
         jac = np.broadcast_to([[1.0, lam, -1.0, 1.0]], (len(t), 1, 4))
@@ -601,7 +598,9 @@ def concave_nlp(omega=1e-6):
     """f = -10 y^2 on two intervals at d = 2: the Hessian is concave in y."""
 
     def f_eval(dy, y, z, t):
-        return -10.0 * float(y[0] ** 2), np.array([0.0, -20.0 * y[0]]), np.diag([0.0, -20.0])
+        grad = np.stack([np.zeros(len(t)), -20.0 * y[:, 0]], axis=1)
+        hess = np.broadcast_to(np.diag([0.0, -20.0]), (len(t), 2, 2))
+        return -10.0 * y[:, 0] ** 2, grad, hess
 
     problem = OcpProblem(n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0), f_eval=f_eval)
     space = build_space([uniform_mesh((0.0, 1.0), 2)], 2, 1, 0)
