@@ -77,25 +77,21 @@ class FESpace:
     def coefficient_vector(self, values) -> "CoefficientVector":
         return CoefficientVector(values, self)
 
-    def nodes(self, comp: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficient indices of component ``comp``, each once, and the times of
-        their basis nodes; a shared endpoint takes the left node of the right interval."""
-        mesh, index = self.component_meshes[comp], self.index_map[comp].ravel()
-        nodes = gauss_lobatto_nodes(self.degree)
-        ts = (mesh.breakpoints[:-1, None] + mesh.lengths[:, None] * nodes).ravel()
-        last = np.append(index[1:] != index[:-1], True)
-        return index[last], ts[last]
-
-    def interpolate(self, component_functions: Sequence[Callable[[float], float]]) -> "CoefficientVector":
-        """Interpolate one scalar function per component at the basis nodes."""
-        if len(component_functions) != self.n_x:
-            raise ValueError(
-                f"need {self.n_x} component functions, got {len(component_functions)}"
-            )
+    def interpolate(self, func: Callable[[np.ndarray], np.ndarray]) -> "CoefficientVector":
+        """Interpolate ``func``, a map of (K,) times to (K, n_x) values, at the basis
+        nodes.  ``func`` is called once per mesh group, at all nodes of the group's
+        mesh; each coefficient is written once, a shared endpoint from the right interval."""
         out = np.zeros(self.N)
-        for comp, func in enumerate(component_functions):
-            index, ts = self.nodes(comp)
-            out[index] = np.fromiter((func(float(t)) for t in ts), float)
+        nodes = gauss_lobatto_nodes(self.degree)
+        for mesh, comps in self.mesh_groups:
+            ts = (mesh.breakpoints[:-1, None] + mesh.lengths[:, None] * nodes).ravel()
+            values, need = np.asarray(func(ts), dtype=float), (ts.size, self.n_x)
+            if values.shape != need:
+                raise ValueError(f"interpolated function returns shape {values.shape}, need {need}")
+            for comp in comps:
+                index = self.index_map[comp].ravel()
+                last = np.append(index[1:] != index[:-1], True)
+                out[index[last]] = values[last, comp]
         return CoefficientVector(out, self)
 
 

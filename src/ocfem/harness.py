@@ -46,19 +46,19 @@ _DERIVATIVE_TOL = 1e-6
 class Benchmark:
     """A built-in problem with its reference solution and mesh plan, each optional.
 
-    ``y(t)`` returns the differential components of the reference, ``z(t)``
-    the auxiliary ones and ``cost`` is the optimal cost.  When ``z`` is
-    unknown (for example because it depends on the penalty parameters), the
-    solution-space error is measured over the differential block only.
-    ``mesh_plan(n)`` returns one mesh per component on the problem's domain
-    for a width of n intervals; without it the components share one
-    uniform mesh of n intervals.
+    ``y(t)`` maps a (K,) array of times to the (K, n_y) differential components
+    of the reference, ``z(t)`` to the (K, n_z) auxiliary ones, and ``cost`` is
+    the optimal cost.  When ``z`` is unknown (for example because it depends on
+    the penalty parameters), the solution-space error is measured over the
+    differential block only.  ``mesh_plan(n)`` returns one mesh per component on
+    the problem's domain for a width of n intervals; without it the components
+    share one uniform mesh of n intervals.
     """
 
     name: str
     problem: OcpProblem
-    y: Optional[Callable[[float], np.ndarray]] = None
-    z: Optional[Callable[[float], np.ndarray]] = None
+    y: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    z: Optional[Callable[[np.ndarray], np.ndarray]] = None
     cost: Optional[float] = None
     mesh_plan: Optional[Callable[[int], Sequence[Mesh]]] = None
 
@@ -111,12 +111,12 @@ def _lq_benchmark() -> Benchmark:
 
     cosh1 = math.cosh(1.0)
 
-    def y_star(t: float) -> np.ndarray:
-        return np.array([math.cosh(1.0 - t) / cosh1])
+    def y_star(t: np.ndarray) -> np.ndarray:
+        return (np.cosh(1.0 - t) / cosh1)[:, None]
 
-    def z_star(t: float) -> np.ndarray:
-        u = -math.sinh(1.0 - t) / cosh1
-        return np.array([max(u, 0.0), max(-u, 0.0)])
+    def z_star(t: np.ndarray) -> np.ndarray:
+        u = -np.sinh(1.0 - t) / cosh1
+        return np.stack([np.maximum(u, 0.0), np.maximum(-u, 0.0)], axis=1)
 
     problem = OcpProblem(
         n_y=1,
@@ -127,7 +127,7 @@ def _lq_benchmark() -> Benchmark:
         f_eval=f_eval,
         c_eval=c_eval,
         b_eval=_initial_value(1.0),
-        initial_guess=lambda t: np.array([1.0]),
+        initial_guess=lambda t: np.ones((t.size, 1)),
     )
     return Benchmark("lq", problem, y=y_star, z=z_star, cost=0.5 * math.tanh(1.0))
 
@@ -160,7 +160,7 @@ def _trivial_benchmark() -> Benchmark:
         c_eval=c_eval,
         b_eval=_initial_value(0.0),
     )
-    return Benchmark("trivial", problem, y=lambda t: np.array([0.0]), cost=0.0)
+    return Benchmark("trivial", problem, y=lambda t: np.zeros((t.size, 1)), cost=0.0)
 
 
 def _barrier_pull_benchmark() -> Benchmark:
@@ -289,10 +289,9 @@ def _x_error(benchmark: Benchmark, nlp: AssembledNlp, report: SolveReport) -> Op
     if benchmark.y is None:
         return None
     space = nlp.space
-    z = benchmark.z or (lambda t: np.zeros(space.n_z))
-    functions = [lambda t, c=c: float(benchmark.y(t)[c]) for c in range(space.n_y)]
-    functions += [lambda t, c=c: float(z(t)[c]) for c in range(space.n_z)]
-    diff = report.x_final.values - space.interpolate(functions).values
+    z = benchmark.z or (lambda t: np.zeros((t.size, space.n_z)))
+    reference = space.interpolate(lambda t: np.hstack([benchmark.y(t), z(t)]))
+    diff = report.x_final.values - reference.values
     rows = (nlp.eval_op @ diff).reshape(nlp.M, space.block_width)
     if benchmark.z is None:
         rows = rows[:, : 2 * space.n_y]
@@ -410,21 +409,28 @@ def _report_summary(report: SolveReport) -> dict:
         "grad_norm": report.grad_norm,
         "iterations": report.iterations,
         "residual": report.residual,
-        "min_z": None if math.isinf(report.min_z) else report.min_z,
+        "min_z": report.min_z,
         "stages": stages,
         "terms": None if report.terms is None else report.terms._asdict(),
     }
 
 
+def _json_text(payload: dict) -> str:
+    """The writer of every CLI JSON file.  A non-finite float, such as the inf gradient
+    norm of a start outside the barrier domain, is written as null: strict parsers reject
+    ``Infinity`` and ``NaN``.  Finite floats keep their repr, so they round-trip exactly."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def study_json(result: StudyResult) -> str:
-    payload = {
+    return _json_text({
         "rows": [asdict(r) for r in result.rows],
         "orders": result.orders,
         "notes": result.notes,
         "failed": result.failed,
         "reports": [_report_summary(rep) for rep in result.reports],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 # -- command-line interface ---------------------------------------------------
@@ -585,7 +591,7 @@ def _cmd_solve(merged: dict) -> int:
             "M": nlp.M,
             "coefficients": report.x_final.values.tolist(),
         }
-        _write(merged["out"], "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(merged["out"], "report.json", _json_text(payload))
     return 0 if report.status == STATUS_CONVERGED else 1
 
 

@@ -84,8 +84,9 @@ class OcpProblem:
 
     Minimize the integral of f(dy, y, z, t) subject to the point conditions
     b(y(t_0), ..., y(t_E)) = 0, the differential-algebraic constraints
-    c(dy, y, z, t) = 0 almost everywhere, and z >= 0.  ``initial_guess(t)``, if
-    given, returns y's start values at t, of shape (n_y,); ``default_start`` checks that.
+    c(dy, y, z, t) = 0 almost everywhere, and z >= 0.  ``initial_guess``, if
+    given, maps a (K,) array of times to y's (K, n_y) start values; ``default_start``
+    checks the shape.
     """
 
     n_y: int
@@ -96,7 +97,7 @@ class OcpProblem:
     f_eval: RunningCost
     c_eval: Optional[PathConstraint] = None
     b_eval: Optional[PointConstraint] = None
-    initial_guess: Optional[Callable[[float], np.ndarray]] = None
+    initial_guess: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         for name in ("n_y", "n_z", "m", "p"):

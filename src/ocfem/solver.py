@@ -121,22 +121,17 @@ class SolveReport:
 
 
 def default_start(nlp: AssembledNlp) -> CoefficientVector:
-    """Interior starting point: hinted differential values, auxiliaries at max(1, tau).
-
-    The basis is nodal, so a component's coefficients are its values at the nodes.
-    """
+    """Interior starting point: hinted differential values, auxiliaries at max(1, tau),
+    interpolated at the basis nodes."""
     space, hint = nlp.space, nlp.problem.initial_guess
-    values = np.zeros(space.N)
-    if hint is not None:
-        shape = np.shape(hint(space.domain[0]))  # once per start, not per node
-        if shape != (space.n_y,):
-            raise ValueError(f"initial_guess returns shape {shape}, need ({space.n_y},)")
-        for comp in range(space.n_y):
-            index, ts = space.nodes(comp)
-            values[index] = np.fromiter((float(hint(float(t))[comp]) for t in ts), float)
-    for index in space.index_map[space.n_y :]:
-        values[index.ravel()] = max(1.0, nlp.params.tau)
-    return ensure_interior(nlp, space.coefficient_vector(values))
+
+    def start(t: np.ndarray) -> np.ndarray:
+        y = np.zeros((t.size, space.n_y)) if hint is None else hint(t)
+        if np.shape(y) != (t.size, space.n_y):
+            raise ValueError(f"initial_guess returns shape {np.shape(y)}, need {(t.size, space.n_y)}")
+        return np.hstack([y, np.full((t.size, space.n_z), max(1.0, nlp.params.tau))])
+
+    return ensure_interior(nlp, space.interpolate(start))
 
 
 def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVector:

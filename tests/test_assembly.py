@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from conftest import stacked
 import ocfem.assembly
 import ocfem.mesh
 from ocfem.assembly import AssembledNlp
@@ -109,7 +110,7 @@ class TestConstruction:
 class TestObjectiveTerms:
     def test_flat_problem_all_zero(self):
         nlp = make_nlp(constant_cost_problem(0.0), degree=2)
-        x = nlp.space.interpolate([lambda t: 1.0])
+        x = nlp.space.interpolate(stacked(lambda t: 1.0))
         terms = nlp.objective_terms(x)
         assert terms.f == 0.0
         assert terms.penalty == 0.0
@@ -117,19 +118,19 @@ class TestObjectiveTerms:
 
     def test_unit_cost_integrates_to_one(self):
         nlp = make_nlp(constant_cost_problem(1.0), n_intervals=4, degree=2)
-        x = nlp.space.interpolate([lambda t: 1.0])
+        x = nlp.space.interpolate(stacked(lambda t: 1.0))
         assert nlp.objective_terms(x).f == pytest.approx(1.0, rel=1e-14)
 
     def test_penalty_hand_value(self):
         # c = dy - z with y = t, z = 1/2: |H_c|^2 = 1/4, omega = 1/2 -> 1/4
         nlp = make_nlp(dy_equals_z_problem(), n_intervals=2, degree=2, omega=0.5)
-        x = nlp.space.interpolate([lambda t: t, lambda t: 0.5])
+        x = nlp.space.interpolate(stacked(lambda t: t, lambda t: 0.5))
         terms = nlp.objective_terms(x)
         assert terms.penalty == pytest.approx(0.25, rel=1e-13)
 
     def test_total_combines_terms(self):
         nlp = make_nlp(dy_equals_z_problem(), n_intervals=2, degree=2)
-        x = nlp.space.interpolate([lambda t: t, lambda t: 0.5])
+        x = nlp.space.interpolate(stacked(lambda t: t, lambda t: 0.5))
         terms = nlp.objective_terms(x)
         omega = nlp.params.omega
         assert terms.total == pytest.approx(
@@ -139,7 +140,7 @@ class TestObjectiveTerms:
 
     def test_barrier_domain_error_identifies_point(self):
         nlp = make_nlp(constant_cost_problem(0.0), n_intervals=2, degree=1)
-        x = nlp.space.interpolate([lambda t: 1.0 if t < 0.5 else -1.0])
+        x = nlp.space.interpolate(stacked(lambda t: np.where(t < 0.5, 1.0, -1.0)))
         with pytest.raises(BarrierDomainError) as err:
             nlp.objective_terms(x)
         assert err.value.component == 0
@@ -175,7 +176,7 @@ class TestPointDataCache:
 class TestPenaltyBlocks:
     def test_feasible_constraint_vanishes(self):
         nlp = make_nlp(dy_equals_z_problem(), n_intervals=3, degree=2)
-        x = nlp.space.interpolate([lambda t: t, lambda t: 1.0])
+        x = nlp.space.interpolate(stacked(lambda t: t, lambda t: 1.0))
         h_c, h_b = nlp.penalty_blocks(x)
         assert np.abs(h_c).max() < 1e-13
         assert h_b.size == 0
@@ -183,14 +184,14 @@ class TestPenaltyBlocks:
     def test_unit_constraint_weight_sum(self):
         # c = dy - z = 1 with y = t, z = 0: |H_c|^2 = domain width
         nlp = make_nlp(dy_equals_z_problem(), n_intervals=3, degree=2)
-        x = nlp.space.interpolate([lambda t: t, lambda t: 0.0])
+        x = nlp.space.interpolate(stacked(lambda t: t, lambda t: 0.0))
         h_c, _ = nlp.penalty_blocks(x)
         assert h_c @ h_c == pytest.approx(1.0, rel=1e-13)
 
     def test_boundary_block(self):
         bench = get_benchmark("lq")
         nlp = make_nlp(bench.problem, n_intervals=2, degree=2)
-        x = nlp.space.interpolate([lambda t: 1.0, lambda t: 1.0, lambda t: 1.0])
+        x = nlp.space.interpolate(stacked(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0))
         _, h_b = nlp.penalty_blocks(x)
         assert h_b == pytest.approx([0.0], abs=1e-14)
 
@@ -257,7 +258,7 @@ class TestGradient:
 
     def test_barrier_domain_error(self):
         nlp = make_nlp(constant_cost_problem(0.0), n_intervals=2, degree=1)
-        x = nlp.space.interpolate([lambda t: -1.0])
+        x = nlp.space.interpolate(stacked(lambda t: -1.0))
         with pytest.raises(BarrierDomainError):
             nlp.gradient(x)
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import stacked
 from ocfem.assembly import AssembledNlp
 from ocfem.fespace import build_space
 from ocfem.harness import build_setup, get_benchmark
@@ -144,7 +145,7 @@ class TestBatchValidation:
         meshes = [uniform_mesh(problem.domain, 2)]
         space = build_space(meshes, 2, 1, 0)
         rule = compose_rule(merge_meshes(meshes), gauss_legendre_unit(3))
-        x = space.interpolate([lambda t: t])
+        x = space.interpolate(stacked(lambda t: t))
         message = "path-constraint callback failed on a batch of 6 points"
         with pytest.raises(RuntimeError, match=message) as err:
             residual(problem, x, space, rule)
@@ -191,7 +192,7 @@ def test_callback_inputs_are_read_only():
         return bench.problem.f_eval(dy, y, z, t)
 
     nlp = AssembledNlp(replace(bench.problem, f_eval=doubling), space, params)
-    x = space.interpolate([lambda t: 1.0 + t, lambda t: 1.0, lambda t: 1.0])
+    x = space.interpolate(stacked(lambda t: 1.0 + t, lambda t: 1.0, lambda t: 1.0))
     message = "objective callback failed on a batch of 12 points"
     with pytest.raises(RuntimeError, match=message) as err:
         nlp.objective_terms(x)
@@ -213,7 +214,7 @@ def test_per_point_callback_rejected(f_eval):
     problem = flat_problem(f_eval)
     space = build_space([uniform_mesh(problem.domain, 2)], 2, 1, 0)
     nlp = AssembledNlp(problem, space, default_params(0.5, d=2))
-    x = space.interpolate([lambda t: t])
+    x = space.interpolate(stacked(lambda t: t))
     with pytest.raises((ValueError, RuntimeError), match="objective"):
         nlp.objective_terms(x)
     with pytest.raises((ValueError, RuntimeError), match="objective"):

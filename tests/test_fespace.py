@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import stacked
 from ocfem.assembly import AssembledNlp
 from ocfem.fespace import (
     CoefficientVector,
@@ -81,11 +84,6 @@ class TestBuildSpace:
         with pytest.raises(ValueError, match=f"invalid component counts n_y={n_y}, n_z={n_z}"):
             build_space([uniform_mesh((0.0, 1.0), 2)] * max(0, n_y + n_z), 1, n_y, n_z)
 
-    def test_interpolate_needs_one_function_per_component(self):
-        space = build_space([uniform_mesh((0.0, 1.0), 2)] * 2, 1, 1, 1)
-        with pytest.raises(ValueError, match="need 2 component functions, got 1"):
-            space.interpolate([lambda t: t])
-
     def test_mesh_count_mismatch(self):
         with pytest.raises(ValueError, match="one per component"):
             build_space([uniform_mesh((0.0, 1.0), 2)], 1, 1, 1)
@@ -118,11 +116,36 @@ class TestCoefficientVector:
         assert not x.values.flags.writeable and not y.values.flags.writeable
 
 
+class TestInterpolate:
+    def test_wrong_output_shape_rejected(self):
+        # 2 intervals of degree 1 carry 4 nodes; the space has 2 components
+        space = build_space([uniform_mesh((0.0, 1.0), 2)] * 2, 1, 1, 1)
+        for func, shape in ((stacked(lambda t: t), (4, 1)), (lambda t: t, (4,))):
+            message = f"interpolated function returns shape {shape}, need (4, 2)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                space.interpolate(func)
+
+    @pytest.mark.parametrize("name, calls", [("lq", 1), ("lq-multimesh", 2)])
+    def test_one_call_per_mesh_group(self, name, calls):
+        bench = get_benchmark(name)
+        space, _ = build_setup(bench, 0.25, 3)
+        sizes = []
+
+        def func(t):
+            sizes.append(t.size)
+            return np.hstack([bench.y(t), bench.z(t)])
+
+        space.interpolate(func)
+        assert len(sizes) == calls == len(space.mesh_groups)
+        # every node of the group's mesh, d + 1 = 4 per interval
+        assert sizes == [4 * mesh.n_intervals for mesh, _ in space.mesh_groups]
+
+
 class TestEvalOperator:
     def test_constant_reproduction(self):
         space, rule = space_and_rule([uniform_mesh((0.0, 1.0), 3)], 2, 1, 0)
         op = build_eval_operator(space, rule)
-        x = space.interpolate([lambda t: 1.0])
+        x = space.interpolate(stacked(lambda t: 1.0))
         values = (op @ x.values).reshape(rule.M, 2)
         assert values[:, 0] == pytest.approx(np.zeros(rule.M), abs=1e-13)
         assert values[:, 1] == pytest.approx(np.ones(rule.M), abs=1e-13)
@@ -130,7 +153,7 @@ class TestEvalOperator:
     def test_linear_with_midpoint_rule(self):
         space, rule = space_and_rule([uniform_mesh((0.0, 1.0), 2)], 1, 1, 0, n_nodes=1)
         op = build_eval_operator(space, rule)
-        x = space.interpolate([lambda t: t])
+        x = space.interpolate(stacked(lambda t: t))
         values = (op @ x.values).reshape(2, 2)
         assert values[:, 0] == pytest.approx([1.0, 1.0])
         assert values[:, 1] == pytest.approx([0.25, 0.75])
@@ -148,7 +171,7 @@ class TestEvalOperator:
             [uniform_mesh((0.0, 1.0), 2)] * 3, 2, 2, 1
         )
         op = build_eval_operator(space, rule)
-        x = space.interpolate([lambda t: t, lambda t: 2 * t, lambda t: 3.0])
+        x = space.interpolate(stacked(lambda t: t, lambda t: 2 * t, lambda t: 3.0))
         values = (op @ x.values).reshape(rule.M, 5)
         assert values[:, 0] == pytest.approx(np.ones(rule.M))
         assert values[:, 1] == pytest.approx(2 * np.ones(rule.M))
@@ -160,7 +183,7 @@ class TestEvalOperator:
         meshes = [uniform_mesh((0.0, 1.0), 1), uniform_mesh((0.0, 1.0), 4)]
         space, rule = space_and_rule(meshes, 2, 1, 1)
         op = build_eval_operator(space, rule)
-        x = space.interpolate([lambda t: t * t, lambda t: 1.0])
+        x = space.interpolate(stacked(lambda t: t * t, lambda t: 1.0))
         values = (op @ x.values).reshape(rule.M, 3)
         assert values[:, 0] == pytest.approx(2 * rule.points, abs=1e-12)
 
@@ -207,7 +230,7 @@ class TestEvalOperator:
         space = build_space(meshes, 2, 1, 1)
         rule = compose_rule(uniform_mesh((0.0, 1.0), 12), gauss_legendre_unit(3))
         op = build_eval_operator(space, rule)
-        x = space.interpolate([lambda t: t * t, lambda t: 1.0 - t * t])
+        x = space.interpolate(stacked(lambda t: t * t, lambda t: 1.0 - t * t))
         values = (op @ x.values).reshape(rule.M, 3)
         t = rule.points
         assert np.allclose(values, np.column_stack([2 * t, t * t, 1.0 - t * t]), rtol=0, atol=1e-13)
@@ -251,7 +274,7 @@ class TestEvalOperator:
         dpoly = poly.deriv()
         space, rule = space_and_rule([uniform_mesh((0.0, 1.0), pieces)], degree, 1, 0)
         op = build_eval_operator(space, rule)
-        x = space.interpolate([poly])
+        x = space.interpolate(stacked(poly))
         values = (op @ x.values).reshape(rule.M, 2)
         assert values[:, 1] == pytest.approx(poly(rule.points), abs=1e-12)
         assert values[:, 0] == pytest.approx(dpoly(rule.points), abs=1e-11)
@@ -267,7 +290,7 @@ class TestPointOperator:
     def test_linear_values(self):
         space = build_space([uniform_mesh((0.0, 1.0), 2)], 1, 1, 0)
         op = build_point_eval_operator(space, [0.0, 0.5, 1.0])
-        x = space.interpolate([lambda t: t])
+        x = space.interpolate(stacked(lambda t: t))
         assert op @ x.values == pytest.approx([0.0, 0.5, 1.0], abs=1e-15)
 
     def test_shape_two_components(self):
@@ -298,21 +321,21 @@ class TestRegularizer:
         space, rule = space_and_rule([uniform_mesh((0.0, 1.0), 2)], 1, 1, 0)
         op = build_eval_operator(space, rule)
         gram = build_regularizer(space, rule, op)
-        x = space.interpolate([lambda t: 1.0])
+        x = space.interpolate(stacked(lambda t: 1.0))
         assert x.values @ (gram @ x.values) == pytest.approx(1.0, rel=1e-13)
 
     def test_linear_function_h1_norm(self):
         space, rule = space_and_rule([uniform_mesh((0.0, 1.0), 2)], 1, 1, 0, n_nodes=2)
         op = build_eval_operator(space, rule)
         gram = build_regularizer(space, rule, op)
-        x = space.interpolate([lambda t: t])
+        x = space.interpolate(stacked(lambda t: t))
         assert x.values @ (gram @ x.values) == pytest.approx(4.0 / 3.0, rel=1e-13)
 
     def test_auxiliary_l2_norm(self):
         space, rule = space_and_rule([uniform_mesh((0.0, 1.0), 2)], 1, 0, 1)
         op = build_eval_operator(space, rule)
         gram = build_regularizer(space, rule, op)
-        x = space.interpolate([lambda t: 2.0])
+        x = space.interpolate(stacked(lambda t: 2.0))
         assert x.values @ (gram @ x.values) == pytest.approx(4.0, rel=1e-13)
 
     def test_exact_symmetry_and_psd(self, rng):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import stacked
 from ocfem import harness
 from ocfem.assembly import AssembledNlp
 from ocfem.harness import (
@@ -75,14 +76,14 @@ class TestLqReferences:
         bench = get_benchmark("lq")
         ts = np.linspace(0.02, 0.98, 33)
         step = 1e-4
-        for t in ts:
-            y = bench.y(t)[0]
-            ypp = (
-                bench.y(t + step)[0] - 2 * y + bench.y(t - step)[0]
-            ) / step**2
-            assert ypp == pytest.approx(y, rel=1e-5)
-        assert bench.y(0.0)[0] == pytest.approx(1.0)
-        du = (bench.y(1.0)[0] - bench.y(1.0 - step)[0]) / step
+        y = bench.y(ts)[:, 0]
+        ypp = (
+            bench.y(ts + step)[:, 0] - 2 * y + bench.y(ts - step)[:, 0]
+        ) / step**2
+        assert ypp == pytest.approx(y, rel=1e-5)
+        ends = bench.y(np.array([0.0, 1.0 - step, 1.0]))[:, 0]
+        assert ends[0] == pytest.approx(1.0)
+        du = (ends[2] - ends[1]) / step
         assert du == pytest.approx(0.0, abs=1e-3)
 
     def test_cost_matches_quadrature_of_reference(self):
@@ -92,10 +93,10 @@ class TestLqReferences:
             gauss_legendre_unit(10),
         )
         def integrand(t):
-            y = bench.y(t)[0]
+            y = bench.y(t)[:, 0]
             z = bench.z(t)
-            return 0.5 * (y**2 + (z[0] - z[1]) ** 2)
-        value = float(rule.weights @ np.array([integrand(t) for t in rule.points]))
+            return 0.5 * (y**2 + (z[:, 0] - z[:, 1]) ** 2)
+        value = float(rule.weights @ integrand(rule.points))
         assert value == pytest.approx(bench.cost, rel=1e-12)
 
     def test_interpolated_reference_nearly_feasible(self):
@@ -103,11 +104,11 @@ class TestLqReferences:
         space, params = build_setup(bench, 1.0 / 16, 8)
         nlp = AssembledNlp(bench.problem, space, params)
         x = space.interpolate(
-            [
-                lambda t: bench.y(t)[0],
-                lambda t: bench.z(t)[0],
-                lambda t: bench.z(t)[1],
-            ]
+            stacked(
+                lambda t: bench.y(t)[:, 0],
+                lambda t: bench.z(t)[:, 0],
+                lambda t: bench.z(t)[:, 1],
+            )
         )
         assert residual(bench.problem, x, space, nlp.rule) <= 1e-8
 
@@ -115,7 +116,7 @@ class TestLqReferences:
         bench = get_benchmark("trivial")
         space, params = build_setup(bench, 1.0 / 16, 8)
         nlp = AssembledNlp(bench.problem, space, params)
-        x = space.interpolate([lambda t: bench.y(t)[0], lambda t: 1.0])
+        x = space.interpolate(stacked(lambda t: bench.y(t)[:, 0], lambda t: 1.0))
         assert residual(bench.problem, x, space, nlp.rule) <= 1e-8
 
 

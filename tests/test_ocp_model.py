@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import stacked
 from ocfem.fespace import build_space
 from ocfem.mesh import merge_meshes, uniform_mesh
 from ocfem.ocp_model import (
@@ -148,21 +149,21 @@ class TestResidual:
         problem = quadratic_problem()
         space, rule = setup(problem, 4, 3)
         # y = t, z = 1 satisfies dy = z exactly but not y(0) = 1 -> use y = t + 1
-        x = space.interpolate([lambda t: t + 1.0, lambda t: 1.0])
+        x = space.interpolate(stacked(lambda t: t + 1.0, lambda t: 1.0))
         assert residual(problem, x, space, rule) == pytest.approx(0.0, abs=1e-22)
 
     def test_derivative_mismatch_value(self):
         problem = quadratic_problem()
         space, rule = setup(problem, 3, 2)
         # c = dy - z = 1 with y = t + 1, z = 0; b = y(0) - 1 = 0
-        x = space.interpolate([lambda t: t + 1.0, lambda t: 0.0])
+        x = space.interpolate(stacked(lambda t: t + 1.0, lambda t: 0.0))
         assert residual(problem, x, space, rule) == pytest.approx(1.0, rel=1e-13)
 
     def test_boundary_block_value(self):
         problem = quadratic_problem()
         space, rule = setup(problem, 3, 2)
         # y = 3, z = 0: c = 0 - 0, b = 3 - 1 = 2 -> residual 4
-        x = space.interpolate([lambda t: 3.0, lambda t: 0.0])
+        x = space.interpolate(stacked(lambda t: 3.0, lambda t: 0.0))
         assert residual(problem, x, space, rule) == pytest.approx(4.0, rel=1e-13)
 
     def test_refinement_invariance_for_polynomial_integrand(self):
@@ -171,7 +172,7 @@ class TestResidual:
         values = []
         for n_intervals in (2, 4, 8):
             space, rule = setup(problem, n_intervals, 3)
-            x = space.interpolate([lambda t: t * t, lambda t: 0.0])
+            x = space.interpolate(stacked(lambda t: t * t, lambda t: 0.0))
             r = residual(problem, x, space, rule)
             assert r == pytest.approx(4.0 / 3.0 + 1.0, rel=1e-13)  # + b^2 = (0-1)^2
             values.append(r)
@@ -194,7 +195,7 @@ class TestResidual:
             c_eval=bad_c,
         )
         space, rule = setup(problem, 2, 2)
-        x = space.interpolate([lambda t: t])
+        x = space.interpolate(stacked(lambda t: t))
         with pytest.raises(RuntimeError, match="path-constraint callback failed on a batch of"):
             residual(problem, x, space, rule)
 
@@ -205,7 +206,7 @@ class TestResidual:
             f_eval=zero_cost,
         )
         space, rule = setup(other, 2, 2)
-        x = space.interpolate([lambda t: t])
+        x = space.interpolate(stacked(lambda t: t))
         with pytest.raises(ValueError, match="n_y, n_z"):
             residual(problem, x, space, rule)
 

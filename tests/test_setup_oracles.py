@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given, strategies as st
 
+from conftest import stacked
 from ocfem.fespace import build_eval_operator, build_point_eval_operator, build_space
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import (
@@ -82,14 +83,15 @@ def loop_at_node_rows(points, degree):
     return at_node.any(axis=1), np.array(values), np.array(derivs)
 
 
-def loop_interpolate(space, functions):
+def loop_interpolate(space, func):
+    """Every node of every component, left to right, ``func`` called one time at a time."""
     out = np.zeros(space.N)
     nodes = gauss_lobatto_nodes(space.degree)
-    for comp, func in enumerate(functions):
+    for comp in range(space.n_x):
         bp = space.component_meshes[comp].breakpoints.tolist()
         for k, (left, right) in enumerate(zip(bp, bp[1:])):
             ts = left + (right - left) * nodes
-            out[space.index_map[comp][k]] = [func(float(t)) for t in ts]
+            out[space.index_map[comp][k]] = [func(np.array([t]))[0, comp] for t in ts]
     return out
 
 
@@ -175,8 +177,8 @@ class TestAgainstLoops:
 
     def test_interpolate(self, label, meshes, n_y, degree):
         space = build_space(meshes, degree, n_y, len(meshes) - n_y)
-        functions = [lambda t, c=c: np.sin(3.0 * t + c) + 1e-3 * c for c in range(len(meshes))]
-        assert bitwise(space.interpolate(functions).values, loop_interpolate(space, functions))
+        func = stacked(*[lambda t, c=c: np.sin(3.0 * t + c) + 1e-3 * c for c in range(len(meshes))])
+        assert bitwise(space.interpolate(func).values, loop_interpolate(space, func))
 
     def test_point_operator(self, label, meshes, n_y, degree):
         space = build_space(meshes, degree, n_y, len(meshes) - n_y)
@@ -206,9 +208,9 @@ def test_shared_endpoint_written_by_right_interval():
     # the left interval's last node is 0.1 + (0.45 - 0.1) = 0.44999999999999996;
     # the loop let the right interval's first node, 0.45 itself, overwrite it
     space = build_space([Mesh([0.0, 0.1, 0.45, 1.0])], 1, 1, 0)
-    values = space.interpolate([lambda t: t]).values
+    values = space.interpolate(stacked(lambda t: t)).values
     assert values[space.index_map[0][2, 0]] == 0.45
-    assert bitwise(values, loop_interpolate(space, [lambda t: t]))
+    assert bitwise(values, loop_interpolate(space, stacked(lambda t: t)))
 
 
 @pytest.mark.parametrize("label,meshes,n_y", SETS, ids=[s[0] for s in SETS])

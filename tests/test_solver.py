@@ -9,12 +9,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import stacked
 import ocfem.assembly
 import ocfem.solver
 from ocfem.assembly import AssembledNlp
 from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_space
-from ocfem.harness import _report_summary, build_setup, get_benchmark
+from ocfem.harness import _json_text, _report_summary, build_setup, get_benchmark
 from ocfem.mesh import Mesh, uniform_mesh
 from ocfem.ocp_model import (
     MethodParams,
@@ -234,12 +235,22 @@ class TestStageExits:
         # with the start taken as given, z1 = -1 leaves the barrier domain at once
         monkeypatch.setattr(ocfem.solver, "ensure_interior", lambda nlp, x: x)
         nlp = lq_nlp(h=0.5, d=3)
-        x0 = nlp.space.interpolate([lambda t: 1.0, lambda t: -1.0, lambda t: 1.0])
+        x0 = nlp.space.interpolate(stacked(lambda t: 1.0, lambda t: -1.0, lambda t: 1.0))
         report = solve(nlp, x0)
         assert report.status == STATUS_BARRIER
         assert report.iterations == [0]
         assert report.terms is None
-        assert '"terms": null' in json.dumps(_report_summary(report))
+        text = _json_text(_report_summary(report))
+        assert '"terms": null' in text
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["grad_norm"] is None
+        assert [(s["grad_norm"], s["objective"], s["residual"]) for s in summary["stages"]] == [
+            (None, None, None)
+        ]
 
 
 class TestStageStatus:
@@ -302,7 +313,7 @@ def stiff_nlp(n=64, d=4, lam=1000.0):
 
     problem = OcpProblem(
         n_y=1, n_z=2, m=1, p=1, time_points=(0.0, 1.0), f_eval=f_eval, c_eval=c_eval,
-        b_eval=b_eval, initial_guess=lambda t: np.array([1.0]),
+        b_eval=b_eval, initial_guess=lambda t: np.ones((t.size, 1)),
     )
     layer = 10.0 / lam
     graded = layer * (np.arange(n // 2 + 1) / (n // 2)) ** 2
@@ -342,15 +353,21 @@ class TestRoundingFloor:
         assert len(history) - stalled <= _FLOOR_STEPS + 10
 
 
-def interpolated_start(nlp):
-    """The default start written as an interpolation of one function per component."""
+def per_node_start(nlp):
+    """The default start written as a loop over every basis node, left to right, that
+    calls the hint one time at a time; a shared endpoint keeps the right interval's value."""
     space, hint = nlp.space, nlp.problem.initial_guess
-    z_level = max(1.0, nlp.params.tau)
-    functions = [
-        (lambda t, c=comp: float(hint(t)[c])) if hint is not None else (lambda t: 0.0)
-        for comp in range(space.n_y)
-    ] + [lambda t: z_level] * space.n_z
-    return ensure_interior(nlp, space.interpolate(functions))
+    values = np.zeros(space.N)
+    nodes = gauss_lobatto_nodes(space.degree)
+    for comp, mesh in enumerate(space.component_meshes):
+        for k in range(mesh.n_intervals):
+            for a, t in enumerate(mesh.breakpoints[k] + mesh.lengths[k] * nodes):
+                if comp >= space.n_y:
+                    value = max(1.0, nlp.params.tau)
+                else:
+                    value = 0.0 if hint is None else hint(np.array([t]))[0, comp]
+                values[space.index_map[comp][k, a]] = value
+    return ensure_interior(nlp, space.coefficient_vector(values))
 
 
 START_CASES = [
@@ -371,15 +388,15 @@ class TestStartingPoint:
         bench = get_benchmark(name)
         space, params = build_setup(bench, h, d, breakpoints)
         nlp = AssembledNlp(bench.problem, space, params)
-        assert default_start(nlp).values.tobytes() == interpolated_start(nlp).values.tobytes()
+        assert default_start(nlp).values.tobytes() == per_node_start(nlp).values.tobytes()
 
     def test_varying_hint_per_component_mesh_and_large_tau(self):
         bench = get_benchmark("lq-multimesh")
         space, params = build_setup(bench, 0.25, 3)
-        problem = replace(bench.problem, initial_guess=lambda t: np.array([np.cos(3.0 * t)]))
+        problem = replace(bench.problem, initial_guess=lambda t: np.cos(3.0 * t)[:, None])
         nlp = AssembledNlp(problem, space, replace(params, tau=2.5))
         x0 = default_start(nlp)
-        assert x0.values.tobytes() == interpolated_start(nlp).values.tobytes()
+        assert x0.values.tobytes() == per_node_start(nlp).values.tobytes()
         assert (nlp.z_values(x0) == pytest.approx(2.5)) and x0.values.min() < 0.0
 
     def test_default_start_is_interior(self):
@@ -403,13 +420,19 @@ class TestStartingPoint:
 
     @pytest.mark.parametrize(
         "hint, shape",
-        [(lambda t: np.array([1.0, 2.0, 3.0]), (3,)), (lambda t: 1.0, ()), (lambda t: [[1.0]], (1, 1))],
-        ids=["length-3", "float", "column"],
+        [
+            (lambda t: np.array([1.0, 2.0, 3.0]), (3,)),
+            (lambda t: 1.0, ()),
+            (lambda t: [[1.0]], (1, 1)),
+            (lambda t: np.ones((t.size, 3)), (6, 3)),
+        ],
+        ids=["length-3", "float", "column", "width-3"],
     )
     def test_hint_of_another_shape_rejected(self, hint, shape):
+        # h = 0.5, d = 2: the one mesh has 2 intervals of 3 nodes
         bench = get_benchmark("lq")
         nlp = AssembledNlp(replace(bench.problem, initial_guess=hint), *build_setup(bench, 0.5, 2))
-        message = f"initial_guess returns shape {shape}, need (1,)"
+        message = f"initial_guess returns shape {shape}, need (6, 1)"
         with pytest.raises(ValueError, match=re.escape(message)):
             solve(nlp)
 
@@ -420,7 +443,9 @@ class TestStartingPoint:
         # five of the eight points (the other three start with min z1 > 0)
         nlp = lq_nlp(h=0.5, d=3)
         rho = float(nlp.rule.points[point])
-        x0 = nlp.space.interpolate([lambda t: 1.0, lambda t: 1e17 * (t - rho) ** 2, lambda t: 1.0])
+        x0 = nlp.space.interpolate(
+            stacked(lambda t: 1.0, lambda t: 1e17 * (t - rho) ** 2, lambda t: 1.0)
+        )
         shifted = ensure_interior(nlp, x0)
         assert nlp.z_values(shifted).min() > 0.0
         z2 = nlp.space.index_map[nlp.space.n_y + 1].ravel()
@@ -429,7 +454,7 @@ class TestStartingPoint:
 
     def test_negative_start_shifted_then_solves(self):
         nlp = barrier_pull_nlp(tau=1e-2)
-        bad = nlp.space.interpolate([lambda t: -1.0])
+        bad = nlp.space.interpolate(stacked(lambda t: -1.0))
         shifted = ensure_interior(nlp, bad)
         assert nlp.z_values(shifted).min() > 0.0
         # one shift of the margin less the minimum, not doubled
