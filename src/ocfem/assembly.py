@@ -111,13 +111,10 @@ class HessianLayout:
         self.band_order = order = np.argsort(first + last, kind="stable")
         self.band_position = pos = np.empty(N, int)
         pos[order] = np.arange(N)
-        # point_op on its own coefficients, read off its CSR arrays
+        # point_op on the coefficients its rows hold
         op = nlp.point_op
         point_dofs = np.unique(op.indices) if nlp.problem.p > 0 else np.zeros(0, int)
-        self.point_eval = np.zeros((op.shape[0], point_dofs.size))
-        if point_dofs.size:
-            rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-            self.point_eval[rows, np.searchsorted(point_dofs, op.indices)] = op.data
+        self.point_eval = op[:, point_dofs].toarray()
         # natural (i, j) of each entry of the flat element squares, then of the flat point
         # square; the pairs i >= j are kept, as element matrices are symmetric only to
         # rounding and natural indices keep values off band_order

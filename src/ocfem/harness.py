@@ -231,7 +231,9 @@ def build_setup(
 
     The benchmark's ``mesh_plan`` for width h, else one uniform mesh of width
     h shared by every component, is the default; explicit per-component
-    breakpoint lists (from the config file) take precedence.  The method
+    breakpoint lists (from the config file) take precedence.  Without them,
+    h must split the domain into n >= 1 intervals, (tE - t0) / h within 1e-9
+    relative of the whole n; another h is rejected, not rounded.  The method
     parameters use the requested h, so a mixed-mesh plan coarsens the
     approximation space without touching the penalty strength.  sigma is
     the least ``Mesh.width_ratio`` of the space's distinct meshes.
@@ -250,6 +252,11 @@ def build_setup(
             raise ValueError("mesh size h is required when no breakpoints are given")
         check_positive("mesh size", h)
         n = max(1, round((t_end - t0) / h))
+        if not math.isclose((t_end - t0) / h, n, rel_tol=1e-9):
+            raise ValueError(
+                f"mesh size h = {h!r} does not split the domain {problem.domain} into whole "
+                f"intervals; the nearest is n = {n}, h = {(t_end - t0) / n!r}"
+            )
         if benchmark.mesh_plan is None:
             meshes = [uniform_mesh((t0, t_end), n)] * problem.n_x
         else:
@@ -336,8 +343,7 @@ def run_study(
         started = time.perf_counter()
         report = solve(nlp, None, solver_options)
         wall = time.perf_counter() - started
-        known = benchmark.cost is not None and report.terms is not None
-        gap = report.terms.f - benchmark.cost if known else None
+        gap = None if benchmark.cost is None else report.terms.f - benchmark.cost
         rows.append(
             ConvergenceRow(
                 h=float(h),
@@ -411,13 +417,13 @@ def _report_summary(report: SolveReport) -> dict:
         "residual": report.residual,
         "min_z": report.min_z,
         "stages": stages,
-        "terms": None if report.terms is None else report.terms._asdict(),
+        "terms": report.terms._asdict(),
     }
 
 
 def _json_text(payload: dict) -> str:
-    """The writer of every CLI JSON file.  A non-finite float, such as the inf gradient
-    norm of a start outside the barrier domain, is written as null: strict parsers reject
+    """The writer of every CLI JSON file.  A non-finite float, such as the inf ``min_z``
+    of a program without auxiliaries, is written as null: strict parsers reject
     ``Infinity`` and ``NaN``.  Finite floats keep their repr, so they round-trip exactly."""
     strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     return json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -574,9 +580,8 @@ def _cmd_solve(merged: dict) -> int:
     print(f"status: {report.status}")
     print(f"iterations: {report.iterations}")
     print(f"grad_norm: {report.grad_norm!r}")
-    if report.terms is not None:
-        print(f"objective: {report.terms.total!r}")
-        print(f"cost_term: {report.terms.f!r}")
+    print(f"objective: {report.terms.total!r}")
+    print(f"cost_term: {report.terms.f!r}")
     print(f"residual: {report.residual!r}")
     if not math.isinf(report.min_z):
         print(f"min_z: {report.min_z!r}")

@@ -34,7 +34,6 @@ from .ocp_model import check_positive
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_LINE_SEARCH = "line_search_failure"
-STATUS_BARRIER = "barrier_domain_violation"
 STATUS_ROUNDING_FLOOR = "rounding_floor"
 
 #: Largest inertia-correction shift tried before falling back to a gradient
@@ -102,11 +101,16 @@ class StageResult:
 
 @dataclass
 class SolveReport:
+    """Outcome of ``solve`` at ``x_final`` and the target (omega, tau), with the last
+    stage's status.  Every iterate is interior, so ``terms`` always exists and ``min_z``
+    is positive: the first stage starts from ``ensure_interior``'s point, and the line
+    search accepts a trial only where the barrier is defined."""
+
     x_final: CoefficientVector
     status: str
     stages: list[StageResult]
     grad_norm: float
-    terms: Optional[ObjectiveTerms]
+    terms: ObjectiveTerms
     residual: float
     multipliers: tuple[np.ndarray, np.ndarray]  # (lambda, nu), see penalty_multipliers
     min_z: float
@@ -232,10 +236,7 @@ def _newton_stage(
     nlp: AssembledNlp, x: CoefficientVector, opts: SolverOptions, tol: float
 ) -> tuple[CoefficientVector, StageResult]:
     omega, tau = nlp.params.omega, nlp.params.tau
-    try:
-        total = nlp.objective_terms(x).total
-    except BarrierDomainError:
-        return x, StageResult(omega, tau, 0, math.inf, math.inf, math.inf, STATUS_BARRIER)
+    total = nlp.objective_terms(x).total
     history, norms = [total], []
     while True:
         grad = nlp.gradient(x)
@@ -292,20 +293,13 @@ def solve(
             break
 
     nlp = nlp.with_params(params.omega, params.tau)  # as does the report's
-    status = stages[-1].status
-    grad_norm = stages[-1].grad_norm
-    try:
-        terms = nlp.objective_terms(x)
-        grad = nlp.gradient(x)
-        grad_norm = math.sqrt(grad @ grad)
-    except BarrierDomainError:
-        terms = None
+    grad = nlp.gradient(x)
     return SolveReport(
         x_final=x,
-        status=status,
+        status=stages[-1].status,
         stages=stages,
-        grad_norm=grad_norm,
-        terms=terms,
+        grad_norm=math.sqrt(grad @ grad),
+        terms=nlp.objective_terms(x),
         residual=nlp.residual_value(x),
         multipliers=nlp.penalty_multipliers(x),
         min_z=float(nlp.z_values(x).min(initial=math.inf)),

@@ -42,7 +42,7 @@ class TestSolve:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "args, message",
+        "args, preempted",
         [
             (["solve", "--d", "4", "--h", "1e200"], "penalty parameter omega inf"),
             (["solve", "--d", "2", "--h", "1e200"], "barrier parameter tau inf"),
@@ -51,11 +51,31 @@ class TestSolve:
             (["sparsity", "--d", "4", "--h", "1e200"], "penalty parameter omega inf"),
         ],
     )
-    def test_overflowing_default_weights_are_usage_errors(self, args, message, capsys):
-        # omega = h^(d/2) overflows at d = 4; at d = 2 only tau = h^d does
+    def test_overflowing_default_weights_are_usage_errors(self, args, preempted, capsys):
+        # omega = h^(d/2) would overflow at d = 4, and at d = 2 only tau = h^d would, but
+        # h = 1e200 splits no domain into whole intervals and is rejected before either
         code = cli_main([*args, "--problem", "lq"])
         assert code == 2
-        assert f"error: invalid {message}: need a finite value > 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: mesh size h = 1e+200 does not split the domain (0.0, 1.0)" in err
+        assert preempted not in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["solve", "--h", "0.4"], "h = 0.4 does not split the domain (0.0, 1.0) into whole "
+             "intervals; the nearest is n = 2, h = 0.5"),
+            (["study", "--h-list", "0.3,0.2,0.1"], "h = 0.3 does not split the domain (0.0, 1.0) "
+             "into whole intervals; the nearest is n = 3, h = 0.3333333333333333"),
+        ],
+        ids=["solve", "study"],
+    )
+    def test_h_of_no_whole_interval_count_is_usage_error(self, args, message, capsys):
+        code = cli_main([*args, "--problem", "lq", "--d", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: mesh size {message}" in captured.err
+        assert captured.out == ""
 
     def test_trivial_reports_residual(self, capsys):
         code = cli_main(["solve", "--problem", "trivial", "--h", "0.25", "--d", "4"])
@@ -118,7 +138,7 @@ class TestStudy:
         assert "insufficient points" in capsys.readouterr().err
 
     def test_coincident_meshes_are_usage_error(self, capsys):
-        code = cli_main(["study", "--problem", "lq", "--d", "2", "--h-list", "0.3,0.31,0.32"])
+        code = cli_main(["study", "--problem", "lq", "--d", "2", "--h-list", "0.25,0.250000000001,0.250000000002"])
         assert code == 2
         captured = capsys.readouterr()
         assert "insufficient points for order fit" in captured.err

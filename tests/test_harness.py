@@ -1,5 +1,8 @@
 import csv
 import json
+import math
+import re
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from ocfem.harness import (
     ORDER_FIT_FLOOR,
     benchmark_names,
     build_setup,
+    _json_text,
     get_benchmark,
     run_study,
     study_csv,
@@ -22,6 +26,10 @@ from ocfem.mesh import merge_meshes
 from ocfem.ocp_model import check_derivatives, residual
 from ocfem.quadrature import compose_rule, gauss_legendre_unit
 from ocfem.solver import SolverOptions
+
+
+def reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 class TestRegistry:
@@ -173,6 +181,23 @@ class TestBuildSetup:
         with pytest.raises(ValueError, match="required"):
             build_setup(bench, None, 2)
 
+    @pytest.mark.parametrize("name", ["lq", "lq-multimesh"])
+    def test_h_must_split_the_domain(self, name, monkeypatch):
+        bench, meshes = get_benchmark(name), []
+        monkeypatch.setattr(harness, "uniform_mesh", lambda *a: meshes.append(a))
+        message = (
+            "h = 0.4 does not split the domain (0.0, 1.0) into whole intervals; "
+            "the nearest is n = 2, h = 0.5"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_setup(bench, 0.4, 2)
+        assert meshes == []  # rejected before any mesh is built
+        monkeypatch.undo()
+        h = 0.25 * (1 + 1e-10)  # within the 1e-9 tolerance: kept, not rounded
+        space, params = build_setup(bench, h, 2)
+        assert max(m.n_intervals for m in space.component_meshes) == 4
+        assert params.h == h
+
 
 class TestRunStudy:
     def test_rounding_floor_row_fails_study(self):
@@ -186,9 +211,9 @@ class TestRunStudy:
                 run_study("lq", 4, h_list)
 
     def test_coincident_meshes_rejected(self):
-        # 0.3, 0.31 and 0.32 all give 3 intervals: one mesh, three penalty strengths
+        # three h within the whole-interval tolerance of 0.25: one mesh, three penalty strengths
         with pytest.raises(ValueError, match="insufficient points for order fit"):
-            run_study("lq", 2, [0.3, 0.31, 0.32])
+            run_study("lq", 2, [0.25, 0.250000000001, 0.250000000002])
 
     def test_bad_h_fails_before_any_solve(self, monkeypatch):
         calls = []
@@ -279,6 +304,22 @@ class TestCsv:
         payload = json.loads(study_json(result))
         assert [row["h"] for row in payload["rows"]] == [0.5, 0.25, 0.125]
         assert payload["failed"] is False
+
+
+class TestJsonText:
+    def test_non_finite_floats_written_as_null(self):
+        payload = {"a": math.inf, "b": [-math.inf, 1.0], "c": {"d": math.nan}}
+        strict = json.loads(_json_text(payload), parse_constant=reject_constant)
+        assert strict == {"a": None, "b": [None, 1.0], "c": {"d": None}}
+
+    def test_finite_floats_round_trip(self):
+        values = [0.1, -0.0, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -2.5e-17, 0.5308997520021308]
+        text = _json_text({"values": values, "nested": [{"x": v} for v in values]})
+        for value in values:
+            assert f"{value!r}" in text
+        strict = json.loads(text, parse_constant=reject_constant)
+        for parsed in (strict["values"], [item["x"] for item in strict["nested"]]):
+            assert [struct.pack("<d", v) for v in parsed] == [struct.pack("<d", v) for v in values]
 
 
 class TestMixedMeshVariant:

@@ -82,6 +82,14 @@ class TestMethodParams:
             with pytest.raises(ValueError, match="invalid mesh size"):
                 MethodParams(h=h, sigma=1.0, d=2, omega=1.0, tau=1.0)
 
+    @pytest.mark.parametrize(
+        "d, message", [(4, "penalty parameter omega inf"), (2, "barrier parameter tau inf")]
+    )
+    def test_overflowing_default_weights_rejected(self, d, message):
+        # omega = h^(d/2) overflows at d = 4; at d = 2 only tau = h^d does
+        with pytest.raises(ValueError, match=f"invalid {message}: need a finite value > 0"):
+            default_params(1e200, d=d)
+
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_invalid_penalty_and_barrier(self, value):
         with pytest.raises(ValueError, match="omega"):
