@@ -12,16 +12,23 @@ components positive.  The weight matrices of the derivation are inline
 scalings: x'Sx is sum_j alpha_j |v_j|^2 over the (dy, y, z) rows v_j at the
 quadrature points, so objective, gradient and Hessian never form S.  The
 evaluation operators and the Hessian pattern (``HessianLayout``) are reused.
+
+The Newton direction (``AssembledNlp.newton_direction``) is solved in the layout's
+``band_order``, where LAPACK ``pbtrf`` and ``pbtrs`` factor and solve the Hessian's
+(kd + 1, N) lower band at O(N kd^2) time and O(N kd) memory.  kd is the widest offset
+holding a nonzero at this step (14, not 1782, for ``lq`` at N = 1793, whose possible
+y(t0)-y(tE) coupling is zero); point constraints between distant times widen it.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg import get_lapack_funcs
 
 from .errors import BarrierDomainError
 from .fespace import (
@@ -44,6 +51,37 @@ from .mesh import merge_meshes
 
 #: Relative slack of the mesh-ratio check: uniform widths differ in the last bits.
 _MESH_RATIO_RTOL = 1e-12
+
+#: Inertia correction: the first shift, which later shifts double, and the largest
+#: shift tried, as a multiple of the first.
+_REGULARIZATION_FLOOR, _MAX_SHIFT_FACTOR = 1e-12, 1e8
+
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+
+
+def _newton_direction(
+    assemble: Callable[[], np.ndarray], grad: np.ndarray, order: np.ndarray
+) -> Optional[np.ndarray]:
+    """Solve (H + delta I) p = -grad[order] for H in lower band form, delta 0 first, then
+    doubling from the floor up to the cap; None if no such shift makes H positive definite.
+    Every try takes a fresh Fortran-contiguous band from ``assemble``, adds delta to its
+    diagonal and factors it in place: one band is alive per try, and ``grad`` is permuted
+    only once a factor exists."""
+    delta = 0.0
+    while delta <= _MAX_SHIFT_FACTOR * _REGULARIZATION_FLOOR:
+        band = assemble()
+        if not np.isfinite(band).all():
+            raise ValueError("array must not contain infs or NaNs")
+        if delta:
+            band[0] += delta
+        factor, info = _PBTRF(band, lower=1, overwrite_ab=1)
+        if info == 0:
+            return _PBTRS(factor, -grad[order], lower=1, overwrite_b=1)[0]
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of internal pbtrf")
+        del band, factor  # before the next try assembles its own
+        delta = _REGULARIZATION_FLOOR if delta == 0.0 else 2.0 * delta
+    return None
 
 
 class ObjectiveTerms(NamedTuple):
@@ -303,7 +341,7 @@ class AssembledNlp:
         ceil(E rows L / (N (kd + 1))) element slices, so no slice's rows outgrow
         the band, and the blocks are dropped before the last slice's squares are
         written.  A nonzero point entry past the element band widens it.  The
-        band is a new array that nothing else holds: the solver factors it in place.
+        band is a new array on every call.
         """
         data = self._point_data(x)
         layout = self.hessian_layout
@@ -351,6 +389,15 @@ class AssembledNlp:
         while kd and not band[:, kd].any():  # from the widest offset down
             kd -= 1
         return np.ascontiguousarray(band[:, : kd + 1]).T
+
+    def newton_direction(self, x: CoefficientVector, grad: np.ndarray) -> Optional[np.ndarray]:
+        """Inertia-corrected Newton step at x for the gradient ``grad``, in the natural
+        order, or None when no shift up to the cap gives a direction.  It is solved in the
+        layout's ``band_order``; a shifted try assembles ``hessian_band`` anew from the
+        cached point data, with no callback call."""
+        layout = self.hessian_layout
+        step = _newton_direction(lambda: self.hessian_band(x), grad, layout.band_order)
+        return None if step is None else step[layout.band_position]
 
     def full_hessian(self, x: CoefficientVector) -> sparse.csr_matrix:
         """Exact Hessian at x as a CSR matrix, for export and as an oracle: the band's

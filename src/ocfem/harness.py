@@ -232,10 +232,10 @@ def build_setup(
     The benchmark's ``mesh_plan`` for width h, else one uniform mesh of width
     h shared by every component, is the default; explicit per-component
     breakpoint lists (from the config file) take precedence.  Without them,
-    h must split the domain into n >= 1 intervals, (tE - t0) / h within 1e-9
-    relative of the whole n; another h is rejected, not rounded.  The method
-    parameters use the requested h, so a mixed-mesh plan coarsens the
-    approximation space without touching the penalty strength.  sigma is
+    h must split the domain into n >= 1 intervals, (tE - t0) / h finite and
+    within 1e-9 relative of the whole n; another h is rejected, not rounded.
+    The method parameters use the requested h, so a mixed-mesh plan coarsens
+    the approximation space without touching the penalty strength.  sigma is
     the least ``Mesh.width_ratio`` of the space's distinct meshes.
     """
     problem = benchmark.problem
@@ -251,8 +251,14 @@ def build_setup(
         if h is None:
             raise ValueError("mesh size h is required when no breakpoints are given")
         check_positive("mesh size", h)
-        n = max(1, round((t_end - t0) / h))
-        if not math.isclose((t_end - t0) / h, n, rel_tol=1e-9):
+        count = (t_end - t0) / h
+        if math.isinf(count):
+            raise ValueError(
+                f"mesh size h = {h!r} splits the domain {problem.domain} into more "
+                "intervals than a float can count"
+            )
+        n = max(1, round(count))
+        if not math.isclose(count, n, rel_tol=1e-9):
             raise ValueError(
                 f"mesh size h = {h!r} does not split the domain {problem.domain} into whole "
                 f"intervals; the nearest is n = {n}, h = {(t_end - t0) / n!r}"
@@ -579,6 +585,7 @@ def _cmd_solve(merged: dict) -> int:
     print(f"N: {nlp.N}  M: {nlp.M}")
     print(f"status: {report.status}")
     print(f"iterations: {report.iterations}")
+    print(f"stage statuses: {', '.join(stage.status for stage in report.stages)}")
     print(f"grad_norm: {report.grad_norm!r}")
     print(f"objective: {report.terms.total!r}")
     print(f"cost_term: {report.terms.f!r}")

@@ -4,27 +4,17 @@ A solve runs a short continuation over decreasing (omega, tau), warm-starting
 each stage from the previous minimizer.  Every stage is plain Newton with a
 symmetric inertia correction, an Armijo backtracking line search, and a
 fraction-to-the-boundary cap that keeps the auxiliary values strictly
-positive at all quadrature points.
-
-Newton steps are taken in the ``band_order`` of ``AssembledNlp.hessian_layout``,
-which sorts coefficients by the position of their support and under which
-the Hessian is banded: ``AssembledNlp.hessian_band`` scatters the element and
-point squares into its (kd + 1, N) lower band with one ``np.bincount``, and
-LAPACK ``pbtrf`` and ``pbtrs`` factor and solve it at O(N kd^2) time and
-O(N kd) memory.  kd is the largest offset holding a nonzero at this step, not
-the structural one: the pattern stores the possible y(t0)-y(tE) coupling even
-when it is zero (kd 14, not 1782, for ``lq`` at N = 1793).  Point constraints
-that couple distant times widen kd up to N - 1.
+positive at all quadrature points.  ``AssembledNlp.newton_direction`` gives
+the inertia-corrected Newton direction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .assembly import AssembledNlp, ObjectiveTerms
 from .errors import BarrierDomainError
@@ -35,15 +25,6 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_LINE_SEARCH = "line_search_failure"
 STATUS_ROUNDING_FLOOR = "rounding_floor"
-
-#: Largest inertia-correction shift tried before falling back to a gradient
-#: step, as a multiple of the regularization floor.
-_MAX_SHIFT_FACTOR = 1e8
-
-#: First inertia-correction shift; later shifts double it.
-_REGULARIZATION_FLOOR = 1e-12
-
-_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 #: Armijo line search: step shrink factor, sufficient-decrease constant and
 #: the number of backtracks before the stage reports a line-search failure.
@@ -101,9 +82,11 @@ class StageResult:
 
 @dataclass
 class SolveReport:
-    """Outcome of ``solve`` at ``x_final`` and the target (omega, tau), with the last
-    stage's status.  Every iterate is interior, so ``terms`` always exists and ``min_z``
-    is positive: the first stage starts from ``ensure_interior``'s point, and the line
+    """Outcome of ``solve`` at ``x_final`` and the target (omega, tau).  ``status`` is
+    that of the first stage that did not converge, else ``converged``: a stage at the
+    rounding floor hands its iterate to the next stage, and any other ending stops the
+    solve.  Every iterate is interior, so ``terms`` always exists and ``min_z`` is
+    positive: the first stage starts from ``ensure_interior``'s point, and the line
     search accepts a trial only where the barrier is defined."""
 
     x_final: CoefficientVector
@@ -166,46 +149,6 @@ def _schedule(omega: float, tau: float) -> list[tuple[float, float]]:
     return [pair for i, pair in enumerate(pairs) if i == 0 or pair != pairs[i - 1]]
 
 
-def _newton_direction(
-    band: np.ndarray, grad: np.ndarray, assemble: Callable[[], np.ndarray]
-) -> Optional[np.ndarray]:
-    """Solve (H + delta I) p = -g for H in lower band form, delta 0 first, then doubling
-    from the floor until PD.  The delta-0 try factors ``band`` in place when it is
-    Fortran-contiguous; only when that try fails is a fresh band taken from
-    ``assemble``, and each shifted try factors a copy of it."""
-    if not np.isfinite(band).all():
-        raise ValueError("array must not contain infs or NaNs")
-    delta, shifted = 0.0, band
-    while True:
-        factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
-        if info == 0:
-            return _PBTRS(factor, -grad, lower=1, overwrite_b=1)[0]
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of internal pbtrf")
-        if delta == 0.0:  # the first try overwrote the band: drop it, assemble it anew
-            del band, shifted, factor
-            band, delta = assemble(), _REGULARIZATION_FLOOR
-        else:
-            delta *= 2.0
-        if delta > _MAX_SHIFT_FACTOR * _REGULARIZATION_FLOOR:
-            return None
-        shifted = band.copy(order="F")
-        shifted[0] += delta
-
-
-def _newton_step(
-    nlp: AssembledNlp, x: CoefficientVector, grad: np.ndarray
-) -> Optional[np.ndarray]:
-    """Inertia-corrected Newton step at x, solved in the layout's ``band_order``.  The
-    band ``hessian_band`` returns is factored in place, as nothing reads it again; a
-    shifted retry assembles it once more from the cached point data, with no callback."""
-    layout = nlp.hessian_layout
-    step = _newton_direction(
-        nlp.hessian_band(x), grad[layout.band_order], lambda: nlp.hessian_band(x)
-    )
-    return None if step is None else step[layout.band_position]
-
-
 def _boundary_cap(nlp: AssembledNlp, x: CoefficientVector, step: np.ndarray) -> float:
     n_y, B = nlp.space.n_y, nlp.space.block_width
     z = nlp.z_values(x)
@@ -244,7 +187,7 @@ def _newton_stage(
         status = _stage_status(history, norms, tol, opts.max_iters)
         if status is not None:
             break
-        step = _newton_step(nlp, x, grad)
+        step = nlp.newton_direction(x, grad)
         slope = math.inf if step is None else float(grad @ step)
         if slope >= 0.0:  # no descent direction: a gradient step
             step = -grad
@@ -289,14 +232,15 @@ def solve(
         nlp = nlp.with_params(omega, tau)  # a clone keeps the last point data
         x, stage = _newton_stage(nlp, x, opts, tol)
         stages.append(stage)
-        if stage.status != STATUS_CONVERGED:
+        if stage.status not in (STATUS_CONVERGED, STATUS_ROUNDING_FLOOR):
             break
 
     nlp = nlp.with_params(params.omega, params.tau)  # as does the report's
     grad = nlp.gradient(x)
+    ends = [stage.status for stage in stages if stage.status != STATUS_CONVERGED]
     return SolveReport(
         x_final=x,
-        status=stages[-1].status,
+        status=ends[0] if ends else STATUS_CONVERGED,
         stages=stages,
         grad_norm=math.sqrt(grad @ grad),
         terms=nlp.objective_terms(x),

@@ -67,8 +67,10 @@ class TestSolve:
              "intervals; the nearest is n = 2, h = 0.5"),
             (["study", "--h-list", "0.3,0.2,0.1"], "h = 0.3 does not split the domain (0.0, 1.0) "
              "into whole intervals; the nearest is n = 3, h = 0.3333333333333333"),
+            (["solve", "--h", "5e-324"], "h = 5e-324 splits the domain (0.0, 1.0) into more "
+             "intervals than a float can count"),
         ],
-        ids=["solve", "study"],
+        ids=["solve", "study", "subnormal"],
     )
     def test_h_of_no_whole_interval_count_is_usage_error(self, args, message, capsys):
         code = cli_main([*args, "--problem", "lq", "--d", "2"])
@@ -110,6 +112,14 @@ class TestSolve:
         code = cli_main(["solve", "--problem", "lq", "--h", "0.0625", "--d", "10"])
         assert code == 1
         assert "status: rounding_floor" in capsys.readouterr().out
+
+    def test_floor_mid_schedule_exit_code(self, capsys):
+        # stage 3 floors and hands its iterate on; the solve still fails
+        code = cli_main(["solve", "--problem", "lq", "--h", "0.015625", "--d", "8"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "status: rounding_floor" in out
+        assert "stage statuses: converged, converged, rounding_floor, rounding_floor" in out
 
 
 class TestStudy:

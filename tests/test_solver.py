@@ -11,7 +11,15 @@ import pytest
 from conftest import stacked
 import ocfem.assembly
 import ocfem.solver
-from ocfem.assembly import AssembledNlp, ObjectiveTerms
+from ocfem.assembly import (
+    _MAX_SHIFT_FACTOR,
+    _PBTRF,
+    _PBTRS,
+    _REGULARIZATION_FLOOR,
+    AssembledNlp,
+    ObjectiveTerms,
+    _newton_direction,
+)
 from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_space
 from ocfem.harness import build_setup, get_benchmark
@@ -27,17 +35,13 @@ from ocfem.polybasis import gauss_lobatto_nodes
 from ocfem.solver import (
     _FLOOR_REL_CHANGE,
     _FLOOR_STEPS,
-    _PBTRF,
-    _PBTRS,
     STATUS_CONVERGED,
     STATUS_LINE_SEARCH,
     STATUS_MAX_ITERS,
     STATUS_ROUNDING_FLOOR,
     SolverOptions,
     _boundary_cap,
-    _newton_direction,
     _newton_stage,
-    _newton_step,
     _schedule,
     _stage_status,
     default_start,
@@ -340,6 +344,53 @@ class TestRoundingFloor:
         assert len(history) - stalled <= _FLOOR_STEPS + 10
 
 
+class TestFloorMidSchedule:
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_floored_stage_hands_over_to_the_next(self, n):
+        # lq d=8 floors in stage 3; stopping there left the gap of stage 3's omega
+        # (119x and 300x the target's), while F1 puts it at -0.7508 omega
+        bench = get_benchmark("lq")
+        nlp = AssembledNlp(bench.problem, *build_setup(bench, 1.0 / n, 8))
+        report = solve(nlp)
+        statuses = [stage.status for stage in report.stages]
+        assert statuses == [STATUS_CONVERGED] * 2 + [STATUS_ROUNDING_FLOOR] * 2
+        assert report.status == STATUS_ROUNDING_FLOOR
+        gap = report.terms.f - bench.cost
+        assert gap / (-0.7508 * nlp.params.omega) == pytest.approx(1.0, abs=0.01)
+
+
+#: Per-stage Newton steps of the benchmark's 14 cases, (problem, d, h, omega, tau):
+#: omega and tau None for the default coupling h^(d/2), h^d.
+BENCHMARK_STEPS = [
+    ("lq", 4, 1 / 16, None, None, [3, 10, 9, 11]),
+    ("lq", 4, 1 / 32, None, None, [3, 9, 11, 10]),
+    ("lq", 4, 1 / 64, None, None, [3, 8, 11, 9]),
+    ("lq", 4, 1 / 128, None, None, [3, 7, 10, 6]),
+    ("lq-multimesh", 4, 1 / 16, None, None, [3, 10, 9, 11]),
+    ("lq-multimesh", 4, 1 / 32, None, None, [3, 9, 11, 10]),
+    ("lq-multimesh", 4, 1 / 64, None, None, [3, 8, 11, 9]),
+    ("lq-multimesh", 4, 1 / 128, None, None, [3, 7, 10, 6]),
+    ("lq", 8, 1 / 4, None, None, [3, 10, 9, 11]),
+    ("lq", 8, 1 / 8, None, None, [3, 8, 12, 11]),
+    ("lq", 8, 1 / 16, None, None, [3, 11, 11, 7]),
+    ("barrier-pull", 4, 1 / 256, 1e-2, 1e-2, [9, 4, 4, 4]),
+    ("barrier-pull", 4, 1 / 256, 1e-2, 1e-4, [9, 9, 9, 9]),
+    ("barrier-pull", 4, 1 / 256, 1e-2, 1e-6, [9, 7, 7, 7]),
+]
+
+
+def test_benchmark_cases_keep_their_steps():
+    # any change to the Newton step, the line search or the schedule shows here
+    for name, d, h, omega, tau, steps in BENCHMARK_STEPS:
+        bench = get_benchmark(name)
+        space, params = build_setup(bench, h, d)
+        if omega is not None:
+            params = replace(params, omega=omega, tau=tau)
+        report = solve(AssembledNlp(bench.problem, space, params))
+        assert report.status == STATUS_CONVERGED, (name, d, h, tau)
+        assert report.iterations == steps, (name, d, h, tau)
+
+
 def per_node_start(nlp):
     """The default start written as a loop over every basis node, left to right, that
     calls the hint one time at a time; a shared endpoint keeps the right interval's value."""
@@ -594,22 +645,22 @@ class TestLiftedExport:
 
 
 def direction(band, grad):
-    """``_newton_direction`` on a Fortran-ordered copy of ``band``, which it may
-    overwrite, re-assembled as another such copy."""
-    return _newton_direction(band.copy(order="F"), grad, lambda: band.copy(order="F"))
+    """``_newton_direction`` with each try's band assembled as a Fortran-ordered copy
+    of ``band``, which it overwrites."""
+    return _newton_direction(lambda: band.copy(order="F"), grad, np.arange(grad.size))
 
 
 def copy_per_try_direction(band, grad):
     """The inertia correction as a loop that factors a fresh copy of ``band`` on
     every try, delta 0 first, then doubling from the floor up to the cap."""
     delta = 0.0
-    while delta <= ocfem.solver._MAX_SHIFT_FACTOR * ocfem.solver._REGULARIZATION_FLOOR:
+    while delta <= _MAX_SHIFT_FACTOR * _REGULARIZATION_FLOOR:
         shifted = band.copy(order="F")
         shifted[0] += delta
         factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
         if info == 0:
             return _PBTRS(factor, -grad, lower=1, overwrite_b=1)[0]
-        delta = ocfem.solver._REGULARIZATION_FLOOR if delta == 0.0 else 2.0 * delta
+        delta = _REGULARIZATION_FLOOR if delta == 0.0 else 2.0 * delta
     return None
 
 
@@ -645,8 +696,8 @@ class TestInertiaCorrection:
     def test_shifted_retry_reassembles_the_band(self, monkeypatch, rng):
         # omega's share omega (K + M) of y's stiffness and mass matrices meets the
         # curvature -20 M: H = omega K - (20 - omega) M, just indefinite (-2e-5) at
-        # this omega.  The delta-0 try fails past the first column, so it has
-        # overwritten the band, and a shift within the cap succeeds.
+        # this omega.  The delta-0 try fails past the first column, having overwritten
+        # its band, and a shift within the cap succeeds on a band assembled anew.
         nlp = concave_nlp(omega=19.9999)
         x = nlp.coefficients(rng.uniform(-0.1, 0.1, nlp.N))
         grad, layout = nlp.gradient(x), nlp.hessian_layout
@@ -659,21 +710,29 @@ class TestInertiaCorrection:
         for program in (nlp, pd):
             band_of = program.hessian_band
             monkeypatch.setattr(program, "hessian_band", lambda x, f=band_of: calls.append(x) or f(x))
-        step = _newton_step(nlp, x, grad)
+        tries = []
+        monkeypatch.setattr(ocfem.assembly, "_PBTRF", lambda *a, **k: tries.append(1) or _PBTRF(*a, **k))
+        step = nlp.newton_direction(x, grad)
         assert step.tobytes() == expected[layout.band_position].tobytes()
-        assert len(calls) == 2  # the failed try's band, then one to copy for the retries
-        _newton_step(pd, x, pd.gradient(x))
-        assert len(calls) == 3
+        assert len(calls) == len(tries) > 2  # one band per try: delta 0, then every shift
+        pd.newton_direction(x, pd.gradient(x))
+        assert len(calls) == len(tries)
 
     def test_non_finite_band_rejected(self, monkeypatch):
         def no_factorization(*args, **kwargs):
             raise AssertionError("pbtrf called")
 
-        monkeypatch.setattr(ocfem.solver, "_PBTRF", no_factorization)
+        monkeypatch.setattr(ocfem.assembly, "_PBTRF", no_factorization)
         for bad in (np.nan, np.inf, -np.inf):
             band = np.array([[1.0, 1.0], [bad, 0.0]])
             with pytest.raises(ValueError, match="infs or NaNs"):
                 direction(band, np.ones(2))
+
+    def test_non_finite_retry_band_rejected(self):
+        # every try's band is checked, not only the first
+        bands = iter([np.array([[-1.0, 1.0]]), np.array([[np.nan, 1.0]])])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _newton_direction(lambda: np.asfortranarray(next(bands)), np.ones(2), np.arange(2))
 
     def test_strongly_indefinite_gives_up(self):
         # a negative eigenvalue far beyond the shift cap -> gradient fallback
@@ -713,7 +772,7 @@ class TestBandedStep:
         else:
             assert kd < nlp.N // 4
         dense = np.linalg.solve(nlp.full_hessian(x).toarray(), -grad)
-        step = _newton_step(nlp, x, grad)
+        step = nlp.newton_direction(x, grad)
         assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("name", ["lq", "lq-multimesh", "breakpoints"])
@@ -757,12 +816,12 @@ class TestBandedStep:
         nlp = AssembledNlp(bench.problem, *build_setup(bench, h, d))
         x = default_start(nlp)
         grad = nlp.gradient(x)
-        _newton_step(nlp, x, grad)  # builds the layout; the point data is cached
+        nlp.newton_direction(x, grad)  # builds the layout; the point data is cached
         band_bytes = nlp.hessian_band(x).nbytes
         gc.collect()
         tracemalloc.start()
         try:
-            _newton_step(nlp, x, grad)
+            nlp.newton_direction(x, grad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
