@@ -83,9 +83,9 @@ class StageResult:
 @dataclass
 class SolveReport:
     """Outcome of ``solve`` at ``x_final`` and the target (omega, tau).  ``status`` is
-    that of the first stage that did not converge, else ``converged``: a stage at the
+    that of the last stage that did not converge, else ``converged``: a stage at the
     rounding floor hands its iterate to the next stage, and any other ending stops the
-    solve.  Every iterate is interior, so ``terms`` always exists and ``min_z`` is
+    solve, so a stop is reported over an earlier floor.  Every iterate is interior, so ``terms`` always exists and ``min_z`` is
     positive: the first stage starts from ``ensure_interior``'s point, and the line
     search accepts a trial only where the barrier is defined."""
 
@@ -240,7 +240,7 @@ def solve(
     ends = [stage.status for stage in stages if stage.status != STATUS_CONVERGED]
     return SolveReport(
         x_final=x,
-        status=ends[0] if ends else STATUS_CONVERGED,
+        status=ends[-1] if ends else STATUS_CONVERGED,
         stages=stages,
         grad_norm=math.sqrt(grad @ grad),
         terms=nlp.objective_terms(x),

@@ -358,6 +358,17 @@ class TestFloorMidSchedule:
         gap = report.terms.f - bench.cost
         assert gap / (-0.7508 * nlp.params.omega) == pytest.approx(1.0, abs=0.01)
 
+    def test_stop_after_a_floor_is_reported(self):
+        # h = 1/128 floors stage 3 at step 41 and would floor stage 4 at step 42: the
+        # max_iters that stops stage 4, not the earlier floor, is the solve's status
+        bench = get_benchmark("lq")
+        nlp = AssembledNlp(bench.problem, *build_setup(bench, 1.0 / 128, 8))
+        report = solve(nlp, opts=SolverOptions(max_iters=41))
+        statuses = [stage.status for stage in report.stages]
+        assert statuses == [STATUS_CONVERGED] * 2 + [STATUS_ROUNDING_FLOOR, STATUS_MAX_ITERS]
+        assert report.iterations == [3, 11, 41, 41]
+        assert report.status == STATUS_MAX_ITERS
+
 
 #: Per-stage Newton steps of the benchmark's 14 cases, (problem, d, h, omega, tau):
 #: omega and tau None for the default coupling h^(d/2), h^d.
@@ -652,16 +663,18 @@ def direction(band, grad):
 
 def copy_per_try_direction(band, grad):
     """The inertia correction as a loop that factors a fresh copy of ``band`` on
-    every try, delta 0 first, then doubling from the floor up to the cap."""
-    delta = 0.0
+    every try, delta 0 first, then doubling from the floor up to the cap.  Returns
+    the step, None past the cap, and the number of tries."""
+    delta, tries = 0.0, 0
     while delta <= _MAX_SHIFT_FACTOR * _REGULARIZATION_FLOOR:
         shifted = band.copy(order="F")
         shifted[0] += delta
         factor, info = _PBTRF(shifted, lower=1, overwrite_ab=1)
+        tries += 1
         if info == 0:
-            return _PBTRS(factor, -grad, lower=1, overwrite_b=1)[0]
+            return _PBTRS(factor, -grad, lower=1, overwrite_b=1)[0], tries
         delta = _REGULARIZATION_FLOOR if delta == 0.0 else 2.0 * delta
-    return None
+    return None, tries
 
 
 def concave_nlp(omega=1e-6):
@@ -703,8 +716,8 @@ class TestInertiaCorrection:
         grad, layout = nlp.gradient(x), nlp.hessian_layout
         fresh = nlp.hessian_band(x)
         assert fresh.flags.f_contiguous and _PBTRF(fresh.copy(order="F"), lower=1)[1] > 1
-        expected = copy_per_try_direction(fresh, grad[layout.band_order])
-        assert expected is not None
+        expected, expected_tries = copy_per_try_direction(fresh, grad[layout.band_order])
+        assert expected is not None and expected_tries > 2
         pd = nlp.with_params(100.0, 1e-6)  # H = 100 K + 80 M: PD, no retry
         calls = []
         for program in (nlp, pd):
@@ -714,9 +727,9 @@ class TestInertiaCorrection:
         monkeypatch.setattr(ocfem.assembly, "_PBTRF", lambda *a, **k: tries.append(1) or _PBTRF(*a, **k))
         step = nlp.newton_direction(x, grad)
         assert step.tobytes() == expected[layout.band_position].tobytes()
-        assert len(calls) == len(tries) > 2  # one band per try: delta 0, then every shift
+        assert len(calls) == len(tries) == expected_tries  # one band per try
         pd.newton_direction(x, pd.gradient(x))
-        assert len(calls) == len(tries)
+        assert len(calls) == len(tries) == expected_tries + 1
 
     def test_non_finite_band_rejected(self, monkeypatch):
         def no_factorization(*args, **kwargs):
