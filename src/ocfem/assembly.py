@@ -126,10 +126,10 @@ class HessianLayout:
     n_x (d + 1) - 1 whatever the number of intervals (14 for ``lq`` at d = 4);
     per-component meshes give more (``lq-multimesh`` 24).  ``band_position``
     is its inverse.  ``band_index`` places each entry (i, j), i >= j, of the flat
-    element squares, then of the flat point square, at ``column * (kd + 1) +
-    offset`` in the C-order (N, kd + 1) lower band, kd the widest element offset.
-    The other half and the point pairs past kd (``wide_pairs``, at ``wide_offset``
-    and ``wide_column``) go to one spill slot past the end.
+    element squares at ``column * (kd + 1) + offset`` in the C-order (N, kd + 1)
+    lower band, kd the widest element offset; the other half goes to one spill
+    slot past the end.  The point square's pairs i >= j, ``point_lower``, are kept
+    once with their band ``point_offset`` and ``point_column``.
     """
 
     def __init__(self, nlp: "AssembledNlp"):
@@ -153,19 +153,18 @@ class HessianLayout:
         op = nlp.point_op
         point_dofs = np.unique(op.indices) if nlp.problem.p > 0 else np.zeros(0, int)
         self.point_eval = op[:, point_dofs].toarray()
-        # natural (i, j) of each entry of the flat element squares, then of the flat point
-        # square; the pairs i >= j are kept, as element matrices are symmetric only to
-        # rounding and natural indices keep values off band_order
-        squares = [np.broadcast_arrays(d[..., :, None], d[..., None, :]) for d in (dofs, point_dofs)]
-        rows, cols = (np.concatenate([square[k].ravel() for square in squares]) for k in (0, 1))
+        # natural (i, j) of the flat element squares' entries; pairs i >= j are kept, as element
+        # matrices are symmetric only to rounding and natural indices keep values off band_order
+        rows, cols = (a.ravel() for a in np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :]))
         pairs = np.flatnonzero(rows >= cols)
         i, j = pos[rows[pairs]], pos[cols[pairs]]
-        offset, column = np.abs(i - j), np.minimum(i, j)
-        self.kd = kd = int(offset[pairs < dofs.size * dofs.shape[1]].max())
-        wide = offset > kd  # point pairs only
-        self.wide_pairs, self.wide_offset, self.wide_column = pairs[wide], offset[wide], column[wide]
+        self.kd = kd = int(np.abs(i - j).max())
         self.band_index = np.full(rows.size, N * (kd + 1))  # the spill slot
-        self.band_index[pairs[~wide]] = column[~wide] * (kd + 1) + offset[~wide]
+        self.band_index[pairs] = np.minimum(i, j) * (kd + 1) + np.abs(i - j)
+        # the point square's pairs i >= j, as point_dofs is sorted
+        self.point_lower = np.tril_indices(point_dofs.size)
+        i, j = (pos[point_dofs[k]] for k in self.point_lower)
+        self.point_offset, self.point_column = np.abs(i - j), np.minimum(i, j)
 
 
 class AssembledNlp:
@@ -193,10 +192,10 @@ class AssembledNlp:
         if params.d != space.degree:
             raise ValueError(f"params.d = {params.d} differs from space degree {space.degree}")
         for mesh, comps in space.mesh_groups:
-            if mesh.width_ratio < params.sigma * (1 - _MESH_RATIO_RTOL):
+            if (ratio := mesh.width_ratio) < params.sigma * (1 - _MESH_RATIO_RTOL):
                 raise ValueError(
-                    f"component {comps[0]} mesh has width ratio {mesh.width_ratio:.6g}, "
-                    f"below sigma = {params.sigma}"
+                    f"component {comps[0]} mesh has width ratio {ratio:.6g}, below sigma = "
+                    f"{params.sigma}; pass sigma <= {ratio!r}, as build_setup does"
                 )
         self.problem = problem
         self.space = space
@@ -335,13 +334,13 @@ class AssembledNlp:
         Per quadrature point the curvature of f, the Gauss-Newton and curvature
         terms of the path penalty, the barrier diagonal tau alpha_j / z^2 and
         omega alpha_j (its share of omega S) form a (B, B) block.  The element
-        matrices V_e' blocks V_e, then the point term, are written into one flat
-        buffer, and one ``np.bincount`` over ``band_index`` sums it into the band in
-        buffer order.  The weighted rows blocks @ V_e are formed in
-        ceil(E rows L / (N (kd + 1))) element slices, so no slice's rows outgrow
-        the band, and the blocks are dropped before the last slice's squares are
-        written.  A nonzero point entry past the element band widens it.  The
-        band is a new array on every call.
+        matrices V_e' blocks V_e are written into one buffer, and one ``np.bincount``
+        over ``band_index`` sums it into the band in buffer order.  The weighted rows
+        blocks @ V_e are formed in ceil(E rows L / (N (kd + 1))) element slices, so no
+        slice's rows outgrow the band, and the blocks are dropped before the last
+        slice's squares are written.  The point square is then added in one block, up
+        to the widest offset holding a nonzero point value, zeros included.  The band
+        is a new array on every call.
         """
         data = self._point_data(x)
         layout = self.hessian_layout
@@ -370,22 +369,21 @@ class AssembledNlp:
             if start + size >= E:
                 del blocks  # the last slice's rows are formed
             if start == 0:  # after the first rows, and after the blocks if that is all
-                flat = np.empty(layout.band_index.size)
-                squares = flat[: E * L * L].reshape(E, L, L)
+                squares = np.empty((E, L, L))
             np.matmul(local[part].transpose(0, 2, 1), weighted, out=squares[part])
             del weighted
+        band = np.bincount(layout.band_index, squares.ravel(), N * (kd + 1) + 1)
+        del squares
+        band = band[:-1].reshape(N, kd + 1)  # without the spill slot
         if self.problem.p > 0:
             point_block = data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
-            point = layout.point_eval.T @ point_block @ layout.point_eval / omega
-            flat[E * L * L :] = point.ravel()
-        band = np.bincount(layout.band_index, flat, N * (kd + 1) + 1)
-        band = band[:-1].reshape(N, kd + 1)  # without the spill slot
-        wide, offset = flat[layout.wide_pairs], layout.wide_offset
-        del flat
-        if wide.any():  # a nonzero point entry past the element band
-            kd = int(offset[wide != 0].max())
-            band, inside = np.hstack([band, np.zeros((N, kd - layout.kd))]), offset <= kd
-            band[layout.wide_column[inside], offset[inside]] += wide[inside]
+            evals, offset = layout.point_eval, layout.point_offset
+            point = (evals.T @ point_block @ evals)[layout.point_lower] / omega
+            kd = max(kd, int(offset[point != 0].max(initial=0)))
+            if kd > layout.kd:  # a nonzero point entry past the element band
+                band = np.hstack([band, np.zeros((N, kd - layout.kd))])
+            inside = offset <= kd
+            band[layout.point_column[inside], offset[inside]] += point[inside]
         while kd and not band[:, kd].any():  # from the widest offset down
             kd -= 1
         return np.ascontiguousarray(band[:, : kd + 1]).T
@@ -405,7 +403,7 @@ class AssembledNlp:
         layout, N, band = self.hessian_layout, self.N, self.hessian_band(x)
         width = layout.kd + 1
         column, offset = np.divmod(layout.band_index[layout.band_index < N * width], width)
-        slots = np.r_[offset * N + column, layout.wide_offset * N + layout.wide_column]
+        slots = np.r_[offset * N + column, layout.point_offset * N + layout.point_column]
         offset, column = np.divmod(np.unique(slots), N)  # sorted by (offset, column)
         kd, order = band.shape[0] - 1, layout.band_order
         values = np.where(offset <= kd, band[np.minimum(offset, kd), column], 0.0)

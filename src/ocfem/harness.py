@@ -724,7 +724,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         if merged.get("out") is not None:  # an unusable --out fails before any set-up or solve
             merged["out"].mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command][0](merged)
-    except (ValueError, OSError) as exc:  # bad input, or an unusable --config or --out path
+    except (ValueError, OSError, MemoryError) as exc:  # bad input or path, or a set-up too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -82,12 +82,12 @@ class StageResult:
 
 @dataclass
 class SolveReport:
-    """Outcome of ``solve`` at ``x_final`` and the target (omega, tau).  ``status`` is
-    that of the last stage that did not converge, else ``converged``: a stage at the
-    rounding floor hands its iterate to the next stage, and any other ending stops the
-    solve, so a stop is reported over an earlier floor.  Every iterate is interior, so ``terms`` always exists and ``min_z`` is
-    positive: the first stage starts from ``ensure_interior``'s point, and the line
-    search accepts a trial only where the barrier is defined."""
+    """Outcome of ``solve`` at ``x_final`` and the target (omega, tau).  ``status`` is that
+    of the last stage that did not converge, else ``converged``: a stage at the rounding
+    floor hands its iterate to the next stage, and any other ending stops the solve, so a
+    stop is reported over an earlier floor.  Every iterate is interior, so ``terms`` always
+    exists and ``min_z`` is positive: the first stage starts from ``ensure_interior``'s
+    point, and the line search accepts a trial only where the barrier is defined."""
 
     x_final: CoefficientVector
     status: str

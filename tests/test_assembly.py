@@ -12,7 +12,7 @@ from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_regularizer, build_space
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import uniform_mesh
-from ocfem.ocp_model import MethodParams, OcpProblem, default_params, residual
+from ocfem.ocp_model import MethodParams, OcpProblem, check_derivatives, default_params, residual
 from ocfem.solver import solve
 
 
@@ -85,7 +85,7 @@ class TestConstruction:
         space, params = build_setup(bench, None, 2, [graded, [0.0, 1.0], [0.0, 0.5, 1.0]])
         assert params.sigma == 0.1 / 0.5
         AssembledNlp(bench.problem, space, params)
-        message = "component 0 mesh has width ratio 0.2, below sigma = 0.25"
+        message = "component 0 mesh has width ratio 0.2, below sigma = 0.25; pass sigma <= 0.2,"
         with pytest.raises(ValueError, match=message):
             AssembledNlp(bench.problem, space, replace(params, sigma=0.25))
 
@@ -378,6 +378,20 @@ def reference_hessian(nlp, x):
     return ((hess + hess.T) * 0.5).toarray()
 
 
+def interior_time_problem():
+    """lq with y(0) = 1 and y(0.3)^2 + y(0) y(0.3) = 1.2: y(0.3) lies inside an
+    interval, so its point row holds d + 1 coefficients, and b_hess is nonzero."""
+
+    def b_eval(stacked_y):
+        y0, y1, _ = stacked_y
+        jac = np.array([[1.0, 0.0, 0.0], [y1, 2 * y1 + y0, 0.0]])
+        hess = np.zeros((2, 3, 3))
+        hess[1, :2, :2] = [[0.0, 1.0], [1.0, 2.0]]
+        return np.array([y0 - 1.0, y1**2 + y0 * y1 - 1.2]), jac, hess
+
+    return replace(get_benchmark("lq").problem, p=2, time_points=(0.0, 0.3, 1.0), b_eval=b_eval)
+
+
 def oracle_case(name):
     """An AssembledNlp at h = 1/8, d = 3 for each assembly corner; ``one-interval``
     has one interval, and ``uneven-slices`` seven at d = 1, which ``hessian_band``
@@ -385,7 +399,8 @@ def oracle_case(name):
     if name == "curved":
         return make_nlp(curved_problem(), n_intervals=8, degree=3)
     aliases = {
-        "breakpoints": "lq", "wrap-around": "lq", "one-interval": "trivial", "uneven-slices": "trivial"
+        "breakpoints": "lq", "wrap-around": "lq", "interior-time": "lq",
+        "one-interval": "trivial", "uneven-slices": "trivial",
     }
     bench = get_benchmark(aliases.get(name, name))
     problem, breakpoints = bench.problem, None
@@ -398,6 +413,8 @@ def oracle_case(name):
         problem = replace(problem, b_eval=lambda y: (
             np.array([y[0] - y[1]]), np.array([[1.0, -1.0]]), np.zeros((1, 2, 2))
         ))
+    if name == "interior-time":
+        problem = interior_time_problem()
     h, d = {"one-interval": (1.0, 3), "uneven-slices": (1 / 7, 1)}.get(name, (1 / 8, 3))
     space, params = build_setup(bench, h, d, breakpoints)
     return AssembledNlp(problem, space, params).with_params(1e-2, 1e-2)
@@ -405,7 +422,7 @@ def oracle_case(name):
 
 ORACLE_CASES = [
     "lq", "lq-multimesh", "breakpoints", "barrier-pull", "trivial", "wrap-around", "curved",
-    "one-interval", "uneven-slices",
+    "one-interval", "uneven-slices", "interior-time",
 ]
 
 
@@ -511,10 +528,35 @@ class TestHessianLayout:
             assert kd > N // 2
         elif name == "lq":
             # the stored y(t0)-y(tE) pair is zero and stays out of the band
-            assert kd == nlp.space.n_x * 4 - 1 < nlp.hessian_layout.wide_offset.max()
+            assert kd == nlp.space.n_x * 4 - 1 < nlp.hessian_layout.point_offset.max()
         elif name == "one-interval":
             # y and z do not couple, so the element's widest offsets hold zeros only
             assert kd == 3 < nlp.hessian_layout.kd
+        elif name == "interior-time":
+            # the nonzero y(0)-y(0.3) pairs widen the band past the element kd
+            assert kd > nlp.hessian_layout.kd
+
+    def test_interior_time_point_square(self, rng):
+        # y(0) and y(1) are held by one coefficient each, y(0.3) by d + 1 = 4; the
+        # y(0)-y(0.3) pairs reach offset 33, the zero y(1) pairs lie at 47 to 80
+        assert max(check_derivatives(interior_time_problem()).errors.values()) <= 1.4e-10
+        nlp = oracle_case("interior-time")
+        layout = nlp.hessian_layout
+        assert np.count_nonzero(layout.point_eval, axis=1).tolist() == [1, 4, 1]
+        assert layout.point_eval.shape[1] == 6 and layout.kd == 11
+        E, _, L = layout.local_eval.shape
+        assert layout.band_index.size == E * L * L  # the element squares only
+        assert nlp.hessian_band(random_interior_point(nlp, rng)).shape[0] - 1 == 33
+        wide = layout.point_offset[layout.point_offset > 33]
+        assert wide.min() == 47 and wide.max() == 80
+
+    def test_interior_time_solve_converges(self):
+        bench = get_benchmark("lq")
+        space, params = build_setup(bench, 1 / 16, 4)
+        nlp = AssembledNlp(interior_time_problem(), space, params)
+        report = solve(nlp)
+        assert report.status == "converged" and report.iterations == [5, 9, 9, 11]
+        assert np.abs(nlp.penalty_blocks(report.x_final)[1]).max() < 1e-2
 
     def test_curvature_reaches_the_hessian(self, rng):
         nlp = oracle_case("curved")

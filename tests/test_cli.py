@@ -178,6 +178,19 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["solve", "--h", "1e-18"], ["study", "--h-list", "1e-18,0.5,0.25"]],
+        ids=["solve", "study"],
+    )
+    def test_set_up_that_cannot_allocate_is_usage_error(self, flags, capsys):
+        # 1e18 mesh points need 8e18 bytes, beyond any address space: it fails at once
+        code = cli_main([flags[0], "--problem", "lq", "--d", "2", *flags[1:]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_sigma_flag_rejected(self, capsys):
         code = cli_main(
             ["solve", "--problem", "trivial", "--h", "0.5", "--d", "3", "--sigma", "0.5"]
