@@ -11,7 +11,8 @@ constraints, and the last term the log barrier keeping the auxiliary
 components positive.  The weight matrices of the derivation are inline
 scalings: x'Sx is sum_j alpha_j |v_j|^2 over the (dy, y, z) rows v_j at the
 quadrature points, so objective, gradient and Hessian never form S.  The
-evaluation operators and the Hessian pattern (``HessianLayout``) are reused.
+evaluation operators are reused; their CSR support (``HessianLayout``, the lifted
+export's ``lifted_patterns``) and (dy, y, z) row layout are read in this module only.
 
 The Newton direction (``AssembledNlp.newton_direction``) is solved in the layout's
 ``band_order``, where LAPACK ``pbtrf`` and ``pbtrs`` factor and solve the Hessian's
@@ -167,6 +168,89 @@ class HessianLayout:
         self.point_offset, self.point_column = np.abs(i - j), np.minimum(i, j)
 
 
+def lifted_objective(
+    nlp: AssembledNlp, x: CoefficientVector, lam: np.ndarray, nu: np.ndarray
+) -> float:
+    """Objective of the lifted constrained reformulation at (x, lambda, nu).
+
+    Substituting lambda = H_c / omega, nu = H_b / omega recovers the
+    barrier-free part of the unconstrained objective exactly.
+    """
+    terms = nlp.objective_terms(x)
+    omega = nlp.params.omega
+    lam = np.asarray(lam, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    return (
+        terms.f
+        + 0.5 * omega * terms.quad_norm
+        + 0.5 * omega * (float(lam @ lam) + float(nu @ nu))
+    )
+
+
+def lifted_patterns(nlp: AssembledNlp) -> dict[str, tuple[int, int, np.ndarray, np.ndarray]]:
+    """Jacobian patterns of the lifted program as ``{name: (n_rows, n_cols, i, j)}``.
+
+    ``JH_x`` and ``JH_lambda_nu`` are the equality rows ``H(x) - omega (lambda; nu)``,
+    ``JG_x`` and ``JG_s`` the slack rows ``Gpt(x) - s``.  Every row of eval_op
+    holds the d + 1 coefficients of its source interval, ascending, and the
+    components' blocks ascend: coordinates come out sorted by row, then column.
+    """
+    problem, space, d1 = nlp.problem, nlp.space, nlp.space.degree + 1
+    m_rows, slack_rows = problem.m * nlp.M, space.n_z * nlp.M
+    eq_rows = m_rows + problem.p
+    support = nlp.eval_op.indices.reshape(nlp.M, space.block_width, d1)
+    path_cols = support[:, space.n_y :].reshape(nlp.M, -1).repeat(problem.m, axis=0)
+    point_cols = np.unique(nlp.point_op.indices)[None].repeat(problem.p, axis=0)
+    slack_cols = support[:, 2 * space.n_y :].reshape(slack_rows, d1)
+    widths = [path_cols.shape[1]] * m_rows + [point_cols.shape[1]] * problem.p
+    jh_rows = np.arange(eq_rows).repeat(widths)
+    jh_cols = np.concatenate([path_cols.ravel(), point_cols.ravel()])
+    eq_diag, slack_diag = np.arange(eq_rows), np.arange(slack_rows)
+    return {
+        "JH_x": (eq_rows, nlp.N, jh_rows, jh_cols),
+        "JH_lambda_nu": (eq_rows, eq_rows, eq_diag, eq_diag),
+        "JG_x": (slack_rows, nlp.N, slack_diag.repeat(d1), slack_cols.ravel()),
+        "JG_s": (slack_rows, slack_rows, slack_diag, slack_diag),
+    }
+
+
+def export_lifted_nlp(nlp: AssembledNlp) -> str:
+    """Text of the constrained reformulation of the penalty-barrier program.
+
+    Variables are the coefficient vector, one multiplier per scaled
+    path-constraint row, one per point constraint, and one slack per
+    auxiliary quadrature value.  Positivity is encoded on the slacks through
+    Gpt(x), the plain stacked auxiliary values; an interior-point solver run
+    with barrier target theta = tau reproduces the unconstrained program.
+    The layout is specified in ``docs/lifted_nlp_format.md``.
+    """
+    problem, omega, tau = nlp.problem, nlp.params.omega, nlp.params.tau
+    dims = dict(
+        n_y=problem.n_y, n_z=problem.n_z, m=problem.m, p=problem.p, M=nlp.M, n_T=problem.n_T
+    )
+    lines = ["lifted-nlp v1"] + [f"dim {key} {value}" for key, value in dims.items()]
+    lines += [f"param omega {omega!r}", f"param tau {tau!r}", f"param theta {tau!r}"]
+    lines += [
+        f"var x {nlp.N}",
+        f"var lambda {problem.m * nlp.M}",
+        f"var nu {problem.p}",
+        f"var s {nlp.space.n_z * nlp.M}",
+        "objective F(x) + (omega/2)*x'*S*x + (omega/2)*(||lambda||^2 + ||nu||^2)",
+        "subjectto H(x) - omega*(lambda;nu) = 0",
+        "subjectto Gpt(x) - s = 0",
+        "bounds s >= 0",
+    ]
+    for name, (n_rows, n_cols, rows, cols) in lifted_patterns(nlp).items():
+        lines.append(f"pattern {name} {n_rows} {n_cols} {len(rows)}")
+        lines += [f"{r} {c}" for r, c in zip(rows.tolist(), cols.tolist())]
+    lines += [
+        f"option mu_min = {tau!r}  barrier floor handed to an interior-point solver",
+        f"option mu_target = {tau!r}  barrier target; theta = tau recovers the penalty-barrier program",
+        "end",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class AssembledNlp:
     """Discrete program bound to a problem, space and parameters.
 
@@ -270,6 +354,10 @@ class AssembledNlp:
     def z_values(self, x: CoefficientVector) -> np.ndarray:
         """Auxiliary-component values at the quadrature points, shape (M, n_z)."""
         return self._point_data(x).z
+
+    def z_step(self, step: np.ndarray) -> np.ndarray:
+        """Change of the auxiliary values along the coefficient step ``step``, shape (M, n_z)."""
+        return (self.eval_op @ step).reshape(self.M, self.space.block_width)[:, 2 * self.space.n_y :]
 
     @staticmethod
     def _checked_z(data: _PointData) -> np.ndarray:

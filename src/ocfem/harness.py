@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import AssembledNlp
+from .assembly import AssembledNlp, export_lifted_nlp
 from .fespace import FESpace, build_space
 from .mesh import Mesh, uniform_mesh
 from .ocp_model import (
@@ -30,7 +30,6 @@ from .solver import (
     SolveReport,
     SolverOptions,
     default_start,
-    export_lifted_nlp,
     solve,
 )
 
@@ -232,8 +231,8 @@ def build_setup(
     The benchmark's ``mesh_plan`` for width h, else one uniform mesh of width
     h shared by every component, is the default; explicit per-component
     breakpoint lists (from the config file) take precedence.  Without them,
-    h must split the domain into n >= 1 intervals, (tE - t0) / h finite and
-    within 1e-9 relative of the whole n; another h is rejected, not rounded.
+    h must split the domain into n >= 1 intervals, (tE - t0) / h below the largest
+    index and within 1e-9 relative of the whole n; another h is rejected, not rounded.
     The method parameters use the requested h, so a mixed-mesh plan coarsens
     the approximation space without touching the penalty strength.  sigma is
     the least ``Mesh.width_ratio`` of the space's distinct meshes.
@@ -252,10 +251,11 @@ def build_setup(
             raise ValueError("mesh size h is required when no breakpoints are given")
         check_positive("mesh size", h)
         count = (t_end - t0) / h
-        if math.isinf(count):
+        if not count < np.iinfo(np.intp).max:  # the mesh's n + 1 breakpoints need an index
+            most = "a float can count" if math.isinf(count) else "an index array can hold"
             raise ValueError(
                 f"mesh size h = {h!r} splits the domain {problem.domain} into more "
-                "intervals than a float can count"
+                f"intervals than {most}"
             )
         n = max(1, round(count))
         if not math.isclose(count, n, rel_tol=1e-9):

@@ -218,6 +218,20 @@ class TestBarrierForms:
         assert float(np.abs(scaled).sum()) == float(scaled.sum())  # |.| drops for z >= 1
 
 
+class TestZStep:
+    @pytest.mark.parametrize("name", ["lq", "lq-multimesh", "barrier-pull"])
+    def test_equals_auxiliary_rows_of_eval_op_product(self, name, rng):
+        bench = get_benchmark(name)
+        space, params = build_setup(bench, 1 / 16, 4)
+        nlp = AssembledNlp(bench.problem, space, params)
+        for _ in range(3):
+            step = rng.standard_normal(nlp.N)
+            rows = (nlp.eval_op @ step).reshape(nlp.M, space.block_width)
+            dz = nlp.z_step(step)
+            assert dz.shape == (nlp.M, space.n_z)
+            assert np.array_equal(dz, rows[:, 2 * space.n_y :])
+
+
 class TestGradient:
     def test_regularized_quadrature_norm_pattern(self, rng):
         # f reproducing the norm integrand makes the gradient (1 + omega) S x

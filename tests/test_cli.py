@@ -69,8 +69,12 @@ class TestSolve:
              "into whole intervals; the nearest is n = 3, h = 0.3333333333333333"),
             (["solve", "--h", "5e-324"], "h = 5e-324 splits the domain (0.0, 1.0) into more "
              "intervals than a float can count"),
+            (["solve", "--h", "1e-300"], "h = 1e-300 splits the domain (0.0, 1.0) into more "
+             "intervals than an index array can hold"),
+            (["study", "--h-list", "1e-300,0.5,0.25"], "h = 1e-300 splits the domain (0.0, 1.0) "
+             "into more intervals than an index array can hold"),
         ],
-        ids=["solve", "study", "subnormal"],
+        ids=["solve", "study", "subnormal", "huge", "huge-study"],
     )
     def test_h_of_no_whole_interval_count_is_usage_error(self, args, message, capsys):
         code = cli_main([*args, "--problem", "lq", "--d", "2"])

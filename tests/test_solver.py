@@ -19,6 +19,7 @@ from ocfem.assembly import (
     AssembledNlp,
     ObjectiveTerms,
     _newton_direction,
+    lifted_patterns,
 )
 from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_space
@@ -47,7 +48,6 @@ from ocfem.solver import (
     default_start,
     ensure_interior,
     lifted_objective,
-    lifted_patterns,
     solve,
 )
 
