@@ -355,6 +355,10 @@ class AssembledNlp:
         """Auxiliary-component values at the quadrature points, shape (M, n_z)."""
         return self._point_data(x).z
 
+    def y_step(self, step: np.ndarray) -> np.ndarray:
+        """Change of the (dy, y) values along the coefficient step ``step``, shape (M, 2 n_y)."""
+        return (self.eval_op @ step).reshape(self.M, self.space.block_width)[:, : 2 * self.space.n_y]
+
     def z_step(self, step: np.ndarray) -> np.ndarray:
         """Change of the auxiliary values along the coefficient step ``step``, shape (M, n_z)."""
         return (self.eval_op @ step).reshape(self.M, self.space.block_width)[:, 2 * self.space.n_y :]

@@ -301,14 +301,13 @@ class StudyResult:
 def _x_error(benchmark: Benchmark, nlp: AssembledNlp, report: SolveReport) -> Optional[float]:
     if benchmark.y is None:
         return None
-    space = nlp.space
-    z = benchmark.z or (lambda t: np.zeros((t.size, space.n_z)))
-    reference = space.interpolate(lambda t: np.hstack([benchmark.y(t), z(t)]))
+    z = benchmark.z or (lambda t: np.zeros((t.size, nlp.space.n_z)))
+    reference = nlp.space.interpolate(lambda t: np.hstack([benchmark.y(t), z(t)]))
     diff = report.x_final.values - reference.values
-    rows = (nlp.eval_op @ diff).reshape(nlp.M, space.block_width)
-    if benchmark.z is None:
-        rows = rows[:, : 2 * space.n_y]
-    return float(math.sqrt(nlp.rule.weights @ (rows**2).sum(axis=1)))
+    squares = (nlp.y_step(diff) ** 2).sum(axis=1)
+    if benchmark.z is not None:
+        squares += (nlp.z_step(diff) ** 2).sum(axis=1)
+    return float(math.sqrt(nlp.rule.weights @ squares))
 
 
 def _fit_order(h_values: list[float], metric: list[Optional[float]]) -> tuple[Optional[float], Optional[str]]:

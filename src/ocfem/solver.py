@@ -36,11 +36,9 @@ _LS_MAX_BACKTRACKS = 60
 #: Share of the distance to z = 0 that one step may cover at any quadrature point.
 _BOUNDARY_FRACTION = 0.995
 
-#: A stage is at the rounding floor when each of its last ``_FLOOR_STEPS``
-#: accepted steps changed F by at most ``_FLOOR_REL_CHANGE`` |F| and none
-#: took |g| below its least earlier value: rounding, not progress, moves x.
-_FLOOR_STEPS = 8
-_FLOOR_REL_CHANGE = 4 * np.finfo(float).eps
+#: A stage is at the rounding floor, where rounding and not progress moves x, when its Newton
+#: decrement -slope / 2 is at most kappa eps |F| (kappa = 256) and |g| fell by less than half.
+_FLOOR_DECREMENT = 256 * np.finfo(float).eps
 
 #: Stages of the default geometric (omega, tau) continuation.
 _CONTINUATION_STAGES = 4
@@ -158,18 +156,17 @@ def _boundary_cap(nlp: AssembledNlp, x: CoefficientVector, step: np.ndarray) -> 
 
 
 def _stage_status(
-    history: list[float], norms: list[float], tol: float, max_iters: int
+    total: float, slope: float, norms: list[float], tol: float, max_iters: int
 ) -> Optional[str]:
-    """How the stage ends at its latest iterate, or None to take another step;
-    ``history`` and ``norms`` hold F and |g| at every iterate of the stage."""
+    """How the stage ends at its latest iterate, or None to take another step; ``total`` is
+    F there, ``slope`` is g.s along its Newton step s (``inf`` if none; a slope that is not
+    negative never floors) and ``norms`` holds |g| at every iterate of the stage."""
     if norms[-1] <= tol:
         return STATUS_CONVERGED
-    k = _FLOOR_STEPS
-    if len(history) > k and min(norms[-k:]) >= min(norms[:-k]):
-        changes = zip(history[-k - 1 : -1], history[-k:])
-        if all(abs(new - old) <= _FLOOR_REL_CHANGE * abs(new) for old, new in changes):
-            return STATUS_ROUNDING_FLOOR
-    if len(history) - 1 >= max_iters:
+    stalled = len(norms) > 1 and norms[-1] > norms[-2] / 2
+    if stalled and 0.0 < -slope / 2 <= _FLOOR_DECREMENT * abs(total):
+        return STATUS_ROUNDING_FLOOR
+    if len(norms) - 1 >= max_iters:
         return STATUS_MAX_ITERS
     return None
 
@@ -183,14 +180,13 @@ def _newton_stage(
     while True:
         grad = nlp.gradient(x)
         norms.append(math.sqrt(grad @ grad))
-        status = _stage_status(history, norms, tol, opts.max_iters)
+        step = None if norms[-1] <= tol else nlp.newton_direction(x, grad)
+        slope = math.inf if step is None else float(grad @ step)
+        status = _stage_status(total, slope, norms, tol, opts.max_iters)
         if status is not None:
             break
-        step = nlp.newton_direction(x, grad)
-        slope = math.inf if step is None else float(grad @ step)
         if slope >= 0.0:  # no descent direction: a gradient step
-            step = -grad
-            slope = float(grad @ step)
+            step, slope = -grad, -float(grad @ grad)
         alpha = _boundary_cap(nlp, x, step)
         for _ in range(_LS_MAX_BACKTRACKS):
             trial = x.values + alpha * step

@@ -232,6 +232,21 @@ class TestZStep:
             assert np.array_equal(dz, rows[:, 2 * space.n_y :])
 
 
+class TestYStep:
+    @pytest.mark.parametrize("name", ["lq", "lq-multimesh", "trivial"])
+    def test_differential_rows_of_an_interpolated_cubic(self, name):
+        # degree 4 reproduces y_k(t) = t^3 + k, so the rows are (3 t^2, ..., t^3 + k, ...)
+        bench = get_benchmark(name)
+        space, params = build_setup(bench, 1 / 16, 4)
+        nlp = AssembledNlp(bench.problem, space, params)
+        cubic = space.interpolate(lambda t: np.column_stack([t**3 + k for k in range(space.n_x)]))
+        t = nlp.rule.points
+        expected = np.column_stack([3 * t**2] * space.n_y + [t**3 + k for k in range(space.n_y)])
+        rows = nlp.y_step(cubic.values)
+        assert rows.shape == (nlp.M, 2 * space.n_y)
+        np.testing.assert_allclose(rows, expected, rtol=0.0, atol=1e-12)
+
+
 class TestGradient:
     def test_regularized_quadrature_norm_pattern(self, rng):
         # f reproducing the norm integrand makes the gradient (1 + omega) S x

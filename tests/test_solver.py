@@ -34,8 +34,7 @@ from ocfem.ocp_model import (
 )
 from ocfem.polybasis import gauss_lobatto_nodes
 from ocfem.solver import (
-    _FLOOR_REL_CHANGE,
-    _FLOOR_STEPS,
+    _FLOOR_DECREMENT,
     STATUS_CONVERGED,
     STATUS_LINE_SEARCH,
     STATUS_MAX_ITERS,
@@ -245,36 +244,55 @@ class TestStageExits:
 
 
 class TestStageStatus:
-    K, TOL = _FLOOR_STEPS, 1e-8
+    # F = 1 unless stated; a slope -2 b has the decrement b, exactly
+    TOL, STALLED = 1e-8, [1e-6, 1e-6]
+    SLOPE = -_FLOOR_DECREMENT  # a decrement of half the bound
 
     def test_converged_beats_floor_and_max_iters(self):
-        flat = [1.0] * (self.K + 1)
-        assert _stage_status(flat, [1e-9] * (self.K + 1), self.TOL, self.K) == STATUS_CONVERGED
+        assert _stage_status(1.0, self.SLOPE, [1e-9, 1e-9], self.TOL, 1) == STATUS_CONVERGED
 
     def test_floor_beats_max_iters(self):
-        flat, norms = [1.0] * (self.K + 1), [1e-6] * (self.K + 1)
-        assert _stage_status(flat, norms, self.TOL, self.K) == STATUS_ROUNDING_FLOOR
-        assert _stage_status(flat, norms, self.TOL, 200) == STATUS_ROUNDING_FLOOR
-        assert _stage_status(flat[:-1], norms[:-1], self.TOL, 200) is None  # K - 1 steps
-        assert _stage_status(flat[:-1], norms[:-1], self.TOL, self.K - 1) == STATUS_MAX_ITERS
-
-    def test_new_least_gradient_is_progress(self):
-        flat = [1.0] * (self.K + 1)
-        norms = [1e-6] * self.K + [0.9e-6]
-        assert _stage_status(flat, norms, self.TOL, 200) is None
-        norms = [1e-6] + [0.9e-6] + [1e-6] * (self.K - 1)
-        assert _stage_status(flat, norms, self.TOL, 200) is None
-        norms = [0.9e-6] + [1e-6] * self.K  # none of the last K below the earlier least
-        assert _stage_status(flat, norms, self.TOL, 200) == STATUS_ROUNDING_FLOOR
+        assert _stage_status(1.0, self.SLOPE, self.STALLED, self.TOL, 1) == STATUS_ROUNDING_FLOOR
+        assert _stage_status(1.0, self.SLOPE, self.STALLED, self.TOL, 200) == STATUS_ROUNDING_FLOOR
+        # the first iterate of a stage has no earlier |g| and never floors
+        assert _stage_status(1.0, self.SLOPE, [1e-6], self.TOL, 200) is None
+        assert _stage_status(1.0, self.SLOPE, [1e-6], self.TOL, 0) == STATUS_MAX_ITERS
 
     def test_change_of_f_is_progress(self):
-        norms = [1e-6] * (self.K + 1)
-        cases = ((_FLOOR_REL_CHANGE / 2, STATUS_ROUNDING_FLOOR), (2 * _FLOOR_REL_CHANGE, None))
-        for step, expected in cases:
-            history = [1.0] * self.K + [1.0 - step]
-            assert _stage_status(history, norms, self.TOL, 200) == expected
-            history = [-1.0 + step] + [-1.0] * self.K
-            assert _stage_status(history, norms, self.TOL, 200) == expected
+        # a Newton step that predicts a decrease of F above kappa eps |F| is progress
+        for total in (1.0, -1.0, 3e5, -2e-7):
+            bound = _FLOOR_DECREMENT * abs(total)
+            cases = ((bound, STATUS_ROUNDING_FLOOR), (np.nextafter(bound, 0.0), STATUS_ROUNDING_FLOOR),
+                     (np.nextafter(bound, np.inf), None))
+            for decrement, expected in cases:
+                assert _stage_status(total, -2 * decrement, self.STALLED, self.TOL, 200) == expected
+
+    def test_halving_gradient_is_progress(self):
+        for norms, expected in (
+            ([1e-6, 0.5e-6], None),
+            ([1e-6, 0.1e-6], None),
+            ([1e-6, np.nextafter(0.5e-6, 1.0)], STATUS_ROUNDING_FLOOR),
+            ([1e-6, 0.9e-6], STATUS_ROUNDING_FLOOR),
+            ([1e-6, 2e-6], STATUS_ROUNDING_FLOOR),
+            ([4e-6, 1e-6, 0.9e-6], STATUS_ROUNDING_FLOOR),  # only the last step counts
+        ):
+            assert _stage_status(1.0, self.SLOPE, norms, self.TOL, 200) == expected
+
+    def test_gradient_fallback_never_floors(self):
+        # no Newton step (slope inf) or no descent (slope >= 0): there is no decrement
+        for slope in (math.inf, 0.0, -0.0, 1e-300, 1.0, math.nan):
+            assert _stage_status(1.0, slope, self.STALLED, self.TOL, 200) is None
+            assert _stage_status(1.0, slope, self.STALLED, self.TOL, 1) == STATUS_MAX_ITERS
+
+    def test_stage_without_newton_steps_runs_to_max_iters(self, monkeypatch):
+        # lq d=10 h=1/16 floors within 12 steps of stage 4; gradient steps alone never floor
+        bench = get_benchmark("lq")
+        nlp = AssembledNlp(bench.problem, *build_setup(bench, 1.0 / 16, 10))
+        x = solve(nlp).x_final
+        monkeypatch.setattr(nlp, "newton_direction", lambda x, grad: None)
+        opts = SolverOptions(max_iters=30)
+        _, stage = _newton_stage(nlp, x, opts, opts.resolved_grad_tol(nlp.N))
+        assert stage.status == STATUS_MAX_ITERS and stage.iterations == 30
 
 
 def stiff_nlp(n=64, d=4, lam=1000.0):
@@ -319,6 +337,13 @@ FLOOR_CASES = [
     ("lq", 8, 32), ("lq", 10, 16), ("lq-multimesh", 4, 512), ("lq", 4, 512), ("lq", 4, 1024)
 ]
 
+#: Steps of each case's last stage under the 8-step history rule that the Newton
+#: decrement test replaced; it waited for 8 steps that left F unchanged.
+HISTORY_RULE_LAST_STAGE = {
+    ("lq", 8, 32): 29, ("lq", 10, 16): 26, ("lq-multimesh", 4, 512): 25, ("lq", 4, 512): 23,
+    ("lq", 4, 1024): 34, ("stiff", 4, 64): 16,
+}
+
 
 class TestRoundingFloor:
     @pytest.mark.parametrize(
@@ -334,14 +359,18 @@ class TestRoundingFloor:
         report = solve(nlp)
         last = report.stages[-1]
         assert report.status == last.status == STATUS_ROUNDING_FLOOR
-        assert all(stage.status == STATUS_CONVERGED for stage in report.stages[:-1])
+        # lq d=4 h=1/1024 floors in stage 3 too; every other earlier stage converges
+        ends = {STATUS_CONVERGED, STATUS_ROUNDING_FLOOR}
+        assert all(stage.status in ends for stage in report.stages[:-1])
         assert SolverOptions().resolved_grad_tol(nlp.N) < last.grad_norm < math.inf
-        history = last.objective_history
-        stalled = next(
-            i for i in range(1, len(history))
-            if abs(history[i] - history[i - 1]) <= _FLOOR_REL_CHANGE * abs(history[i])
-        )
-        assert len(history) - stalled <= _FLOOR_STEPS + 10
+        # the Newton decrement of the step not taken at x_final, from the public program
+        at_last = nlp.with_params(last.omega, last.tau)
+        grad = at_last.gradient(report.x_final)
+        step = at_last.newton_direction(report.x_final, grad)
+        total = at_last.objective_terms(report.x_final).total
+        assert step is not None and total == last.objective
+        assert 0.0 < -float(grad @ step) / 2 <= _FLOOR_DECREMENT * abs(total)
+        assert last.iterations <= 0.8 * HISTORY_RULE_LAST_STAGE[name, d, n]
 
 
 class TestFloorMidSchedule:
@@ -359,14 +388,15 @@ class TestFloorMidSchedule:
         assert gap / (-0.7508 * nlp.params.omega) == pytest.approx(1.0, abs=0.01)
 
     def test_stop_after_a_floor_is_reported(self):
-        # h = 1/128 floors stage 3 at step 41 and would floor stage 4 at step 42: the
-        # max_iters that stops stage 4, not the earlier floor, is the solve's status
+        # h = 1/128 floors stage 3 at step 28, where the floor beats max_iters, and
+        # would floor stage 4 at step 32: the max_iters that stops stage 4, not the
+        # earlier floor, is the solve's status
         bench = get_benchmark("lq")
         nlp = AssembledNlp(bench.problem, *build_setup(bench, 1.0 / 128, 8))
-        report = solve(nlp, opts=SolverOptions(max_iters=41))
+        report = solve(nlp, opts=SolverOptions(max_iters=28))
         statuses = [stage.status for stage in report.stages]
         assert statuses == [STATUS_CONVERGED] * 2 + [STATUS_ROUNDING_FLOOR, STATUS_MAX_ITERS]
-        assert report.iterations == [3, 11, 41, 41]
+        assert report.iterations == [3, 11, 28, 28]
         assert report.status == STATUS_MAX_ITERS
 
 
