@@ -279,7 +279,7 @@ class AssembledNlp:
             if (ratio := mesh.width_ratio) < params.sigma * (1 - _MESH_RATIO_RTOL):
                 raise ValueError(
                     f"component {comps[0]} mesh has width ratio {ratio:.6g}, below sigma = "
-                    f"{params.sigma}; pass sigma <= {ratio!r}, as build_setup does"
+                    f"{params.sigma}; pass sigma <= {ratio!r}, as default_params does"
                 )
         self.problem = problem
         self.space = space

@@ -128,12 +128,12 @@ def build_space(meshes: Sequence[Mesh], degree: int, n_y: int, n_z: int) -> FESp
     for m in meshes[1:]:
         if m.domain != domain:
             raise ValueError(f"domain mismatch: {m.domain} vs {domain}")
+    check_degree(degree)
     if n_y > 0 and degree < 1:
         raise ValueError(
-            "degree 0 cannot represent continuous differential components; "
+            f"degree {degree} cannot represent continuous differential components; "
             "need degree >= 1"
         )
-    check_degree(degree)
 
     start, index_map = 0, []
     for comp, mesh in enumerate(meshes):

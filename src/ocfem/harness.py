@@ -233,9 +233,9 @@ def build_setup(
     breakpoint lists (from the config file) take precedence.  Without them,
     h must split the domain into n >= 1 intervals, (tE - t0) / h below the largest
     index and within 1e-9 relative of the whole n; another h is rejected, not rounded.
-    The method parameters use the requested h, so a mixed-mesh plan coarsens
-    the approximation space without touching the penalty strength.  sigma is
-    the least ``Mesh.width_ratio`` of the space's distinct meshes.
+    The method parameters are ``default_params`` at the requested h, so a
+    mixed-mesh plan coarsens the approximation space without touching the
+    penalty strength.
     """
     problem = benchmark.problem
     t0, t_end = problem.domain
@@ -269,8 +269,7 @@ def build_setup(
             meshes = benchmark.mesh_plan(n)
         params_h = h
     space = build_space(meshes, d, problem.n_y, problem.n_z)
-    sigma = min(mesh.width_ratio for mesh, _ in space.mesh_groups)
-    return space, default_params(params_h, sigma, d)
+    return space, default_params(params_h, space)
 
 
 @dataclass
@@ -522,15 +521,25 @@ def _config_value(key: str, value):
     return _parse(where, _FLAGS[key][0], value)
 
 
+def _config_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object by flag destination; a key set twice, in either spelling, is an error."""
+    config: dict = {}
+    for key, value in pairs:
+        key = key.replace("-", "_")
+        if key in config:
+            raise ValueError(f"config key {key} is set twice")
+        config[key] = value
+    return config
+
+
 def _read_config(path: str) -> dict:
     """Every value of the config file, parsed, by flag destination."""
     try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
+        config = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_config_object)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
-    config = {key.replace("-", "_"): value for key, value in config.items()}
     unknown = sorted(set(config) - (set(_FLAGS) - {"config"} | {"breakpoints"}))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")

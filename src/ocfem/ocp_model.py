@@ -69,8 +69,11 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"invalid {name} {value}: need a finite value > 0")
 
 
-def default_params(h: float, sigma: float = 1.0, d: int = 4) -> MethodParams:
-    """Default coupling omega = h^(d/2), tau = h^d; an overflowing power is inf."""
+def default_params(h: float, space: FESpace) -> MethodParams:
+    """Default coupling omega = h^(d/2), tau = h^d; an overflowing power is inf.  d is
+    the space's degree and sigma its meshes' least width ratio, so ``space`` is admitted."""
+    d = space.degree
+    sigma = min(mesh.width_ratio for mesh, _ in space.mesh_groups)
     omega = tau = math.inf
     with contextlib.suppress(OverflowError):
         omega = h ** (d / 2)

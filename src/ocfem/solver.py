@@ -58,6 +58,8 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if self.grad_tol is not None:
             check_positive("grad_tol", self.grad_tol)
+        if not isinstance(self.max_iters, int):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 

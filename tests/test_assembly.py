@@ -12,7 +12,7 @@ from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_regularizer, build_space
 from ocfem.harness import build_setup, get_benchmark
 from ocfem.mesh import uniform_mesh
-from ocfem.ocp_model import MethodParams, OcpProblem, check_derivatives, default_params, residual
+from ocfem.ocp_model import OcpProblem, check_derivatives, default_params, residual
 from ocfem.solver import solve
 
 
@@ -20,10 +20,10 @@ def make_nlp(problem, n_intervals=3, degree=3, h=None, omega=None, tau=None):
     h = h if h is not None else 1.0 / n_intervals
     meshes = [uniform_mesh(problem.domain, n_intervals) for _ in range(problem.n_x)]
     space = build_space(meshes, degree, problem.n_y, problem.n_z)
-    params = default_params(h, 1.0, degree)
+    params = default_params(h, space)
     if omega is not None or tau is not None:
-        params = MethodParams(
-            h=h, sigma=1.0, d=degree,
+        params = replace(
+            params,
             omega=omega if omega is not None else params.omega,
             tau=tau if tau is not None else params.tau,
         )
@@ -92,19 +92,19 @@ class TestConstruction:
     def test_space_components_must_match_problem(self):
         space = build_space([uniform_mesh((0.0, 1.0), 2)] * 2, 2, 0, 2)
         with pytest.raises(ValueError, match=r"space has \(n_y, n_z\) = \(0, 2\), problem needs \(0, 1\)"):
-            AssembledNlp(constant_cost_problem(), space, default_params(0.5, 1.0, 2))
+            AssembledNlp(constant_cost_problem(), space, default_params(0.5, space))
 
     def test_space_domain_must_match_problem(self):
         space = build_space([uniform_mesh((0.0, 2.0), 2)], 2, 0, 1)
         with pytest.raises(ValueError, match="space domain .* differs from problem domain"):
-            AssembledNlp(constant_cost_problem(), space, default_params(1.0, 1.0, 2))
+            AssembledNlp(constant_cost_problem(), space, default_params(1.0, space))
 
     def test_uniform_widths_pass_sigma_one(self):
         # ten uniform widths differ in their last bits; the check allows for it
         space = build_space([uniform_mesh((0.0, 1.0), 10)], 2, 0, 1)
         lengths = space.component_meshes[0].lengths
         assert lengths.min() < lengths.max()
-        AssembledNlp(constant_cost_problem(), space, default_params(0.1, 1.0, 2))
+        AssembledNlp(constant_cost_problem(), space, replace(default_params(0.1, space), sigma=1.0))
 
 
 class TestObjectiveTerms:

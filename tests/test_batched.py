@@ -213,7 +213,7 @@ def test_per_point_callback_rejected(f_eval):
     # outputs of shapes (), (B,), (B, B) or a raise: never a number
     problem = flat_problem(f_eval)
     space = build_space([uniform_mesh(problem.domain, 2)], 2, 1, 0)
-    nlp = AssembledNlp(problem, space, default_params(0.5, d=2))
+    nlp = AssembledNlp(problem, space, default_params(0.5, space))
     x = space.interpolate(stacked(lambda t: t))
     with pytest.raises((ValueError, RuntimeError), match="objective"):
         nlp.objective_terms(x)

@@ -1,18 +1,39 @@
-"""The benchmark's tracer patches these names; each must still exist."""
+"""The benchmark's tracer patches these names, and its workloads set up through the
+public API; each must still work."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_every_trace_target_exists():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+def load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # registered while it runs: a module's dataclasses look themselves up by module name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_exists(monkeypatch):
+    spans = load("spans", monkeypatch)
     missing = [
         f"{owner.__name__}.{attr}"
         for owner, attr, _ in spans.TARGETS
         if attr not in owner.__dict__
     ]
     assert not missing, missing
+
+
+def test_every_workload_case_sets_up(monkeypatch):
+    # build_setup, then replace(params, omega=, tau=) where a case fixes them
+    workloads = load("workloads", monkeypatch)
+    cases = [case for workload in workloads.WORKLOADS.values() for case in workload.cases]
+    assert len(cases) == 14
+    for case in cases:
+        nlp = workloads.build(case)
+        assert (nlp.params.d, nlp.params.h) == (case.d, case.h)
+        if case.omega is not None:
+            assert (nlp.params.omega, nlp.params.tau) == (case.omega, case.tau)

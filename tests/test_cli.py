@@ -195,6 +195,12 @@ class TestUsage:
         assert captured.err.startswith("error: Unable to allocate")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_degree_out_of_range_named_before_continuity(self, capsys):
+        # lq has a differential component, which degree 0 cannot hold; -1 is no degree at all
+        code = cli_main(["solve", "--problem", "lq", "--h", "0.25", "--d", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: unsupported degree -1: need 0..30\n"
+
     def test_sigma_flag_rejected(self, capsys):
         code = cli_main(
             ["solve", "--problem", "trivial", "--h", "0.5", "--d", "3", "--sigma", "0.5"]
@@ -354,6 +360,22 @@ class TestConfig:
         config.write_text("[1, 2]", encoding="utf-8")
         assert cli_main(["solve", "--config", str(config)]) == 2
         assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
+
+    def test_key_set_twice_rejected(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text('{"problem": "trivial", "h": 0.5, "d": 2, "d": 3}', encoding="utf-8")
+        assert cli_main(["solve", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: config key d is set twice\n"
+
+    def test_key_set_twice_in_both_spellings_rejected(self, capsys, tmp_path):
+        # the two spellings name one key; neither value may silently win
+        config = tmp_path / "run.json"
+        config.write_text(
+            '{"problem": "trivial", "h": 0.5, "d": 3, "max-iters": 0, "max_iters": 50}',
+            encoding="utf-8",
+        )
+        assert cli_main(["solve", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: config key max_iters is set twice\n"
 
     def test_non_finite_breakpoints_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.json"

@@ -389,7 +389,7 @@ def zero_cost_nlp(space):
     problem = OcpProblem(
         n_y=space.n_y, n_z=space.n_z, m=0, p=0, time_points=space.domain, f_eval=f_eval
     )
-    return AssembledNlp(problem, space, default_params(0.25, d=space.degree))
+    return AssembledNlp(problem, space, default_params(0.25, space))
 
 
 class TestInterleavedOrder:

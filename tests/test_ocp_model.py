@@ -60,25 +60,29 @@ def setup(problem, n_intervals, degree):
     return space, rule
 
 
+def one_interval_space(degree):
+    return build_space([uniform_mesh((0.0, 1.0), 1)], degree, 0, 1)
+
+
 class TestMethodParams:
     def test_unit_mesh_size(self):
-        params = default_params(1.0, 1.0, 7)
+        params = default_params(1.0, one_interval_space(7))
         assert params.omega == 1.0 and params.tau == 1.0
 
     def test_small_h(self):
-        params = default_params(0.01, 1.0, 4)
+        params = default_params(0.01, one_interval_space(4))
         assert params.omega == pytest.approx(1e-4, rel=1e-12)
         assert params.tau == pytest.approx(1e-8, rel=1e-12)
 
     def test_quarter_h(self):
-        params = default_params(0.25, 1.0, 2)
+        params = default_params(0.25, one_interval_space(2))
         assert params.omega == pytest.approx(0.25, abs=0)
         assert params.tau == pytest.approx(0.0625, abs=0)
 
     def test_invalid_h(self):
         for h in (0.0, -0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="invalid mesh size"):
-                default_params(h, 1.0, 2)
+                default_params(h, one_interval_space(2))
             with pytest.raises(ValueError, match="invalid mesh size"):
                 MethodParams(h=h, sigma=1.0, d=2, omega=1.0, tau=1.0)
 
@@ -88,7 +92,7 @@ class TestMethodParams:
     def test_overflowing_default_weights_rejected(self, d, message):
         # omega = h^(d/2) overflows at d = 4; at d = 2 only tau = h^d does
         with pytest.raises(ValueError, match=f"invalid {message}: need a finite value > 0"):
-            default_params(1e200, d=d)
+            default_params(1e200, one_interval_space(d))
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_invalid_penalty_and_barrier(self, value):

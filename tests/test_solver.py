@@ -87,7 +87,7 @@ class TestNewtonOnQuadratic:
             n_y=1, n_z=0, m=0, p=0, time_points=(0.0, 1.0), f_eval=f_eval
         )
         space = build_space([uniform_mesh((0.0, 1.0), 4)], 3, 1, 0)
-        params = default_params(0.25, 1.0, 3)
+        params = default_params(0.25, space)
         nlp = AssembledNlp(problem, space, params)
         x0 = space.coefficient_vector(rng.uniform(-1.0, 1.0, space.N))
         return nlp, x0, solve(nlp, x0, SolverOptions(grad_tol=1e-10))
@@ -328,9 +328,7 @@ def stiff_nlp(n=64, d=4, lam=1000.0):
     graded = layer * (np.arange(n // 2 + 1) / (n // 2)) ** 2
     mesh = Mesh(np.concatenate([graded, np.linspace(layer, 1.0, n - n // 2 + 1)[1:]]))
     space = build_space([mesh] * 3, d, 1, 2)
-    h = 1.0 / n
-    params = MethodParams(h=h, sigma=mesh.width_ratio, d=d, omega=h ** (d / 2), tau=h**d)
-    return AssembledNlp(problem, space, params)
+    return AssembledNlp(problem, space, default_params(1.0 / n, space))
 
 
 FLOOR_CASES = [
@@ -928,6 +926,9 @@ class TestSchedules:
                 SolverOptions(grad_tol=grad_tol)
         with pytest.raises(ValueError, match="max_iters must be nonnegative"):
             SolverOptions(max_iters=-1)
+        for max_iters in (2.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"max_iters must be an integer, got {max_iters}"):
+                SolverOptions(max_iters=max_iters)
 
     def test_stages_and_report_reuse_point_data(self, monkeypatch):
         calls, first, ends = [], [], []
