@@ -433,6 +433,11 @@ class AssembledNlp:
         slice's squares are written.  The point square is then added in one block, up
         to the widest offset holding a nonzero point value, zeros included.  The band
         is a new array on every call.
+
+        Memory budget: the ``np.bincount`` is a Newton step's peak, where the band and
+        the element buffer sit beside the N-vectors the next step reads (the iterate,
+        the stage's start, the gradient and the point values); no earlier step is
+        alive, and a built-in callback's outputs are views or broadcast constants.
         """
         data = self._point_data(x)
         layout = self.hessian_layout

@@ -138,16 +138,16 @@ def _trivial_benchmark() -> Benchmark:
     any strictly interior constant is optimal in the limit; the converged
     value depends on (omega, tau) and no z reference is recorded.
     """
-    f_grad, f_hess = _constant_stack(0.0, (3,)), _constant_stack(0.0, (3, 3))
+    f_value, f_grad, f_hess = (_constant_stack(0.0, shape) for shape in ((), (3,), (3, 3)))
     c_jac = _constant_stack([[1.0, 0.0, 0.0]], (1, 3))
     c_hess = _constant_stack(0.0, (1, 3, 3))
 
     def f_eval(dy, y, z, t):
         M = len(t)
-        return np.zeros(M), f_grad(M), f_hess(M)
+        return f_value(M), f_grad(M), f_hess(M)
 
     def c_eval(dy, y, z, t):
-        return dy[:, :1].copy(), c_jac(len(t)), c_hess(len(t))
+        return dy[:, :1], c_jac(len(t)), c_hess(len(t))
 
     problem = OcpProblem(
         n_y=1,
@@ -173,7 +173,7 @@ def _barrier_pull_benchmark() -> Benchmark:
 
     def f_eval(dy, y, z, t):
         M = len(t)
-        return z[:, 0].copy(), f_grad(M), f_hess(M)
+        return z[:, 0], f_grad(M), f_hess(M)
 
     problem = OcpProblem(
         n_y=0,

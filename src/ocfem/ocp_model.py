@@ -3,7 +3,9 @@
 The running cost f and the path constraints c are evaluated at all M
 quadrature points of a rule in one call: they receive the read-only stacks
 ``dy, y: (M, n_y)``, ``z: (M, n_z)`` and ``t: (M,)`` and return the value,
-first-derivative and Hessian stacks of every point at once.  The point
+first-derivative and Hessian stacks of every point at once.  Their outputs are
+never written, so a callback may return views of its read-only inputs (``z[:, 0]``)
+or broadcast constants (``np.broadcast_to``) in place of copies.  The point
 constraints b are evaluated once per coefficient vector.
 
 Callbacks must return analytic first and second derivatives; the assembled

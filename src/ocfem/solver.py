@@ -207,6 +207,7 @@ def _newton_stage(
             status = STATUS_LINE_SEARCH
             break
         x, total = trial, trial_total
+        del step  # the next step's band is assembled without this one beside it
         history.append(total)
     residual = nlp.residual_value(x)
     return x, StageResult(omega, tau, len(history) - 1, norms[-1], total, residual, status, history)

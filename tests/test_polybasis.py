@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ocfem.polybasis
 from ocfem.fespace import build_space
 from ocfem.harness import cli_main
 from ocfem.mesh import uniform_mesh
@@ -136,6 +137,13 @@ class TestNormConstants:
         rows = verify_norm_constants(30)
         assert len(rows) == 31
         assert max(row.abs_error for row in rows) <= 1e-9
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        # a minimizer of value 2 at t = 0 fails the sup-norm certificate at d = 0
+        minimizer = ocfem.polybasis._unit_value_minimizer
+        monkeypatch.setattr(ocfem.polybasis, "_unit_value_minimizer", lambda d: 2.0 * minimizer(d))
+        with pytest.raises(RuntimeError, match=r"certificate failed for degree 0: max \|v\| = 2.0, v\(0\) = 2.0"):
+            verify_norm_constants(1)
 
     def test_csv_shape(self, capsys):
         # the CLI writes the rows: ints by str, floats by repr, LF endings

@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -775,6 +776,13 @@ class TestInertiaCorrection:
         with pytest.raises(ValueError, match="infs or NaNs"):
             _newton_direction(lambda: np.asfortranarray(next(bands)), np.ones(2), np.arange(2))
 
+    def test_illegal_argument_raises(self, monkeypatch):
+        # pbtrf's info < 0 names the argument it rejected; no shift is tried
+        monkeypatch.setattr(ocfem.assembly, "_PBTRF", lambda band, **kwargs: (band, -2))
+        with pytest.raises(ValueError) as raised:
+            direction(np.ones((1, 2)), np.ones(2))
+        assert str(raised.value) == "illegal value in argument 2 of internal pbtrf"
+
     def test_strongly_indefinite_gives_up(self):
         # a negative eigenvalue far beyond the shift cap -> gradient fallback
         assert direction(np.array([[1.0, -1.0]]), np.ones(2)) is None
@@ -867,6 +875,49 @@ class TestBandedStep:
         finally:
             tracemalloc.stop()
         assert peak <= 2.3 * band_bytes
+
+    def test_no_earlier_step_alive_at_assembly(self, monkeypatch):
+        # a stage drops its step before the next one's band is assembled
+        steps, checked = [], []
+        newton_direction, hessian_band = AssembledNlp.newton_direction, AssembledNlp.hessian_band
+
+        def recorded(nlp, x, grad):
+            step = newton_direction(nlp, x, grad)
+            if step is not None:
+                steps.append(weakref.ref(step))
+            return step
+
+        def checked_band(nlp, x):
+            checked.append([ref for ref in steps if ref() is not None])
+            return hessian_band(nlp, x)
+
+        monkeypatch.setattr(AssembledNlp, "newton_direction", recorded)
+        monkeypatch.setattr(AssembledNlp, "hessian_band", checked_band)
+        bench = get_benchmark("barrier-pull")
+        space, params = build_setup(bench, 1 / 16, 4)
+        report = solve(AssembledNlp(bench.problem, space, replace(params, omega=1e-2, tau=1e-2)))
+        assert report.status == STATUS_CONVERGED and len(steps) > len(report.stages)
+        assert not any(checked)
+
+    def test_resolve_peak_within_step_budget(self):
+        # the band, the element squares and six N-vectors: the iterate, the stage's
+        # start, the gradient, the point values, and two to spare for small arrays
+        bench = get_benchmark("barrier-pull")
+        space, params = build_setup(bench, 1 / 256, 4)
+        nlp = AssembledNlp(bench.problem, space, replace(params, omega=1e-2, tau=1e-2))
+        solve(nlp)  # builds the layout
+        layout, N = nlp.hessian_layout, nlp.N
+        E, _, L = layout.local_eval.shape
+        budget = 8 * ((layout.kd + 1) * N + E * L * L + 6 * N)
+        assert budget == 163_840
+        gc.collect()
+        tracemalloc.start()
+        try:
+            solve(nlp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
 
 def loop_default_schedule(omega, tau, stages=4):
