@@ -330,8 +330,7 @@ class AssembledNlp:
     # -- evaluation at the quadrature points ----------------------------------
 
     def _point_data(self, x: CoefficientVector) -> _PointData:
-        # values are read-only: the same array needs no comparison, an equal one no copy
-        if x.values is self._cache_values or np.array_equal(x.values, self._cache_values):
+        if x.values is self._cache_values:  # values are read-only: the same array, the same x
             return self._cache
         problem = self.problem
         values = (self.eval_op @ x.values).reshape(self.M, self.space.block_width)

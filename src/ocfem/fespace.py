@@ -118,6 +118,9 @@ class CoefficientVector:
 def build_space(meshes: Sequence[Mesh], degree: int, n_y: int, n_z: int) -> FESpace:
     """Assemble the global space from one mesh per component."""
     meshes = tuple(meshes)
+    for name, count in (("degree", degree), ("n_y", n_y), ("n_z", n_z)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if n_y < 0 or n_z < 0 or n_y + n_z < 1:
         raise ValueError(f"invalid component counts n_y={n_y}, n_z={n_z}")
     if len(meshes) != n_y + n_z:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -410,17 +411,14 @@ def study_csv(rows: Sequence[ConvergenceRow]) -> str:
 
 
 def _report_summary(report: SolveReport) -> dict:
-    """The report without the coefficients and the per-stage objective histories."""
-    stages = [
-        {k: v for k, v in asdict(s).items() if k != "objective_history"} for s in report.stages
-    ]
+    """The report without the coefficients."""
     return {
         "status": report.status,
         "grad_norm": report.grad_norm,
         "iterations": report.iterations,
         "residual": report.residual,
         "min_z": report.min_z,
-        "stages": stages,
+        "stages": [asdict(stage) for stage in report.stages],
         "terms": report.terms._asdict(),
     }
 
@@ -720,8 +718,8 @@ _COMMANDS = {
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns 0 on success, 1 on solver failure or a failed derivative
-    check, 2 on usage errors."""
+    """Entry point; returns 0 on success, 1 on solver failure, a failed derivative check
+    or a closed stdout, 2 on usage errors."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exit_:  # argparse signals usage errors via SystemExit
@@ -731,7 +729,14 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         merged = _options(args)
         if merged.get("out") is not None:  # an unusable --out fails before any set-up or solve
             merged["out"].mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command][0](merged)
+        code = _COMMANDS[args.command][0](merged)
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:  # the reader left: what is still buffered goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError, MemoryError) as exc:  # bad input or path, or a set-up too large
         print(f"error: {exc}", file=sys.stderr)
         return 2

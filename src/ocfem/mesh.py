@@ -92,6 +92,8 @@ def uniform_mesh(domain: tuple[float, float], n_intervals: int) -> Mesh:
     t0, t_end = _finite(np.array(domain, dtype=float)).tolist()
     if not t0 < t_end:
         raise ValueError(f"invalid domain ({t0}, {t_end}): need t0 < tE")
+    if isinstance(n_intervals, bool) or not isinstance(n_intervals, (int, np.integer)):
+        raise ValueError(f"n_intervals must be an integer, got {n_intervals!r}")
     if n_intervals < 1:
         raise ValueError(f"invalid interval count {n_intervals}: need >= 1")
     points = t0 + (t_end - t0) / n_intervals * np.arange(n_intervals + 1)

@@ -308,6 +308,9 @@ def check_derivatives(problem: OcpProblem, *, n_samples: int = 5, seed: int = 0)
     values; Hessians from the coded first derivatives.  The check only
     reports errors, it never raises on a mismatch.
     """
+    for name, count in (("n_samples", n_samples), ("seed", seed)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if n_samples < 1:
         raise ValueError(f"derivative check needs n_samples >= 1, got {n_samples}")
     if seed < 0:

@@ -12,7 +12,7 @@ change along it (``z_values``, ``z_step``); this module reads no operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,7 +58,7 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if self.grad_tol is not None:
             check_positive("grad_tol", self.grad_tol)
-        if not isinstance(self.max_iters, int):
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
@@ -78,7 +78,6 @@ class StageResult:
     objective: float
     residual: float
     status: str
-    objective_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -86,9 +85,9 @@ class SolveReport:
     """Outcome of ``solve`` at ``x_final`` and the target (omega, tau).  ``status`` is that
     of the last stage that did not converge, else ``converged``: a stage at the rounding
     floor hands its iterate to the next stage, and any other ending stops the solve, so a
-    stop is reported over an earlier floor.  Every iterate is interior, so ``terms`` always
-    exists and ``min_z`` is positive: the first stage starts from ``ensure_interior``'s
-    point, and the line search accepts a trial only where the barrier is defined."""
+    stop is reported over an earlier floor.  Every iterate is interior, so ``terms`` exists
+    and ``min_z`` > 0: the default start is interior by construction, ``ensure_interior``
+    shifts a caller's ``x0``, and a trial is accepted only where the barrier is defined."""
 
     x_final: CoefficientVector
     status: str
@@ -109,8 +108,8 @@ class SolveReport:
 
 
 def default_start(nlp: AssembledNlp) -> CoefficientVector:
-    """Interior starting point: hinted differential values, auxiliaries at max(1, tau),
-    interpolated at the basis nodes."""
+    """Hinted differential values and auxiliaries at max(1, tau), interpolated at the basis
+    nodes.  Interior by construction: the basis reproduces a constant to rounding."""
     space, hint = nlp.space, nlp.problem.initial_guess
 
     def start(t: np.ndarray) -> np.ndarray:
@@ -119,7 +118,7 @@ def default_start(nlp: AssembledNlp) -> CoefficientVector:
             raise ValueError(f"initial_guess returns shape {np.shape(y)}, need {(t.size, space.n_y)}")
         return np.hstack([y, np.full((t.size, space.n_z), max(1.0, nlp.params.tau))])
 
-    return ensure_interior(nlp, space.interpolate(start))
+    return space.interpolate(start)
 
 
 def ensure_interior(nlp: AssembledNlp, x: CoefficientVector) -> CoefficientVector:
@@ -178,7 +177,7 @@ def _newton_stage(
 ) -> tuple[CoefficientVector, StageResult]:
     omega, tau = nlp.params.omega, nlp.params.tau
     total = nlp.objective_terms(x).total
-    history, norms = [total], []
+    norms: list[float] = []
     while True:
         grad = nlp.gradient(x)
         norms.append(math.sqrt(grad @ grad))
@@ -208,9 +207,8 @@ def _newton_stage(
             break
         x, total = trial, trial_total
         del step  # the next step's band is assembled without this one beside it
-        history.append(total)
     residual = nlp.residual_value(x)
-    return x, StageResult(omega, tau, len(history) - 1, norms[-1], total, residual, status, history)
+    return x, StageResult(omega, tau, len(norms) - 1, norms[-1], total, residual, status)
 
 
 def solve(

@@ -1,9 +1,11 @@
-"""The benchmark's tracer patches these names, and its workloads set up through the
-public API; each must still work."""
+"""The benchmark's tracer patches these names, and its workloads set up and solve through
+the public API; each must still work, at the Newton steps the benchmark counts."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+from ocfem.solver import STATUS_CONVERGED, solve
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -37,3 +39,19 @@ def test_every_workload_case_sets_up(monkeypatch):
         assert (nlp.params.d, nlp.params.h) == (case.d, case.h)
         if case.omega is not None:
             assert (nlp.params.omega, nlp.params.tau) == (case.omega, case.tau)
+
+
+def test_every_workload_solves_to_its_counted_steps(monkeypatch):
+    # the benchmark counts these Newton steps exactly; a change to the default start,
+    # schedule or step shows here before a benchmark run
+    workloads = load("workloads", monkeypatch)
+    steps = {}
+    for name, workload in workloads.WORKLOADS.items():
+        outcomes = []
+        for case in workload.cases:
+            nlp = workloads.build(case)
+            outcomes.append(workloads.Outcome(case, nlp, solve(nlp)))
+        assert [o.report.status for o in outcomes] == [STATUS_CONVERGED] * len(outcomes)
+        assert workload.check(outcomes) == []
+        steps[name] = sum(o.report.total_iterations for o in outcomes)
+    assert steps == {"refine-d4": 246, "refine-d8": 99, "barrier-floor": 87}

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -614,3 +615,44 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("d,computed,expected,error")
+
+
+class TestClosedStdout:
+    """A reader that leaves before the output ends, as ``ocfem study ... | head -1`` does,
+    is no usage error: the exit is 1 and nothing is written to stderr."""
+
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    def test_in_process(self, monkeypatch, capsys, tmp_path):
+        with open(tmp_path / "stdout", "w") as file:
+            monkeypatch.setattr(sys, "stdout", self.ClosedPipe(file.fileno()))
+            assert cli_main(["norm-check", "--d-max", "2"]) == 1
+            # what is still buffered is flushed to devnull, not to the closed pipe
+            assert os.path.samestat(os.fstat(file.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["norm-check", "--d-max", "2"], ["solve", "--problem", "lq", "--h", "0.25", "--d", "2"]],
+        ids=["norm-check", "solve"],
+    )
+    def test_pipe_closed_before_the_first_write(self, args):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ocfem", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        proc.stdout.close()  # long before the child has imported numpy
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""  # no "error:" line, traceback or "Exception ignored" line

@@ -88,6 +88,27 @@ class TestBuildSpace:
         with pytest.raises(ValueError, match="one per component"):
             build_space([uniform_mesh((0.0, 1.0), 2)], 1, 1, 1)
 
+    @pytest.mark.parametrize(
+        "name, counts",
+        [
+            ("degree", (2.0, 1, 2)),
+            ("degree", (True, 1, 2)),
+            ("n_y", (2, 1.0, 2)),
+            ("n_z", (2, 1, False)),
+        ],
+    )
+    def test_count_not_an_integer(self, name, counts):
+        # a degree of 2.0 would fail later, inside numpy, at AssembledNlp
+        value = counts[("degree", "n_y", "n_z").index(name)]
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            build_space([uniform_mesh((0.0, 1.0), 2)] * 3, *counts)
+
+    def test_numpy_integer_counts(self):
+        bench = get_benchmark("lq")
+        space = build_space([uniform_mesh((0.0, 1.0), 2)] * 3, np.int64(2), np.int32(1), np.int8(2))
+        nlp = AssembledNlp(bench.problem, space, default_params(0.5, space))
+        assert nlp.N == space.N == 5 + 2 * 2 * 3  # y continuous, z1 and z2 not
+
 
 class TestCoefficientVector:
     def test_length_checked(self):

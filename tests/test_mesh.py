@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -47,6 +48,16 @@ class TestUniformMesh:
     def test_invalid_count(self):
         with pytest.raises(ValueError, match="invalid interval count"):
             uniform_mesh((0.0, 1.0), 0)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, np.float64(3.0)])
+    def test_count_not_an_integer(self, count):
+        # 2.5 would give the breakpoints [0, 0.4, 0.8, 1], a mesh that is not uniform
+        with pytest.raises(ValueError, match=re.escape(f"n_intervals must be an integer, got {count!r}")):
+            uniform_mesh((0.0, 1.0), count)
+
+    @pytest.mark.parametrize("count", [np.int64(4), np.int32(4), np.uint8(4)])
+    def test_numpy_integer_count(self, count):
+        assert uniform_mesh((0.0, 1.0), count).breakpoints.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 class TestNonFinite:

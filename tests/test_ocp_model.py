@@ -252,6 +252,18 @@ class TestCheckDerivatives:
         with pytest.raises(ValueError, match="n_samples"):
             check_derivatives(quadratic_problem(), n_samples=n_samples)
 
+    @pytest.mark.parametrize(
+        "name, value", [("n_samples", 2.5), ("n_samples", True), ("seed", 1.0), ("seed", False)]
+    )
+    def test_count_not_an_integer(self, name, value):
+        # n_samples = 2.5 would raise a TypeError, and True would run one sample
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            check_derivatives(quadratic_problem(), **{name: value})
+
+    def test_numpy_integer_counts(self):
+        ours = check_derivatives(quadratic_problem(), n_samples=np.int64(2), seed=np.int32(3))
+        assert ours == check_derivatives(quadratic_problem(), n_samples=2, seed=3)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed >= 0, got -1"):
             check_derivatives(quadratic_problem(), seed=-1)

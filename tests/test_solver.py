@@ -33,7 +33,7 @@ from ocfem.ocp_model import (
     default_params,
     residual,
 )
-from ocfem.polybasis import gauss_lobatto_nodes
+from ocfem.polybasis import MAX_DEGREE, gauss_lobatto_nodes
 from ocfem.solver import (
     _FLOOR_DECREMENT,
     STATUS_CONVERGED,
@@ -129,11 +129,18 @@ class TestSolveLq:
             assert later <= earlier + 1e-12
 
     def test_objective_strictly_decreases_within_stage(self):
-        report = solve(lq_nlp())
-        for stage in report.stages:
-            history = stage.objective_history
-            for a, b in zip(history, history[1:]):
-                assert b < a
+        # a stage capped at k < its steps ends at its k-th iterate, so the caps 0..k read
+        # the objective at every iterate; each stage starts where the one before ended
+        nlp = lq_nlp()
+        tol, x = SolverOptions().resolved_grad_tol(nlp.N), default_start(nlp)
+        for stage in solve(nlp).stages:
+            staged, objectives = nlp.with_params(stage.omega, stage.tau), []
+            for k in range(stage.iterations + 1):
+                end, capped = _newton_stage(staged, x, SolverOptions(max_iters=k), tol)
+                objectives.append(capped.objective)
+            assert all(b < a for a, b in zip(objectives, objectives[1:]))
+            assert capped == stage
+            x = end
 
     def test_stationarity_reproducible(self):
         nlp = lq_nlp()
@@ -445,7 +452,7 @@ def per_node_start(nlp):
                 else:
                     value = 0.0 if hint is None else hint(np.array([t]))[0, comp]
                 values[space.index_map[comp][k, a]] = value
-    return ensure_interior(nlp, space.coefficient_vector(values))
+    return space.coefficient_vector(values)
 
 
 START_CASES = [
@@ -476,6 +483,19 @@ class TestStartingPoint:
         x0 = default_start(nlp)
         assert x0.values.tobytes() == per_node_start(nlp).values.tobytes()
         assert (nlp.z_values(x0) == pytest.approx(2.5)) and x0.values.min() < 0.0
+
+    @pytest.mark.parametrize("name", ["lq", "lq-multimesh", "trivial", "barrier-pull"])
+    def test_default_start_is_interior_at_every_degree(self, name):
+        # the invariant that lets default_start skip ensure_interior: the basis reproduces
+        # the constant max(1, tau) at every quadrature point, up to rounding
+        bench = get_benchmark(name)
+        for d in range(0 if bench.problem.n_y == 0 else 1, MAX_DEGREE + 1):
+            for h in (1.0, 0.25):
+                nlp = AssembledNlp(bench.problem, *build_setup(bench, h, d))
+                for tau in (nlp.params.tau, 2.5):
+                    staged = nlp.with_params(nlp.params.omega, tau)
+                    z = staged.z_values(default_start(staged))
+                    assert z.min() >= max(1.0, tau) * (1 - 1e-12), (d, h, tau)
 
     def test_default_start_is_interior(self):
         nlp = lq_nlp(h=0.25)
@@ -977,9 +997,14 @@ class TestSchedules:
                 SolverOptions(grad_tol=grad_tol)
         with pytest.raises(ValueError, match="max_iters must be nonnegative"):
             SolverOptions(max_iters=-1)
-        for max_iters in (2.5, float("nan"), float("inf")):
+        for max_iters in (2.5, float("nan"), float("inf"), True, False):  # True is no count of 1
             with pytest.raises(ValueError, match=f"max_iters must be an integer, got {max_iters}"):
                 SolverOptions(max_iters=max_iters)
+
+    @pytest.mark.parametrize("max_iters", [np.int64(1), np.int32(1)])
+    def test_numpy_integer_max_iters(self, max_iters):
+        report = solve(lq_nlp(h=0.25), opts=SolverOptions(max_iters=max_iters))
+        assert report.status == STATUS_MAX_ITERS and report.iterations == [1]
 
     def test_stages_and_report_reuse_point_data(self, monkeypatch):
         calls, first, ends = [], [], []
