@@ -126,11 +126,11 @@ class HessianLayout:
     endpoints between windows, so the half-bandwidth is the clique bound
     n_x (d + 1) - 1 whatever the number of intervals (14 for ``lq`` at d = 4);
     per-component meshes give more (``lq-multimesh`` 24).  ``band_position``
-    is its inverse.  ``band_index`` places each entry (i, j), i >= j, of the flat
-    element squares at ``column * (kd + 1) + offset`` in the C-order (N, kd + 1)
-    lower band, kd the widest element offset; the other half goes to one spill
-    slot past the end.  The point square's pairs i >= j, ``point_lower``, are kept
-    once with their band ``point_offset`` and ``point_column``.
+    is its inverse.  Coefficients ascend in each interval (the numbering is component-
+    major), so its natural pairs i >= j are the local lower triangle ``element_lower``;
+    ``band_index`` places these E L (L + 1) / 2 entries at ``column * (kd + 1) + offset``
+    in the C-order (N, kd + 1) lower band, kd the widest element offset.  The point
+    square's pairs i >= j, ``point_lower``, are kept with ``point_offset``, ``point_column``.
     """
 
     def __init__(self, nlp: "AssembledNlp"):
@@ -154,14 +154,13 @@ class HessianLayout:
         op = nlp.point_op
         point_dofs = np.unique(op.indices) if nlp.problem.p > 0 else np.zeros(0, int)
         self.point_eval = op[:, point_dofs].toarray()
-        # natural (i, j) of the flat element squares' entries; pairs i >= j are kept, as element
-        # matrices are symmetric only to rounding and natural indices keep values off band_order
-        rows, cols = (a.ravel() for a in np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :]))
-        pairs = np.flatnonzero(rows >= cols)
-        i, j = pos[rows[pairs]], pos[cols[pairs]]
+        # each element's lower triangle: its natural pairs i >= j, as element matrices are
+        # symmetric only to rounding and natural indices keep values off band_order
+        row, col = np.tril_indices(dofs.shape[1])
+        self.element_lower = row * dofs.shape[1] + col
+        i, j = pos[dofs[:, row]], pos[dofs[:, col]]
         self.kd = kd = int(np.abs(i - j).max())
-        self.band_index = np.full(rows.size, N * (kd + 1))  # the spill slot
-        self.band_index[pairs] = np.minimum(i, j) * (kd + 1) + np.abs(i - j)
+        self.band_index = (np.minimum(i, j) * (kd + 1) + np.abs(i - j)).ravel()
         # the point square's pairs i >= j, as point_dofs is sorted
         self.point_lower = np.tril_indices(point_dofs.size)
         i, j = (pos[point_dofs[k]] for k in self.point_lower)
@@ -425,17 +424,18 @@ class AssembledNlp:
         Per quadrature point the curvature of f, the Gauss-Newton and curvature
         terms of the path penalty, the barrier diagonal tau alpha_j / z^2 and
         omega alpha_j (its share of omega S) form a (B, B) block.  The element
-        matrices V_e' blocks V_e are written into one buffer, and one ``np.bincount``
-        over ``band_index`` sums it into the band in buffer order.  The weighted rows
-        blocks @ V_e are formed in ceil(E rows L / (N (kd + 1))) element slices, so no
-        slice's rows outgrow the band, and the blocks are dropped before the last
-        slice's squares are written.  The point square is then added in one block, up
-        to the widest offset holding a nonzero point value, zeros included.  The band
-        is a new array on every call.
+        matrices V_e' blocks V_e are written into one buffer, the weighted rows blocks @
+        V_e formed in ceil(E rows L / (N (kd + 1))) element slices, so no slice's rows
+        outgrow the band; the blocks are dropped before the last slice's squares are
+        written.  The buffer's lower triangles (``element_lower``) are taken into a
+        C-contiguous array, the buffer is dropped, and one ``np.bincount`` over
+        ``band_index`` sums them into the band in element order.  The point square is
+        then added in one block, up to the widest offset holding a nonzero point value,
+        zeros included.  The band is a new array on every call.
 
-        Memory budget: the ``np.bincount`` is a Newton step's peak, where the band and
-        the element buffer sit beside the N-vectors the next step reads (the iterate,
-        the stage's start, the gradient and the point values); no earlier step is
+        Memory budget: the element slices are a Newton step's peak, the buffer beside a
+        slice's weighted rows (and the blocks) and the N-vectors the next step reads (the
+        iterate, the stage's start, the gradient, the point values); no earlier step is
         alive, and a built-in callback's outputs are views or broadcast constants.
         """
         data = self._point_data(x)
@@ -468,9 +468,9 @@ class AssembledNlp:
                 squares = np.empty((E, L, L))
             np.matmul(local[part].transpose(0, 2, 1), weighted, out=squares[part])
             del weighted
-        band = np.bincount(layout.band_index, squares.ravel(), N * (kd + 1) + 1)
+        squares = squares.reshape(E, L * L).take(layout.element_lower, axis=1)  # C-contiguous
+        band = np.bincount(layout.band_index, squares.ravel(), N * (kd + 1)).reshape(N, kd + 1)
         del squares
-        band = band[:-1].reshape(N, kd + 1)  # without the spill slot
         if self.problem.p > 0:
             point_block = data.b_jac.T @ data.b_jac + np.einsum("i,iab->ab", data.b, data.b_hess)
             evals, offset = layout.point_eval, layout.point_offset
@@ -497,8 +497,7 @@ class AssembledNlp:
         """Exact Hessian at x as a CSR matrix, for export and as an oracle: the band's
         entries mirrored, every structurally possible one stored, zeros included."""
         layout, N, band = self.hessian_layout, self.N, self.hessian_band(x)
-        width = layout.kd + 1
-        column, offset = np.divmod(layout.band_index[layout.band_index < N * width], width)
+        column, offset = np.divmod(layout.band_index, layout.kd + 1)
         slots = np.r_[offset * N + column, layout.point_offset * N + layout.point_column]
         offset, column = np.divmod(np.unique(slots), N)  # sorted by (offset, column)
         kd, order = band.shape[0] - 1, layout.band_order

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, strategies as st
 
 from conftest import stacked
 import ocfem.assembly
@@ -11,7 +12,7 @@ from ocfem.assembly import AssembledNlp
 from ocfem.errors import BarrierDomainError
 from ocfem.fespace import build_regularizer, build_space
 from ocfem.harness import build_setup, get_benchmark
-from ocfem.mesh import uniform_mesh
+from ocfem.mesh import Mesh, uniform_mesh
 from ocfem.ocp_model import OcpProblem, check_derivatives, default_params, residual
 from ocfem.solver import solve
 
@@ -565,6 +566,45 @@ class TestHessianLayout:
             # the nonzero y(0)-y(0.3) pairs widen the band past the element kd
             assert kd > nlp.hessian_layout.kd
 
+    @staticmethod
+    def assert_element_triangles(nlp):
+        # HessianLayout keeps each element's local lower triangle for its natural pairs
+        # i >= j, which needs each merged interval's coefficients to ascend
+        space, E, layout = nlp.space, nlp.rule.mesh.n_intervals, nlp.hessian_layout
+        d1 = space.degree + 1
+        dofs = nlp.eval_op.indices.reshape(E, d1, space.block_width, d1)[:, 0, space.n_y :]
+        dofs = dofs.reshape(E, -1)
+        assert (np.diff(dofs, axis=1) > 0).all()
+        L = dofs.shape[1]
+        assert np.array_equal(layout.element_lower, np.flatnonzero(np.tri(L, dtype=bool)))
+        assert layout.band_index.size == E * L * (L + 1) // 2
+        rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+        i, j = (layout.band_position[k[rows >= cols]] for k in (rows, cols))
+        slots = np.minimum(i, j) * (layout.kd + 1) + np.abs(i - j)
+        assert np.array_equal(layout.band_index, slots)
+
+    @pytest.mark.parametrize(
+        "name", ["lq", "lq-multimesh", "graded", "interior-time", "wrap-around"]
+    )
+    def test_element_coefficients_ascend(self, name):
+        if name == "graded":
+            space = build_space([Mesh([0, 0.05, 0.2, 0.5, 1])] * 3, degree=4, n_y=1, n_z=2)
+            nlp = AssembledNlp(get_benchmark("lq").problem, space, default_params(0.5, space))
+        else:
+            nlp = oracle_case(name)
+        self.assert_element_triangles(nlp)
+
+    @given(
+        degree=st.integers(0, 6),
+        counts=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    )
+    def test_element_coefficients_ascend_per_component_meshes(self, degree, counts):
+        # lq's three components, or at degree 0 two algebraic ones, each on its own mesh
+        problem = get_benchmark("lq").problem if degree else constant_cost_problem(n_z=2)
+        meshes = [uniform_mesh(problem.domain, n) for n in counts[: problem.n_x]]
+        space = build_space(meshes, degree, problem.n_y, problem.n_z)
+        self.assert_element_triangles(AssembledNlp(problem, space, default_params(0.25, space)))
+
     def test_interior_time_point_square(self, rng):
         # y(0) and y(1) are held by one coefficient each, y(0.3) by d + 1 = 4; the
         # y(0)-y(0.3) pairs reach offset 33, the zero y(1) pairs lie at 47 to 80
@@ -574,7 +614,7 @@ class TestHessianLayout:
         assert np.count_nonzero(layout.point_eval, axis=1).tolist() == [1, 4, 1]
         assert layout.point_eval.shape[1] == 6 and layout.kd == 11
         E, _, L = layout.local_eval.shape
-        assert layout.band_index.size == E * L * L  # the element squares only
+        assert layout.band_index.size == E * L * (L + 1) // 2  # the element triangles only
         assert nlp.hessian_band(random_interior_point(nlp, rng)).shape[0] - 1 == 33
         wide = layout.point_offset[layout.point_offset > 33]
         assert wide.min() == 47 and wide.max() == 80

@@ -879,8 +879,9 @@ class TestBandedStep:
     )
     def test_step_peak_within_band_multiple(self, name, d, h):
         # the flat squares beside one slice of weighted rows (and the blocks, unless
-        # it is the only slice), then beside the band, which pbtrf factors in place; a
-        # second band, all weighted rows at once or a second sum buffer would pass it
+        # it is the only slice), then their triangles beside the band, which pbtrf
+        # factors in place; a second band, all weighted rows at once or a second sum
+        # buffer would pass it
         bench = get_benchmark(name)
         nlp = AssembledNlp(bench.problem, *build_setup(bench, h, d))
         x = default_start(nlp)
@@ -894,7 +895,8 @@ class TestBandedStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.3 * band_bytes
+        # lq d=8 reads 1.96, and 2.05 when np.bincount read the whole squares
+        assert peak <= (2.0 if d == 8 else 2.3) * band_bytes
 
     def test_no_earlier_step_alive_at_assembly(self, monkeypatch):
         # a stage drops its step before the next one's band is assembled
@@ -920,8 +922,8 @@ class TestBandedStep:
         assert not any(checked)
 
     def test_resolve_peak_within_step_budget(self):
-        # the band, the element squares and six N-vectors: the iterate, the stage's
-        # start, the gradient, the point values, and two to spare for small arrays
+        # a band (one slice's weighted rows), the element squares and six N-vectors: the
+        # iterate, the stage's start, the gradient, the point values, and two to spare
         bench = get_benchmark("barrier-pull")
         space, params = build_setup(bench, 1 / 256, 4)
         nlp = AssembledNlp(bench.problem, space, replace(params, omega=1e-2, tau=1e-2))
