@@ -435,8 +435,10 @@ class AssembledNlp:
 
         Memory budget: the element slices are a Newton step's peak, the buffer beside a
         slice's weighted rows (and the blocks) and the N-vectors the next step reads (the
-        iterate, the stage's start, the gradient, the point values); no earlier step is
-        alive, and a built-in callback's outputs are views or broadcast constants.
+        iterate, the gradient, the point values); no earlier step is alive, and a
+        built-in callback's outputs are views or broadcast constants.  From CPython 3.11
+        the stage's start is not alive either; on 3.10 a call's arguments stay on its
+        caller's stack until it returns, so ``solve`` still holds it.
         """
         data = self._point_data(x)
         layout = self.hessian_layout

@@ -226,7 +226,9 @@ def solve(
     stages: list[StageResult] = []
     for omega, tau in _schedule(params.omega, params.tau):
         nlp = nlp.with_params(omega, tau)  # a clone keeps the last point data
-        x, stage = _newton_stage(nlp, x, opts, tol)
+        start = [x]
+        del x  # from CPython 3.11 the stage's parameter is the start's only reference
+        x, stage = _newton_stage(nlp, start.pop(), opts, tol)
         stages.append(stage)
         if stage.status not in (STATUS_CONVERGED, STATUS_ROUNDING_FLOOR):
             break
